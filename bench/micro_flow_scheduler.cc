@@ -1,11 +1,10 @@
 /**
  * @file
  * JSON-emitting micro-benchmark of the simulator hot paths: the
- * flow scheduler's fair-share solving (dense contended scenarios
- * under both the region-scoped and the global solver), the event
- * queue's schedule/cancel/pop churn, and the SweepRunner's jobs=1 vs
- * jobs=N wall-clock on a small experiment sweep (with a byte-identity
- * check of the two result sets).
+ * flow scheduler's region-scoped fair-share solving (dense contended
+ * scenarios), the event queue's schedule/cancel/pop churn, and the
+ * SweepRunner's jobs=1 vs jobs=N wall-clock on a small experiment
+ * sweep (with a byte-identity check of the two result sets).
  *
  * Output is one JSON object per line so the bench trajectory can be
  * recorded and diffed across revisions:
@@ -27,18 +26,13 @@ using namespace dstrain;
 
 namespace {
 
-const char *
-solverName(FlowSolverMode mode)
-{
-    return mode == FlowSolverMode::Region ? "region" : "global";
-}
-
 /** Region-solver telemetry shared by every scheduler scenario. */
 void
 addSolverStats(bench::JsonObject &json, const FlowScheduler &sched)
 {
     const FlowScheduler::Stats &stats = sched.stats();
-    json.add("solver", std::string(solverName(sched.solverMode())))
+    // "solver" keys the perf_guard.py baseline series.
+    json.add("solver", std::string("region"))
         .add("recomputes", stats.recomputes)
         .add("fast_starts", stats.fast_starts)
         .add("fast_finishes", stats.fast_finishes)
@@ -53,8 +47,6 @@ addSolverStats(bench::JsonObject &json, const FlowScheduler &sched)
         .add("completion_index_updates", stats.completion_index_updates)
         .add("completion_scans_avoided", stats.completion_scans_avoided)
         .add("batched_events", stats.batched_events)
-        .add("parallel_component_solves",
-             stats.parallel_component_solves)
         .add("stalled_parks", stats.stalled_parks);
     // Histogram bucket k counts region solves with [2^k, 2^(k+1))
     // flows; rendered as a JSON array aligned with bucket index.
@@ -73,12 +65,12 @@ addSolverStats(bench::JsonObject &json, const FlowScheduler &sched)
  * incremental paths.
  */
 bench::JsonObject
-denseFlowScenario(int waves, int per_wave, FlowSolverMode mode)
+denseFlowScenario(int waves, int per_wave)
 {
     bench::Stopwatch watch;
     Simulation sim;
     Cluster cluster(xe8545Cluster(2));
-    FlowScheduler sched(sim, cluster.topology(), mode);
+    FlowScheduler sched(sim, cluster.topology());
 
     int done = 0;
     for (int w = 0; w < waves; ++w) {
@@ -120,11 +112,10 @@ denseFlowScenario(int waves, int per_wave, FlowSolverMode mode)
  * uplinks per node, each duplex), with waves of cross-leaf flows
  * spread over the trunks by per-flow ECMP. Tracks events/sec on a
  * link set two orders of magnitude denser than the dual-node
- * scenario; the region solver's win over the global pass shows up
- * here first.
+ * scenario.
  */
 bench::JsonObject
-spineLeafScenario(int waves, int per_wave, FlowSolverMode mode)
+spineLeafScenario(int waves, int per_wave)
 {
     bench::Stopwatch watch;
     Simulation sim;
@@ -134,7 +125,7 @@ spineLeafScenario(int waves, int per_wave, FlowSolverMode mode)
     spec.fabric.spines = 16;
     const int world = spec.totalGpus();
     Cluster cluster(std::move(spec));
-    FlowScheduler sched(sim, cluster.topology(), mode);
+    FlowScheduler sched(sim, cluster.topology());
     int done = 0;
     for (int w = 0; w < waves; ++w) {
         sim.events().schedule(w * 0.01, [&, w] {
@@ -179,13 +170,12 @@ spineLeafScenario(int waves, int per_wave, FlowSolverMode mode)
  * O(10^4)-link fat-tree scenario: 256 XE8545 nodes on a k=16 fat
  * tree (4 pods, 32 edge + 32 agg + 64 core switches, >10^4 directed
  * links), with waves of cross-pod flows ECMP-spread over the core.
- * Intractable under the global solver at this size — every event
- * would re-waterfill a thousand flows — so this scenario is the
- * region solver's existence proof: per-event cost tracks the region
- * (a few flows around two edge switches), not the cluster.
+ * A full re-fill per event would cover a thousand flows; the region
+ * solver's per-event cost tracks the region (a few flows around two
+ * edge switches), not the cluster.
  */
 bench::JsonObject
-fatTree10kScenario(int waves, int per_wave, FlowSolverMode mode)
+fatTree10kScenario(int waves, int per_wave)
 {
     bench::Stopwatch watch;
     Simulation sim;
@@ -194,7 +184,7 @@ fatTree10kScenario(int waves, int per_wave, FlowSolverMode mode)
     spec.fabric.fat_tree_k = 16;
     const int world = spec.totalGpus();
     Cluster cluster(std::move(spec));
-    FlowScheduler sched(sim, cluster.topology(), mode);
+    FlowScheduler sched(sim, cluster.topology());
     int done = 0;
     for (int w = 0; w < waves; ++w) {
         sim.events().schedule(w * 0.01, [&, w] {
@@ -243,7 +233,7 @@ fatTree10kScenario(int waves, int per_wave, FlowSolverMode mode)
  * complete under sanitizers in CI), not to saturate the fabric.
  */
 bench::JsonObject
-fatTree100kScenario(int waves, int per_wave, FlowSolverMode mode)
+fatTree100kScenario(int waves, int per_wave)
 {
     bench::Stopwatch watch;
     Simulation sim;
@@ -252,7 +242,7 @@ fatTree100kScenario(int waves, int per_wave, FlowSolverMode mode)
     spec.fabric.fat_tree_k = 32;
     const int world = spec.totalGpus();
     Cluster cluster(std::move(spec));
-    FlowScheduler sched(sim, cluster.topology(), mode);
+    FlowScheduler sched(sim, cluster.topology());
     int done = 0;
     for (int w = 0; w < waves; ++w) {
         sim.events().schedule(w * 0.01, [&, w] {
@@ -393,26 +383,15 @@ main(int argc, char **argv)
     setLogLevel(LogLevel::Silent);  // keep stdout pure JSON
     const int waves = args.getInt("waves");
     const int per_wave = args.getInt("per-wave");
-    // Region (the default) and Global on the same workloads: the
-    // events/sec ratio in the JSONL is the solver speedup.
-    for (FlowSolverMode mode :
-         {FlowSolverMode::Region, FlowSolverMode::Global}) {
-        std::cout << denseFlowScenario(waves, per_wave, mode).str()
-                  << "\n";
-        std::cout << spineLeafScenario(waves, per_wave, mode).str()
-                  << "\n";
-    }
-    // The O(10^4)-link scenario runs region-only: the global pass at
-    // this scale is exactly the cost this PR removes.
+    std::cout << denseFlowScenario(waves, per_wave).str() << "\n";
+    std::cout << spineLeafScenario(waves, per_wave).str() << "\n";
     std::cout << fatTree10kScenario(args.getInt("big-waves"),
-                                    args.getInt("big-per-wave"),
-                                    FlowSolverMode::Region)
+                                    args.getInt("big-per-wave"))
                      .str()
               << "\n";
     if (!args.getFlag("skip-100k")) {
         std::cout << fatTree100kScenario(args.getInt("huge-waves"),
-                                         args.getInt("huge-per-wave"),
-                                         FlowSolverMode::Region)
+                                         args.getInt("huge-per-wave"))
                          .str()
                   << "\n";
     }

@@ -624,22 +624,4 @@ parseCollectiveAlgoSpec(const std::string &spec, std::string *error)
     return out;
 }
 
-CommGroup
-orderNodeMajor(const CommGroup &group, const Cluster &cluster)
-{
-    return TopologyView(cluster).orderNodeMajor(group);
-}
-
-int
-interNodeHops(const CommGroup &group, const Cluster &cluster)
-{
-    return TopologyView(cluster).interNodeHops(group);
-}
-
-Bps
-ringBottleneckBandwidth(const CommGroup &group, const Cluster &cluster)
-{
-    return TopologyView(cluster).ringBottleneckBandwidth(group);
-}
-
 } // namespace dstrain

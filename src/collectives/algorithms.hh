@@ -117,19 +117,6 @@ std::optional<CollectiveAlgo> parseCollectiveAlgo(const std::string &name);
 std::optional<CollectiveAlgoSpec>
 parseCollectiveAlgoSpec(const std::string &spec, std::string *error);
 
-/**
- * @deprecated Use TopologyView::orderNodeMajor. Thin wrapper kept
- * for one PR while callers migrate.
- */
-CommGroup orderNodeMajor(const CommGroup &group, const Cluster &cluster);
-
-/** @deprecated Use TopologyView::interNodeHops. */
-int interNodeHops(const CommGroup &group, const Cluster &cluster);
-
-/** @deprecated Use TopologyView::ringBottleneckBandwidth. */
-Bps ringBottleneckBandwidth(const CommGroup &group,
-                            const Cluster &cluster);
-
 } // namespace dstrain
 
 #endif // DSTRAIN_COLLECTIVES_ALGORITHMS_HH

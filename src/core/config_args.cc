@@ -92,20 +92,10 @@ addExperimentOptions(ArgParser &args)
     args.addOption("collective-timeout", "0.025",
                    "collective per-round progress timeout in seconds; "
                    "0 disables the watchdog (with --resilience)");
-    args.addOption("flow-solver", "region",
-                   "fair-share solver: region (scoped incremental) | "
-                   "global (full-pass oracle)");
     args.addFlag("verify-fair-share",
-                 "run the global oracle after every scheduler event "
-                 "and abort on any bitwise rate divergence (slow)");
-    args.addFlag("no-completion-index",
-                 "schedule completions with the legacy full scan over "
-                 "active flows instead of the incremental index "
-                 "(bit-identical; A/B perf comparison)");
-    args.addOption("solver-threads", "1",
-                   "threads for parallel fair-share component fills "
-                   "(1 = serial, 0 = hardware threads; any value is "
-                   "bit-identical)");
+                 "re-solve every fair-share component from scratch "
+                 "after each scheduler event and abort on any bitwise "
+                 "rate divergence (slow)");
     args.addFlag("retain-segments",
                  "keep the full rate-log history instead of the "
                  "streaming bucket accumulators (more memory)");
@@ -139,9 +129,13 @@ experimentFromArgs(const ArgParser &args)
     out.config = paperExperiment(args.getInt("nodes"), *strategy,
                                  args.getDouble("model"));
     out.config.batch_per_gpu = args.getInt("batch");
-    // Executor needs at least one measured (post-warmup) iteration.
+    // Executor needs at least one measured (post-warmup) iteration, so
+    // a positive count is raised past the warm-up; anything below 1
+    // is left for validate() to reject.
+    const int iterations = args.getInt("iterations");
     out.config.iterations =
-        std::max(out.config.warmup + 1, args.getInt("iterations"));
+        iterations >= 1 ? std::max(out.config.warmup + 1, iterations)
+                        : iterations;
 
     const std::string placement = args.get("placement");
     if (placement.size() != 1 || placement[0] < 'A' ||
@@ -178,21 +172,7 @@ experimentFromArgs(const ArgParser &args)
     out.config.telemetry.retain_segments =
         args.getFlag("retain-segments");
 
-    const std::string solver = args.get("flow-solver");
-    if (solver == "region") {
-        out.config.flow_solver = FlowSolverMode::Region;
-    } else if (solver == "global") {
-        out.config.flow_solver = FlowSolverMode::Global;
-    } else {
-        out.errors.push_back(
-            {"flow-solver",
-             csprintf("unknown solver '%s' (expected region | global)",
-                      solver.c_str())});
-    }
     out.config.verify_fair_share = args.getFlag("verify-fair-share");
-    out.config.use_completion_index =
-        !args.getFlag("no-completion-index");
-    out.config.solver_threads = args.getInt("solver-threads");
 
     if (!args.get("faults").empty())
         out.config.faults =

@@ -5,9 +5,10 @@
 
 #include "core/experiment.hh"
 
+#include <algorithm>
+
 #include "model/flops.hh"
 #include "util/logging.hh"
-#include "util/task_pool.hh"
 
 namespace dstrain {
 
@@ -102,6 +103,28 @@ ExperimentConfig::validate() const
     }
     for (ConfigError &e : cluster.fabric.validate())
         errors.push_back(std::move(e));
+    // Group shapes the strategies would otherwise assert on.
+    const int gpus = cluster.totalGpus();
+    if (gpus >= 1) {
+        const int mp = strategy.modelParallelSize();
+        if (mp < 1 || gpus % mp != 0)
+            errors.push_back(
+                {"strategy",
+                 csprintf("model-parallel size %d (TP=%d x PP=%d) does "
+                          "not divide the %d GPUs",
+                          mp, strategy.tensor_parallel,
+                          strategy.pipeline_parallel, gpus)});
+        if (strategy.kind == StrategyKind::Moe && strategy.experts > 0) {
+            // MoeStrategy::expertParallelSize's rule.
+            const int ep = std::min(strategy.experts, gpus);
+            if (gpus % ep != 0)
+                errors.push_back(
+                    {"strategy.experts",
+                     csprintf("expert-parallel size %d does not divide "
+                              "the %d GPUs",
+                              ep, gpus)});
+        }
+    }
     if (model_billions < 0.0)
         errors.push_back(
             {"model_billions", "must be >= 0 (0 = largest that fits)"});
@@ -117,9 +140,6 @@ ExperimentConfig::validate() const
                                 warmup, iterations)});
     if (telemetry.bucket <= 0.0)
         errors.push_back({"telemetry.bucket", "must be positive"});
-    if (solver_threads < 0)
-        errors.push_back(
-            {"solver_threads", "must be >= 0 (0 = hardware threads)"});
     for (ConfigError &e : faults.validate())
         errors.push_back(std::move(e));
     for (ConfigError &e : recovery.validate(faults, cluster.nodeCount()))
@@ -163,20 +183,9 @@ Experiment::Experiment(ExperimentConfig cfg)
 
     sim_ = std::make_unique<Simulation>(cfg_.seed);
     cluster_ = std::make_unique<Cluster>(cfg_.cluster);
-    if (cfg_.solver_threads != 1) {
-        // The experiment thread participates as a pool worker, so
-        // N explicit threads means N - 1 spawned ones (0 = one per
-        // hardware thread, TaskPool's own default).
-        pool_ = std::make_unique<TaskPool>(
-            cfg_.solver_threads > 1 ? cfg_.solver_threads - 1 : 0);
-    }
-    FlowSchedulerOptions fopts;
-    fopts.mode = cfg_.flow_solver;
-    fopts.verify_fair_share = cfg_.verify_fair_share;
-    fopts.completion_index = cfg_.use_completion_index;
-    fopts.fill_pool = pool_.get();
-    flows_ = std::make_unique<FlowScheduler>(*sim_, cluster_->topology(),
-                                             fopts);
+    flows_ = std::make_unique<FlowScheduler>(
+        *sim_, cluster_->topology(),
+        FlowSchedulerOptions{cfg_.verify_fair_share});
     tm_ = std::make_unique<TransferManager>(*sim_, *cluster_, *flows_);
     coll_ = std::make_unique<CollectiveEngine>(*tm_);
     coll_->setAlgoSpec(cfg_.collective_algos);

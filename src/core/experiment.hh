@@ -34,8 +34,6 @@
 
 namespace dstrain {
 
-class TaskPool;
-
 /** Everything that defines one experiment run. */
 struct ExperimentConfig {
     /** The cluster (defaults to one XE8545 node). */
@@ -109,37 +107,12 @@ struct ExperimentConfig {
     std::uint64_t seed = 1;
 
     /**
-     * Fair-share solver mode. Region (the default) re-solves only the
-     * contention region an event touches; Global runs the full
-     * water-filling oracle on every event. Both are bit-identical;
-     * Global exists as the reference and for perf comparison.
-     */
-    FlowSolverMode flow_solver = FlowSolverMode::Region;
-
-    /**
-     * Debug cross-check: run the global oracle after every scheduler
-     * event and fatal() if any flow's rate differs bitwise from the
-     * region solver's. Slow; use for fuzzing and CI smoke, not runs.
+     * Debug cross-check: run the from-scratch fair-share oracle after
+     * every scheduler event and fatal() if any flow's rate differs
+     * bitwise from the region solver's. Slow; use for fuzzing and CI
+     * smoke, not runs.
      */
     bool verify_fair_share = false;
-
-    /**
-     * Keep the scheduler's incremental completion-time index (the
-     * default). False restores the legacy full scan over active flows
-     * when scheduling the next completion — bit-identical results,
-     * O(active) per event; exists for A/B perf comparison and as the
-     * fallback escape hatch.
-     */
-    bool use_completion_index = true;
-
-    /**
-     * Worker threads for filling independent fair-share components of
-     * one solve concurrently. 1 (the default) = serial; 0 = one per
-     * hardware thread; N > 1 = exactly N. Results are committed in
-     * canonical component order, so any value is bit-identical to
-     * serial.
-     */
-    int solver_threads = 1;
 
     /**
      * Check every field for structural validity; empty result = OK.
@@ -220,7 +193,6 @@ class Experiment
   private:
     ExperimentConfig cfg_;
     LadderEntry model_;
-    std::unique_ptr<TaskPool> pool_;  ///< solver_threads != 1 only
     std::unique_ptr<Simulation> sim_;
     std::unique_ptr<Cluster> cluster_;
     std::unique_ptr<FlowScheduler> flows_;

@@ -5,14 +5,11 @@
 
 #include "core/presets.hh"
 
-#include "util/logging.hh"
-
 namespace dstrain {
 
 ClusterSpec
 xe8545Cluster(int nodes)
 {
-    DSTRAIN_ASSERT(nodes >= 1, "need at least one node");
     ClusterSpec spec;
     spec.nodes = nodes;
     return spec;  // NodeSpec defaults are the Table II XE8545

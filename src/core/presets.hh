@@ -16,7 +16,8 @@
 
 namespace dstrain {
 
-/** The paper's cluster: @p nodes XE8545 nodes (Table II defaults). */
+/** The paper's cluster: @p nodes XE8545 nodes (Table II defaults).
+ * A count below 1 is left for ExperimentConfig::validate() to reject. */
 ClusterSpec xe8545Cluster(int nodes);
 
 /** The paper's Megatron configuration for a node count. */

@@ -51,12 +51,10 @@ summarizeScheduler(const FlowScheduler::Stats &stats)
         static_cast<unsigned long long>(stats.stalled_parks));
     out += csprintf(
         "\nscheduler: %llu index updates, %llu scans avoided, "
-        "%llu batched events, %llu parallel component solves, "
-        "%llu rate updates",
+        "%llu batched events, %llu rate updates",
         static_cast<unsigned long long>(stats.completion_index_updates),
         static_cast<unsigned long long>(stats.completion_scans_avoided),
         static_cast<unsigned long long>(stats.batched_events),
-        static_cast<unsigned long long>(stats.parallel_component_solves),
         static_cast<unsigned long long>(stats.rate_updates));
     return out;
 }

@@ -6,10 +6,9 @@
 #include "core/sweep_runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <thread>
-
-#include "util/task_pool.hh"
 
 namespace dstrain {
 
@@ -28,34 +27,40 @@ SweepRunner::run(std::vector<ExperimentConfig> configs,
 {
     const std::size_t total = configs.size();
     std::vector<ExperimentReport> reports(total);
+    std::atomic<std::size_t> cursor{0};
+    std::mutex progress_mutex;
+    std::size_t done = 0;  // guarded by progress_mutex
 
-    if (jobs_ == 1 || total <= 1) {
-        // Inline: no threads, same claim order, same results.
-        for (std::size_t i = 0; i < total; ++i) {
+    auto work = [&] {
+        for (;;) {
+            const std::size_t i =
+                cursor.fetch_add(1, std::memory_order_relaxed);
+            if (i >= total)
+                return;
             reports[i] = runExperiment(std::move(configs[i]));
+            // Count inside the lock so `done` is monotonic from the
+            // callback's point of view.
+            std::lock_guard<std::mutex> lock(progress_mutex);
+            ++done;
             if (progress)
-                progress(i + 1, total, i);
+                progress(done, total, i);
         }
+    };
+
+    const std::size_t threads =
+        std::min(static_cast<std::size_t>(jobs_), total);
+    if (threads <= 1) {
+        work();  // inline: same claim order, same results
         return reports;
     }
-
-    std::size_t done = 0;  // guarded by progress_mutex
-    std::mutex progress_mutex;
-
-    // The pool's caller thread participates, so jobs_ workers means
-    // jobs_ - 1 spawned threads (never more threads than points).
-    const std::size_t nworkers =
-        std::min<std::size_t>(static_cast<std::size_t>(jobs_), total);
-    TaskPool pool(static_cast<int>(nworkers) - 1);
-    pool.parallelFor(total, [&](std::size_t i, int) {
-        reports[i] = runExperiment(std::move(configs[i]));
-        // Count inside the lock so `done` is monotonic from the
-        // callback's point of view.
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        ++done;
-        if (progress)
-            progress(done, total, i);
-    });
+    {
+        // A jthread joins when destroyed, so every thread is finished
+        // with the state above when this scope closes, on any path.
+        std::vector<std::jthread> pool;
+        pool.reserve(threads);
+        for (std::size_t t = 0; t < threads; ++t)
+            pool.emplace_back(work);
+    }
     return reports;
 }
 

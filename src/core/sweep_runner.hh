@@ -4,13 +4,12 @@
  *
  * Every paper table/figure is produced by sweeping a family of
  * ExperimentConfigs; each Experiment owns its own Simulation, cluster
- * and engines, so the points are embarrassingly parallel. SweepRunner
- * is a bounded worker pool (a per-sweep TaskPool) over that
- * structure: configs are claimed
- * from an atomic cursor, results land at the index of their config
- * (deterministic ordering regardless of completion order), and an
- * optional progress callback is invoked — serialized — as each point
- * completes.
+ * and engines, so the points are embarrassingly parallel. Each run()
+ * starts one thread per job (never more than points) and joins them
+ * before returning: configs are claimed from an atomic cursor,
+ * results land at the index of their config (deterministic ordering
+ * regardless of completion order), and an optional progress callback
+ * is invoked — serialized — as each point completes.
  *
  * Determinism: a report depends only on its config (seeded RNG,
  * single-threaded DES per experiment), so a sweep at --jobs N is
@@ -28,12 +27,12 @@
 
 namespace dstrain {
 
-/** A bounded worker pool for independent experiment runs. */
+/** Runs independent experiments on a bounded number of threads. */
 class SweepRunner
 {
   public:
     /**
-     * Called (serialized, from worker threads) after each point
+     * Called (serialized, from the sweep's threads) after each point
      * completes: points done so far, total points, and the index of
      * the point that just finished.
      */

@@ -24,9 +24,7 @@
  *    as the global pass does. The region solver exploits this to
  *    re-solve only the component(s) an event touches; flows outside
  *    keep their frozen rates, which by the same argument are still
- *    their global max-min rates. It also makes components of one
- *    solve independent units of work: they can be filled concurrently
- *    and committed in canonical order, bit-identical to serial.
+ *    their global max-min rates.
  *
  *  - A flow's remaining-bytes trajectory is piecewise linear in its
  *    rate. Keeping (anchor, remaining) exact and settling in ONE
@@ -40,8 +38,8 @@
  *    at those same points, which is what lets the completion index
  *    be maintained incrementally.
  *
- * Everything else falls back to a water-filling pass (global or
- * region-scoped by mode) over flat, reusable per-resource arrays.
+ * Everything else falls back to a region-scoped water-filling pass
+ * over flat, reusable per-resource arrays.
  */
 
 #include "net/flow_scheduler.hh"
@@ -50,7 +48,6 @@
 #include <limits>
 
 #include "util/logging.hh"
-#include "util/task_pool.hh"
 
 namespace dstrain {
 
@@ -66,20 +63,9 @@ constexpr double kSaturationFraction = 1e-9;
 
 FlowScheduler::FlowScheduler(Simulation &sim, Topology &topo,
                              FlowSchedulerOptions opts)
-    : sim_(sim), topo_(topo), mode_(opts.mode),
-      verify_(opts.verify_fair_share),
-      use_index_(opts.completion_index), pool_(opts.fill_pool),
-      parallel_threshold_(opts.parallel_fill_threshold)
+    : sim_(sim), topo_(topo), verify_(opts.verify_fair_share)
 {
     ensureResourceArrays();
-}
-
-FlowScheduler::FlowScheduler(Simulation &sim, Topology &topo,
-                             FlowSolverMode mode, bool verify_fair_share)
-    : FlowScheduler(sim, topo,
-                    FlowSchedulerOptions{mode, verify_fair_share, true,
-                                         nullptr, 16})
-{
 }
 
 FlowScheduler::~FlowScheduler()
@@ -103,7 +89,6 @@ FlowScheduler::ensureResourceArrays()
     nflows_.resize(n, 0);
     residual_.resize(n, 0.0);
     crossing_.resize(n, 0);
-    in_active_.resize(n, 0);
     res_flows_.resize(n);
     res_mark_.resize(n, 0);
     res_comp_mark_.resize(n, 0);
@@ -246,8 +231,6 @@ FlowScheduler::compactRouteArena()
 void
 FlowScheduler::indexUpdate(std::uint32_t slot, SimTime key)
 {
-    if (!use_index_)
-        return;
     index_seq_[slot] = next_index_seq_++;
     index_.push(IndexEntry{key, index_seq_[slot], slot});
     ++stats_.completion_index_updates;
@@ -438,8 +421,7 @@ FlowScheduler::partitionComponents()
 }
 
 void
-FlowScheduler::fillComponent(std::size_t c, FillScratch &ws,
-                             std::vector<ResourceId> &out)
+FlowScheduler::fillComponent(std::size_t c)
 {
     // Progressive filling over one connected component of
     // components_. The component is closed under sharing, so each
@@ -451,9 +433,8 @@ FlowScheduler::fillComponent(std::size_t c, FillScratch &ws,
     // global fill interleaves increment rounds across unrelated
     // components, so its floating-point sums can differ from a local
     // fill in the last bit, which would make incremental region
-    // solves irreproducible. Every path (region solve, Global-mode
-    // recompute, the verify oracle, a pool worker) fills per
-    // component.
+    // solves irreproducible. Both the region solve and the verify
+    // oracle fill per component.
     //
     // The rounds run on dense component-local arrays (see
     // FillScratch) seeded from the partition CSR, so the round scans
@@ -473,6 +454,7 @@ FlowScheduler::fillComponent(std::size_t c, FillScratch &ws,
     const std::size_t nf = end - begin;
     const std::size_t nr = rend - rbegin;
 
+    FillScratch &ws = fill_;
     ws.residual.assign(comp_rcap_.begin() + rbegin,
                        comp_rcap_.begin() + rend);
     ws.crossing.assign(comp_crossing_.begin() + rbegin,
@@ -554,85 +536,26 @@ FlowScheduler::fillComponent(std::size_t c, FillScratch &ws,
         // are squeezed out by the next round's inc scan above.
     }
 
-    // One write per flow back into slot state (plus the dense rate
-    // mirror); nothing else in the fill touched globals, so a
-    // parallel fill's writes are confined to its own component.
-    for (std::size_t i = begin; i < end; ++i) {
-        slots_[components_[i]].rate = ws.frate[i - begin];
-        rate_slot_[components_[i]] = ws.frate[i - begin];
-    }
-    out.insert(out.end(), comp_rids_.begin() + rbegin,
-               comp_rids_.begin() + rend);
-}
-
-void
-FlowScheduler::solveComponents()
-{
-    const std::size_t ncomp = comp_ranges_.size();
-    const std::size_t nflows = components_.size();
-
-    // Pre-fill rates, captured before any fill zeroes them: the
-    // commit pass settles each changed flow over [anchor, now] at the
-    // rate it actually ran.
-    prev_rate_.resize(nflows);
-    for (std::size_t i = 0; i < nflows; ++i)
-        prev_rate_[i] = slots_[components_[i]].rate;
-
-    if (fill_scratch_.empty())
-        fill_scratch_.resize(
-            pool_ ? static_cast<std::size_t>(pool_->workers()) : 1);
-
-    const bool parallel =
-        pool_ != nullptr && ncomp >= 2 && nflows >= parallel_threshold_;
-    if (!parallel) {
-        for (std::size_t c = 0; c < ncomp; ++c)
-            fillComponent(c, fill_scratch_[0], active_resources_);
-    } else {
-        // Components write disjoint flow and per-resource state
-        // (closure guarantees their resource sets are disjoint), so
-        // the fills are race-free; each worker uses its own scratch.
-        // Per-component resource lists land in comp_out_ and are
-        // concatenated serially in component order, so
-        // active_resources_ is identical to the serial fill's.
-        stats_.parallel_component_solves += ncomp;
-        comp_out_.resize(ncomp);
-        pool_->parallelFor(ncomp, [&](std::size_t c, int worker) {
-            comp_out_[c].clear();
-            fillComponent(c,
-                          fill_scratch_[static_cast<std::size_t>(worker)],
-                          comp_out_[c]);
-        });
-        for (std::size_t c = 0; c < ncomp; ++c)
-            active_resources_.insert(active_resources_.end(),
-                                     comp_out_[c].begin(),
-                                     comp_out_[c].end());
-    }
-
-    commitRates();
-}
-
-void
-FlowScheduler::commitRates()
-{
-    // Serial commit in canonical component order: settle flows whose
-    // rate changed (at the old rate, over the whole constant-rate
-    // span — flows whose rate is unchanged are deliberately left
-    // alone, see the file comment), refresh their finish times and
-    // index entries, and park flows the fill left at rate zero.
+    // Commit: settle flows whose rate changed (at the old rate, over
+    // the whole constant-rate span — flows whose rate is unchanged
+    // are deliberately left alone, see the file comment), refresh
+    // their finish times and index entries, and park flows the fill
+    // left at rate zero.
     const SimTime now = sim_.now();
-    for (std::size_t i = 0; i < components_.size(); ++i) {
+    for (std::size_t i = begin; i < end; ++i) {
         const std::uint32_t slot = components_[i];
         Flow &f = slots_[slot];
-        const double old_rate = prev_rate_[i];
-        if (f.rate != old_rate) {
-            if (now > f.anchor) {
-                f.remaining -= old_rate * (now - f.anchor);
-                if (f.remaining < 0.0)
-                    f.remaining = 0.0;
+        const double rate = ws.frate[i - begin];
+        if (rate != f.rate) {
+            settleFlow(f, now);
+            f.rate = rate;
+            rate_slot_[slot] = rate;
+            if (rate > 0.0) {
+                f.finish_at = f.anchor + f.remaining / rate;
+                indexUpdate(slot, f.finish_at);
             }
-            f.anchor = now;
         }
-        if (f.rate <= 0.0) {
+        if (rate <= 0.0) {
             // Water-filling assigns rate 0 only to flows stranded on
             // a link faulted to zero capacity: they have no finish
             // time and resume when setCapacity() restores the link.
@@ -640,11 +563,11 @@ FlowScheduler::commitRates()
                            "active flow '%s' got zero rate",
                            f.tag.c_str());
             parkStalled(slot);
-        } else if (f.rate != old_rate) {
-            f.finish_at = f.anchor + f.remaining / f.rate;
-            indexUpdate(slot, f.finish_at);
         }
     }
+    active_resources_.insert(active_resources_.end(),
+                             comp_rids_.begin() + rbegin,
+                             comp_rids_.begin() + rend);
 }
 
 void
@@ -653,10 +576,10 @@ FlowScheduler::writeRegionTotals()
     // Per-resource totals re-summed from the crossing-flow lists of
     // the solved resources alone — O(region), not O(active flows).
     // The list order is the registration history (swap-remove on
-    // detach), identical in every mode, so the float summation order
-    // is canonical. The closure guarantees every non-stalled flow
-    // crossing a solved resource is in the solved component; stalled
-    // crossers contribute exactly 0.0, which is bit-neutral.
+    // detach), so the float summation order is canonical. The closure
+    // guarantees every non-stalled flow crossing a solved resource is
+    // in the solved component; stalled crossers contribute exactly
+    // 0.0, which is bit-neutral.
     const SimTime now = sim_.now();
     for (ResourceId rid : active_resources_) {
         double total = 0.0;
@@ -672,8 +595,10 @@ void
 FlowScheduler::solveRegion()
 {
     partitionComponents();
-    if (components_.empty())
+    if (components_.empty()) {
+        scheduleNextCompletion();
         return;
+    }
 
     ++stats_.recomputes;
     ++stats_.region_solves;
@@ -686,8 +611,10 @@ FlowScheduler::solveRegion()
     stats_.region_hist[std::min(bucket, kRegionHistBuckets - 1)] += 1;
 
     active_resources_.clear();
-    solveComponents();
+    for (std::size_t c = 0; c < comp_ranges_.size(); ++c)
+        fillComponent(c);
     writeRegionTotals();
+    scheduleNextCompletion();
 }
 
 void
@@ -768,27 +695,23 @@ FlowScheduler::start(FlowSpec spec)
     // but not always in the last bit. Disabling the fast paths keeps
     // the invariant "stored rate == fresh fill of its component"
     // exact, so the oracle flags real closure bugs, not float dust.
-    if (!verify_ && tryFastStart(g)) {
+    if (!verify_ && tryFastStart(slot)) {
         ++stats_.fast_starts;
         indexUpdate(slot, g.finish_at);
         maybeVerify();
         return id;
     }
-    if (mode_ == FlowSolverMode::Global) {
-        recompute();
-    } else {
-        beginRegion();
-        seedRegionFlow(slot);
-        solveRegion();
-        scheduleNextCompletion();
-    }
+    beginRegion();
+    seedRegionFlow(slot);
+    solveRegion();
     maybeVerify();
     return id;
 }
 
 bool
-FlowScheduler::tryFastStart(Flow &f)
+FlowScheduler::tryFastStart(std::uint32_t slot)
 {
+    Flow &f = slots_[slot];
     // Pass 1: the admitted rate — the cap, further limited by
     // resources this flow has to itself (which it may saturate).
     double rate = f.cap;
@@ -813,19 +736,11 @@ FlowScheduler::tryFastStart(Flow &f)
 
     const SimTime now = sim_.now();
     f.rate = rate;
+    rate_slot_[slot] = rate;
     for (ResourceId rid : f.resources) {
         total_rate_[rid] += rate;
         topo_.resource(rid).log.setRate(now, total_rate_[rid]);
         ++stats_.rate_updates;
-        if (mode_ == FlowSolverMode::Global) {
-            // The global pass zeroes stale logs via the sorted
-            // touched_ set; the region solver zeroes at removal time
-            // instead and never reads it.
-            auto it =
-                std::lower_bound(touched_.begin(), touched_.end(), rid);
-            if (it == touched_.end() || *it != rid)
-                touched_.insert(it, rid);
-        }
     }
 
     const SimTime done_at = now + f.remaining / f.rate;
@@ -904,14 +819,9 @@ FlowScheduler::setCapacity(ResourceId rid, Bps capacity)
         return;
     }
 
-    if (mode_ == FlowSolverMode::Global) {
-        recompute();
-    } else {
-        beginRegion();
-        seedRegionResource(rid);
-        solveRegion();
-        scheduleNextCompletion();
-    }
+    beginRegion();
+    seedRegionResource(rid);
+    solveRegion();
     maybeVerify();
 }
 
@@ -971,15 +881,10 @@ FlowScheduler::setCapacities(
         return;
     }
 
-    if (mode_ == FlowSolverMode::Global) {
-        recompute();
-    } else {
-        beginRegion();
-        for (ResourceId rid : cap_dirty_)
-            seedRegionResource(rid);
-        solveRegion();
-        scheduleNextCompletion();
-    }
+    beginRegion();
+    for (ResourceId rid : cap_dirty_)
+        seedRegionResource(rid);
+    solveRegion();
     maybeVerify();
 }
 
@@ -1022,23 +927,15 @@ FlowScheduler::flushBatch()
         std::unique(batch_dirty_.begin(), batch_dirty_.end()),
         batch_dirty_.end());
 
-    if (mode_ == FlowSolverMode::Global) {
-        batch_start_slots_.clear();
-        batch_dirty_.clear();
-        batch_need_solve_ = false;
-        recompute();
-    } else {
-        beginRegion();
-        for (std::uint32_t slot : batch_start_slots_)
-            seedRegionFlow(slot);
-        for (ResourceId rid : batch_dirty_)
-            seedRegionResource(rid);
-        batch_start_slots_.clear();
-        batch_dirty_.clear();
-        batch_need_solve_ = false;
-        solveRegion();
-        scheduleNextCompletion();
-    }
+    beginRegion();
+    for (std::uint32_t slot : batch_start_slots_)
+        seedRegionFlow(slot);
+    for (ResourceId rid : batch_dirty_)
+        seedRegionResource(rid);
+    batch_start_slots_.clear();
+    batch_dirty_.clear();
+    batch_need_solve_ = false;
+    solveRegion();
     maybeVerify();
 }
 
@@ -1080,19 +977,14 @@ FlowScheduler::cancel(FlowId id, Bytes *remaining)
         return true;
     }
 
-    if (mode_ == FlowSolverMode::Global) {
-        recompute();
-    } else {
-        beginRegion();
-        for (ResourceId rid : removed.resources)
-            zeroIfIdle(rid);
-        // zeroIfIdle shares the mark epoch; a resource marked idle
-        // has no flows, so it can never be (re)seeded anyway.
-        for (ResourceId rid : removed.resources)
-            seedRegionResource(rid);
-        solveRegion();
-        scheduleNextCompletion();
-    }
+    beginRegion();
+    for (ResourceId rid : removed.resources)
+        zeroIfIdle(rid);
+    // zeroIfIdle shares the mark epoch; a resource marked idle has no
+    // flows, so it can never be (re)seeded anyway.
+    for (ResourceId rid : removed.resources)
+        seedRegionResource(rid);
+    solveRegion();
     maybeVerify();
     return true;
 }
@@ -1108,40 +1000,24 @@ FlowScheduler::cancelAll()
     // Terminal observation point: make every flow's remaining exact.
     for (std::int32_t s = head_slot_; s >= 0; s = next_slot_[s])
         settleFlow(slots_[static_cast<std::size_t>(s)], now);
-    if (mode_ == FlowSolverMode::Global) {
-        for (std::int32_t s = head_slot_; s >= 0;) {
-            const std::uint32_t slot = static_cast<std::uint32_t>(s);
-            s = next_slot_[slot];
-            for (ResourceId rid : slots_[slot].resources)
-                nflows_[rid] -= 1;
-            indexRemove(slot);
-            detachFlow(slot);
-            releaseSlot(slot);
-        }
-        stats_.cancels += n;
-        stalled_.clear();
-        // One recompute over the (now empty) flow set: every
-        // previously touched resource logs a rate of exactly zero, so
-        // the abort instant is bit-reproducible.
-        recompute();
-    } else {
-        beginRegion();  // epoch for zeroIfIdle deduplication
-        for (std::int32_t s = head_slot_; s >= 0;) {
-            const std::uint32_t slot = static_cast<std::uint32_t>(s);
-            s = next_slot_[slot];
-            for (ResourceId rid : slots_[slot].resources)
-                nflows_[rid] -= 1;
-            indexRemove(slot);
-            detachFlow(slot);
-            Flow removed = std::move(slots_[slot]);
-            releaseSlot(slot);
-            for (ResourceId rid : removed.resources)
-                zeroIfIdle(rid);
-        }
-        stats_.cancels += n;
-        stalled_.clear();
-        scheduleNextCompletion();  // cancels the pending event
+    beginRegion();  // epoch for zeroIfIdle deduplication
+    for (std::int32_t s = head_slot_; s >= 0;) {
+        const std::uint32_t slot = static_cast<std::uint32_t>(s);
+        s = next_slot_[slot];
+        for (ResourceId rid : slots_[slot].resources)
+            nflows_[rid] -= 1;
+        indexRemove(slot);
+        detachFlow(slot);
+        Flow removed = std::move(slots_[slot]);
+        releaseSlot(slot);
+        // Every resource the flow crossed logs exactly zero once idle,
+        // so the abort instant is bit-reproducible.
+        for (ResourceId rid : removed.resources)
+            zeroIfIdle(rid);
     }
+    stats_.cancels += n;
+    stalled_.clear();
+    scheduleNextCompletion();  // cancels the pending event
     maybeVerify();
     return n;
 }
@@ -1156,81 +1032,17 @@ FlowScheduler::stalledByFault(const Flow &f) const
 }
 
 void
-FlowScheduler::recompute()
-{
-    const SimTime now = sim_.now();
-    ensureResourceArrays();
-    ++stats_.recomputes;
-
-    // --- water-filling ---------------------------------------------------
-    // Seed every active non-stalled flow, split into connected
-    // components, and fill each component independently. Filling per
-    // component is the bit-exact definition of fair share (see
-    // fillComponent()): it makes Global mode, the incremental region
-    // solver, and the verify oracle produce identical rates down to
-    // the last bit.
-    region_flows_.clear();
-    for (std::int32_t s = head_slot_; s >= 0; s = next_slot_[s]) {
-        if (!slots_[static_cast<std::size_t>(s)].stalled)
-            region_flows_.push_back(static_cast<std::uint32_t>(s));
-    }
-    partitionComponents();
-
-    active_resources_.clear();
-    solveComponents();
-
-    // --- update telemetry logs -------------------------------------------
-    for (ResourceId rid : active_resources_) {
-        double total = 0.0;
-        for (const ResFlow &rf : res_flows_[rid])
-            total += rate_slot_[rf.slot];
-        total_rate_[rid] = total;
-    }
-
-    std::sort(active_resources_.begin(), active_resources_.end());
-    for (ResourceId rid : active_resources_)
-        in_active_[rid] = 1;
-    // Zero out resources that had traffic before but no longer do.
-    for (ResourceId rid : touched_) {
-        if (!in_active_[rid]) {
-            topo_.resource(rid).log.setRate(now, 0.0);
-            ++stats_.rate_updates;
-            total_rate_[rid] = 0.0;
-        }
-    }
-    touched_.assign(active_resources_.begin(), active_resources_.end());
-    for (ResourceId rid : touched_) {
-        topo_.resource(rid).log.setRate(now, total_rate_[rid]);
-        ++stats_.rate_updates;
-        in_active_[rid] = 0;
-    }
-
-    scheduleNextCompletion();
-}
-
-void
 FlowScheduler::scheduleNextCompletion()
 {
     SimTime best = kFlowNeverFinishes;
     if (active_count_ > 0) {
-        if (use_index_) {
-            // The index serves the minimum directly; no walk over the
-            // active list. Stored finish times and index keys are the
-            // same doubles, so the scheduled time is bit-identical to
-            // the legacy scan's.
-            ++stats_.completion_scans_avoided;
-            compactIndexIfBloated();
-            skimIndex();
-            if (!index_.empty())
-                best = index_.top().key;
-        } else {
-            for (std::int32_t s = head_slot_; s >= 0;
-                 s = next_slot_[s]) {
-                const Flow &f = slots_[static_cast<std::size_t>(s)];
-                if (!f.stalled && f.finish_at < best)
-                    best = f.finish_at;
-            }
-        }
+        // The index serves the minimum directly; no walk over the
+        // active list.
+        ++stats_.completion_scans_avoided;
+        compactIndexIfBloated();
+        skimIndex();
+        if (!index_.empty())
+            best = index_.top().key;
     }
     if (best == kFlowNeverFinishes) {
         // Nothing running (everything finished or stalled).
@@ -1260,31 +1072,21 @@ FlowScheduler::onCompletionEvent()
     const SimTime now = sim_.now();
 
     // Collect finishers: flows whose predicted finish time has
-    // arrived. Both paths produce the same set in ascending-id order
-    // (the heap pops are sorted; the scan walks the ascending active
-    // list) — the canonical completion-callback order.
+    // arrived, sorted to ascending-id order — the canonical
+    // completion-callback order.
     finisher_slots_.clear();
-    if (use_index_) {
-        while (!index_.empty() && index_.top().key <= now) {
-            const IndexEntry e = index_.top();
-            index_.pop();
-            if (index_seq_[e.slot] == e.seq) {
-                index_seq_[e.slot] = 0;
-                finisher_slots_.push_back(e.slot);
-            }
-        }
-        std::sort(finisher_slots_.begin(), finisher_slots_.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      return slots_[a].id < slots_[b].id;
-                  });
-    } else {
-        for (std::int32_t s = head_slot_; s >= 0; s = next_slot_[s]) {
-            const std::uint32_t slot = static_cast<std::uint32_t>(s);
-            const Flow &f = slots_[slot];
-            if (!f.stalled && f.finish_at <= now)
-                finisher_slots_.push_back(slot);
+    while (!index_.empty() && index_.top().key <= now) {
+        const IndexEntry e = index_.top();
+        index_.pop();
+        if (index_seq_[e.slot] == e.seq) {
+            index_seq_[e.slot] = 0;
+            finisher_slots_.push_back(e.slot);
         }
     }
+    std::sort(finisher_slots_.begin(), finisher_slots_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return slots_[a].id < slots_[b].id;
+              });
 
     // Reuse the member buffers but operate on moved-out locals so a
     // callback that re-enters the scheduler can't alias them.
@@ -1344,19 +1146,14 @@ FlowScheduler::onCompletionEvent()
         for (Flow &f : finished)
             if (f.on_complete)
                 callbacks.push_back(std::move(f.on_complete));
-        if (mode_ == FlowSolverMode::Global) {
-            recompute();
-        } else {
-            beginRegion();
-            for (const Flow &f : finished)
-                for (ResourceId rid : f.resources)
-                    zeroIfIdle(rid);
-            for (const Flow &f : finished)
-                for (ResourceId rid : f.resources)
-                    seedRegionResource(rid);
-            solveRegion();
-            scheduleNextCompletion();
-        }
+        beginRegion();
+        for (const Flow &f : finished)
+            for (ResourceId rid : f.resources)
+                zeroIfIdle(rid);
+        for (const Flow &f : finished)
+            for (ResourceId rid : f.resources)
+                seedRegionResource(rid);
+        solveRegion();
     } else {
         for (Flow &f : finished) {
             ++stats_.fast_finishes;
@@ -1466,9 +1263,10 @@ FlowScheduler::maybeVerify()
     ++stats_.verified_solves;
 
     // The oracle: a from-scratch per-component fill over every active
-    // non-stalled flow — the same definition of fair share
-    // recompute() computes — into scratch rates. crossing_/residual_
-    // are safe to reuse: every solve leaves crossing_ at zero.
+    // non-stalled flow — the same definition of fair share the region
+    // solve computes — into scratch rates, with its own round loop
+    // over the global per-resource arrays. crossing_ is left at zero
+    // by every oracle fill, so it is safe to reuse.
     oracle_rate_.resize(slots_.size());
     region_flows_.clear();
     for (std::int32_t s = head_slot_; s >= 0; s = next_slot_[s]) {
@@ -1514,7 +1312,7 @@ FlowScheduler::maybeVerify()
                   static_cast<unsigned long long>(f.id), f.finish_at,
                   expect, sim_.now());
         }
-        if (use_index_ && index_seq_[slot] == 0)
+        if (index_seq_[slot] == 0)
             fatal("verify-fair-share: flow '%s' (id %llu) missing "
                   "from the completion index at t=%g",
                   f.tag.c_str(),
@@ -1527,8 +1325,8 @@ FlowScheduler::maybeVerify()
               "%zu active flows are parked at t=%g",
               stalled_.size(), nstalled, sim_.now());
 
-    // ... and the scheduled completion event (fed by the index or the
-    // scan — same stored values) must sit at the minimum of them.
+    // ... and the scheduled completion event (fed by the index) must
+    // sit at the minimum of them.
     if (best == kFlowNeverFinishes) {
         if (completion_event_ != 0)
             fatal("verify-fair-share: completion event pending with "
@@ -1538,15 +1336,13 @@ FlowScheduler::maybeVerify()
             fatal("verify-fair-share: completion scheduled at %a, "
                   "stored finish times say %a at t=%g",
                   completion_time_, best, sim_.now());
-        if (use_index_) {
-            skimIndex();
-            if (index_.empty() || index_.top().key != best)
-                fatal("verify-fair-share: completion index min %a != "
-                      "scan min %a at t=%g",
-                      index_.empty() ? kFlowNeverFinishes
-                                     : index_.top().key,
-                      best, sim_.now());
-        }
+        skimIndex();
+        if (index_.empty() || index_.top().key != best)
+            fatal("verify-fair-share: completion index min %a != "
+                  "stored finish-time min %a at t=%g",
+                  index_.empty() ? kFlowNeverFinishes
+                                 : index_.top().key,
+                  best, sim_.now());
     }
 }
 

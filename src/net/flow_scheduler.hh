@@ -13,21 +13,15 @@
  * the route's SerDes degradation, so the stress tests of paper
  * Sec. III-C reproduce directly from this scheduler.
  *
- * Performance: two solver modes share the same arithmetic (see
- * DESIGN.md "Performance architecture" for the invariants):
- *
- *  - FlowSolverMode::Region (the default) re-solves, on each event,
- *    only the contention region of the affected flows — the connected
- *    component of the flow/resource sharing graph — while every flow
- *    outside it keeps its frozen rate. Because max-min rates of one
- *    component are independent of every other component, the scoped
- *    solve is exact (bit-identical to a global pass), and per-event
- *    cost scales with the region, not the cluster.
- *
- *  - FlowSolverMode::Global runs the full water-filling pass over all
- *    active flows on every event: the bit-exact oracle the region
- *    solver is verified against (`--verify-fair-share` runs both on
- *    every event and asserts identical rates).
+ * Performance: each event re-solves only the contention region of
+ * the affected flows — the connected component of the flow/resource
+ * sharing graph — while every flow outside it keeps its frozen rate.
+ * Because max-min rates of one component are independent of every
+ * other component, the scoped solve is exact, and per-event cost
+ * scales with the region, not the cluster (see DESIGN.md
+ * "Performance architecture" for the invariants). The reference is
+ * the verify oracle (`--verify-fair-share`): a from-scratch fill of
+ * every component after every event, asserted bitwise equal.
  *
  * Per-event cost is O(region) end-to-end, not just for the solve:
  * each flow carries an anchored (time, remaining) pair settled only
@@ -37,13 +31,11 @@
  * from the crossing-flow lists of the region's resources alone.
  * Fault-stalled zero-rate flows are parked on a stalled list that no
  * fill, scan, or index operation revisits until setCapacity()
- * restores their link. Independent components of one solve can be
- * filled concurrently on a TaskPool with results committed in
- * canonical component order — bit-identical to the serial fill.
+ * restores their link.
  *
- * Either way the water-filling works on flat, reusable per-resource
- * scratch arrays indexed by ResourceId (no hashing, no per-recompute
- * allocation once warm); flows live in a dense slot map with an
+ * Per-resource state lives in flat arrays indexed by ResourceId and
+ * fills run on reusable component-local scratch (no hashing, no
+ * per-solve allocation once warm); flows live in a dense slot map with an
  * intrusive active list in ascending-id order; and flow
  * arrivals/departures that touch only unsaturated resources take an
  * O(route length) incremental path that skips any solve entirely.
@@ -65,38 +57,12 @@
 
 namespace dstrain {
 
-class TaskPool;
-
-/** Which fair-share solver runs on scheduler events. */
-enum class FlowSolverMode {
-    Region,  ///< re-solve only the affected contention region (default)
-    Global,  ///< full water-filling pass every event (the oracle)
-};
-
 /** Construction options for FlowScheduler. */
 struct FlowSchedulerOptions {
-    /** Which solver handles events. */
-    FlowSolverMode mode = FlowSolverMode::Region;
-
-    /** Run the global oracle after every event and assert that the
-     * stored rates, the completion index and the stalled list all
-     * match a from-scratch solve bitwise (slow; debugging). */
+    /** Run the oracle after every event and assert that the stored
+     * rates, the completion index and the stalled list all match a
+     * from-scratch solve bitwise (slow; debugging). */
     bool verify_fair_share = false;
-
-    /** Keep the incremental completion-time index (the default).
-     * False restores the legacy full scan over the active list when
-     * scheduling the next completion — same stored finish times, so
-     * results are bit-identical either way. */
-    bool completion_index = true;
-
-    /** Fill independent components of one solve concurrently on this
-     * pool (nullptr = serial). Results are committed in canonical
-     * component order, bit-identical to the serial fill. */
-    TaskPool *fill_pool = nullptr;
-
-    /** Parallel fills engage only when a solve covers at least two
-     * components and this many flows in total. */
-    std::size_t parallel_fill_threshold = 16;
 };
 
 /**
@@ -113,7 +79,7 @@ class FlowScheduler
 
     /** Scheduler work counters (for the micro-benchmarks and tests). */
     struct Stats {
-        std::uint64_t recomputes = 0;     ///< water-filling solves (any scope)
+        std::uint64_t recomputes = 0;     ///< water-filling solves
         std::uint64_t fast_starts = 0;    ///< starts admitted incrementally
         std::uint64_t fast_finishes = 0;  ///< completions handled incrementally
         std::uint64_t rate_updates = 0;   ///< per-resource rate notifications
@@ -127,24 +93,15 @@ class FlowScheduler
         std::uint64_t completion_index_updates = 0;  ///< finish-time (re)insertions
         std::uint64_t completion_scans_avoided = 0;  ///< reschedules served by the index
         std::uint64_t batched_events = 0;  ///< ops whose solve a batch deferred
-        std::uint64_t parallel_component_solves = 0;  ///< components filled on the pool
         std::uint64_t stalled_parks = 0;  ///< flows parked on the stalled list
         /** Region-size histogram: bucket k counts solves with a region
          * of [2^k, 2^(k+1)) flows (last bucket is open-ended). */
         std::array<std::uint64_t, kRegionHistBuckets> region_hist{};
     };
 
-    /** Build with explicit options. */
+    /** Schedule flows over @p topo's resources on @p sim's clock. */
     FlowScheduler(Simulation &sim, Topology &topo,
-                  FlowSchedulerOptions opts);
-
-    /**
-     * Legacy convenience constructor: default options with @p mode
-     * and @p verify_fair_share overridden.
-     */
-    FlowScheduler(Simulation &sim, Topology &topo,
-                  FlowSolverMode mode = FlowSolverMode::Region,
-                  bool verify_fair_share = false);
+                  FlowSchedulerOptions opts = {});
 
     FlowScheduler(const FlowScheduler &) = delete;
     FlowScheduler &operator=(const FlowScheduler &) = delete;
@@ -272,9 +229,6 @@ class FlowScheduler
     /** Work counters since construction. */
     const Stats &stats() const { return stats_; }
 
-    /** The solver mode this scheduler was built with. */
-    FlowSolverMode solverMode() const { return mode_; }
-
   private:
     /** One entry of a resource's crossing-flow list. */
     struct ResFlow {
@@ -283,7 +237,7 @@ class FlowScheduler
     };
 
     /**
-     * Per-worker water-filling scratch (one per pool worker).
+     * Water-filling scratch, reused by every fill.
      *
      * The fill rounds run on dense component-local arrays indexed by
      * local flow / resource ids (the CSR built by
@@ -337,22 +291,19 @@ class FlowScheduler
         }
     }
 
-    /** Global water-filling + log update + completion reschedule. */
-    void recompute();
-
     /**
-     * Try to admit @p f without a full recompute: succeeds when every
-     * resource it crosses retains slack for the flow's full cap, so
-     * the flow runs at its cap and no existing rate changes.
+     * Try to admit the flow in @p slot without a full recompute:
+     * succeeds when every resource it crosses retains slack for the
+     * flow's full cap, so the flow runs at its cap and no existing
+     * rate changes.
      */
-    bool tryFastStart(Flow &f);
+    bool tryFastStart(std::uint32_t slot);
 
     /** Completion event handler. */
     void onCompletionEvent();
 
     /** Schedule (or reschedule) the next completion event from the
-     * completion index (or the legacy scan over stored finish
-     * times when the index is disabled). */
+     * completion index. */
     void scheduleNextCompletion();
 
     /** Grow the per-resource scratch arrays to the topology's size. */
@@ -432,9 +383,9 @@ class FlowScheduler
     void seedRegionResource(ResourceId rid);
 
     /**
-     * Close the seeded region over shared resources (BFS), then run
-     * the water-filling pass over it alone and write the region's
-     * rate logs. No-op on an empty seed set.
+     * Close the seeded region over shared resources (BFS), fill each
+     * of its components, write the region's rate logs and reschedule
+     * the completion event. An empty seed set only reschedules.
      */
     void solveRegion();
 
@@ -451,33 +402,17 @@ class FlowScheduler
     void partitionComponents();
 
     /**
-     * Fill every partitioned component — serially, or concurrently on
-     * the pool when the solve is large enough — then commit the
-     * results in canonical component order: settle each flow whose
-     * rate changed at its old rate, refresh its finish time and index
-     * entry, and park flows filled at rate zero. Appends the solved
-     * resources to active_resources_ in component order.
-     */
-    void solveComponents();
-
-    /** The serial commit pass of solveComponents() (see above). */
-    void commitRates();
-
-    /**
      * Progressive filling over component @p c (its flow span of
-     * components_ and its resource span of the partition CSR).
-     * Assigns flow rates; appends the component's resources to
-     * @p out (in discovery order). Increment rounds are
-     * component-local: this is the solver's bit-exact definition of
-     * fair share (see DESIGN.md), identical whether a component is
-     * re-solved alone or as part of a full pass, serially or on a
-     * pool worker. Reads only the shared partition CSR (built before
-     * any fill starts) and writes only its own scratch and its own
-     * component's flow slots, so concurrent calls on disjoint
-     * components are race-free.
+     * components_ and its resource span of the partition CSR), then
+     * the commit: each flow whose rate changed is settled at its old
+     * rate and gets a fresh finish time and index entry, and flows
+     * filled at rate zero are parked. Appends the component's
+     * resources to active_resources_ (in discovery order). Increment
+     * rounds are component-local: this is the solver's bit-exact
+     * definition of fair share (see DESIGN.md), identical whether a
+     * component is re-solved alone or as part of a larger region.
      */
-    void fillComponent(std::size_t c, FillScratch &ws,
-                       std::vector<ResourceId> &out);
+    void fillComponent(std::size_t c);
 
     /** fillComponent() into oracle_rate_, leaving flows untouched. */
     void oracleFillComponent(std::size_t begin, std::size_t end);
@@ -495,17 +430,13 @@ class FlowScheduler
     /** Flush the outermost batch: one closure, one solve. */
     void flushBatch();
 
-    /** Run the global oracle and assert bitwise-equal rates, a
-     * consistent completion index and a sound stalled list. */
+    /** Run the oracle and assert bitwise-equal rates, a consistent
+     * completion index and a sound stalled list. */
     void maybeVerify();
 
     Simulation &sim_;
     Topology &topo_;
-    const FlowSolverMode mode_;
     const bool verify_;
-    const bool use_index_;
-    TaskPool *const pool_;
-    const std::size_t parallel_threshold_;
     FlowId next_id_ = 1;
     EventId completion_event_ = 0;
     SimTime completion_time_ = 0.0;  ///< when completion_event_ fires
@@ -568,15 +499,14 @@ class FlowScheduler
     std::vector<double> eff_cap_;     ///< capacity * class efficiency
     std::vector<double> total_rate_;  ///< current aggregate rate
     std::vector<int> nflows_;         ///< active flows crossing
-    std::vector<double> residual_;    ///< water-filling scratch
-    std::vector<int> crossing_;       ///< water-filling scratch
-    std::vector<char> in_active_;     ///< membership scratch
+    std::vector<double> residual_;    ///< oracle-fill scratch
+    std::vector<int> crossing_;       ///< oracle-fill scratch
     std::vector<std::vector<ResFlow>> res_flows_;  ///< crossing flows
 
     // --- region scratch ---------------------------------------------------
     std::vector<std::uint64_t> flow_mark_;  ///< seed-dedup mark per slot
     std::vector<std::uint64_t> res_mark_;   ///< zeroIfIdle mark per resource
-    std::vector<std::uint8_t> res_saturated_;  ///< per-round fill flag
+    std::vector<std::uint8_t> res_saturated_;  ///< oracle per-round flag
     std::uint64_t mark_epoch_ = 0;
     std::vector<std::uint32_t> region_flows_;  ///< current seed list
 
@@ -586,7 +516,6 @@ class FlowScheduler
     std::uint64_t comp_epoch_ = 0;
     std::vector<std::uint32_t> components_;  ///< slots grouped by component
     std::vector<std::size_t> comp_ranges_;   ///< start offset per group
-    std::vector<double> prev_rate_;  ///< pre-fill rates, parallel to components_
     std::vector<ResourceId> comp_resources_; ///< oracle-fill working set
     /** The partition CSR: everything a fill needs, gathered by the
      * BFS (which touches each flow and each crossing list anyway) so
@@ -604,10 +533,8 @@ class FlowScheduler
     std::vector<std::uint32_t> res_local_;  ///< rid -> local id (comp-epoch)
 
     // --- reusable scratch buffers ----------------------------------------
-    std::vector<FillScratch> fill_scratch_;  ///< one per pool worker
-    std::vector<std::vector<ResourceId>> comp_out_;  ///< per-component rids
-    std::vector<ResourceId> active_resources_;  ///< crossed by any flow
-    std::vector<ResourceId> touched_;  ///< nonzero-log resources (Global)
+    FillScratch fill_;
+    std::vector<ResourceId> active_resources_;  ///< solved resources
     std::vector<ResourceId> cap_dirty_;  ///< batch-update seeds
     std::vector<std::function<void()>> callbacks_;
     std::vector<Flow> finished_;

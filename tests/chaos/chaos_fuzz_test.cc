@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <string>
 
 #include "core/presets.hh"
@@ -59,6 +60,18 @@ struct ChaosScenario {
     const char *strategy;  ///< "ddp" | "zero3" | "fsdp"
     std::uint64_t seed;
 };
+
+/**
+ * gtest prints the parameter in test listings (and so in the ctest
+ * names gtest_discover_tests derives) and in failure messages. Without
+ * this, it dumps the raw object bytes, whose string pointers move with
+ * ASLR and the binary layout, so the test names changed build to build.
+ */
+void
+PrintTo(const ChaosScenario &sc, std::ostream *os)
+{
+    *os << csprintf("seed 0x%llx", static_cast<unsigned long long>(sc.seed));
+}
 
 StrategyConfig
 strategyByName(const std::string &name)

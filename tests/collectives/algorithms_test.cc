@@ -111,19 +111,6 @@ TEST(TopologyViewTest, NodeDecomposition)
     EXPECT_EQ(view.nodesOf(intra), (std::vector<int>{0}));
 }
 
-TEST(TopologyViewTest, DeprecatedWrappersMatchViewMethods)
-{
-    Cluster cluster(dualSpec());
-    TopologyView view(cluster);
-    CommGroup g;
-    g.ranks = {6, 1, 4, 3};
-    EXPECT_EQ(orderNodeMajor(g, cluster).ranks,
-              view.orderNodeMajor(g).ranks);
-    EXPECT_EQ(interNodeHops(g, cluster), view.interNodeHops(g));
-    EXPECT_DOUBLE_EQ(ringBottleneckBandwidth(g, cluster),
-                     view.ringBottleneckBandwidth(g));
-}
-
 TEST(TopologyViewTest, ResolveChannelsAutoPolicy)
 {
     Cluster cluster(dualSpec());

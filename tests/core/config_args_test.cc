@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/config_args.hh"
 #include "strategies/strategy.hh"
 
@@ -172,6 +174,50 @@ TEST(ConfigArgsTest, ExpertsFlagIsMoeOnly)
     const ArgParser bad =
         parsedArgs({"--strategy", "ddp", "--experts", "4"});
     EXPECT_FALSE(experimentFromArgs(bad).ok());
+}
+
+/** True when parsing @p argv reports an error on @p field. */
+bool
+rejectsField(std::vector<const char *> argv, const std::string &field)
+{
+    const ParsedExperiment parsed = experimentFromArgs(parsedArgs(argv));
+    return std::any_of(parsed.errors.begin(), parsed.errors.end(),
+                       [&](const ConfigError &e) {
+                           return e.field == field;
+                       });
+}
+
+TEST(ConfigArgsTest, ZeroNodesIsAConfigError)
+{
+    EXPECT_TRUE(rejectsField({"--nodes", "0"}, "cluster.nodes"));
+}
+
+TEST(ConfigArgsTest, ModelParallelSizeMustDivideGpus)
+{
+    // TP=3 on one 4-GPU node.
+    EXPECT_TRUE(
+        rejectsField({"--strategy", "megatron", "--tp", "3"}, "strategy"));
+    EXPECT_FALSE(
+        rejectsField({"--strategy", "megatron", "--tp", "2"}, "strategy"));
+}
+
+TEST(ConfigArgsTest, ExpertCountMustDivideGpus)
+{
+    EXPECT_TRUE(rejectsField({"--strategy", "moe", "--experts", "3"},
+                             "strategy.experts"));
+    EXPECT_FALSE(rejectsField({"--strategy", "moe", "--experts", "2"},
+                              "strategy.experts"));
+}
+
+TEST(ConfigArgsTest, IterationsBelowOneReachValidation)
+{
+    EXPECT_TRUE(rejectsField({"--iterations", "0"}, "iterations"));
+
+    // Positive counts are still raised past the warm-up.
+    const ParsedExperiment one =
+        experimentFromArgs(parsedArgs({"--iterations", "1"}));
+    ASSERT_TRUE(one.ok()) << formatConfigErrors(one.errors);
+    EXPECT_EQ(one.config.iterations, one.config.warmup + 1);
 }
 
 } // namespace

@@ -1,24 +1,26 @@
 /**
  * @file
  * Bit-identity regression oracle: the seeded presets must reproduce
- * the exact reports captured on the pre-refactor tree, under BOTH
- * fair-share solvers.
+ * the exact reports captured on the pre-refactor tree, with and
+ * without the fair-share oracle checking every event.
  *
  * Each golden value is the FNV-1a-64 hash of reportFingerprint() for
  * one preset run (3 iterations, 1 warmup), captured before the fabric
  * generalization and unchanged since. A mismatch means simulated
  * behavior changed — event order, link capacities, routing, solver
- * arithmetic, anything — which it must never do. The default-solver
- * lineups exercise the region-scoped incremental solver (the
- * default); the GlobalOracle lineups pin the full-pass oracle to the
- * same hashes, which is the bit-exactness contract between the two
- * (DESIGN.md "Performance architecture").
+ * arithmetic, anything — which it must never do. The default lineups
+ * run the region-scoped incremental solver as shipped; the
+ * VerifyOracle lineups rerun them under --verify-fair-share, which
+ * re-solves every component from scratch after each scheduler event
+ * and fatal()s on any bitwise divergence (DESIGN.md "Performance
+ * architecture").
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "collectives/algorithms.hh"
 #include "core/presets.hh"
@@ -41,150 +43,122 @@ fnv1a64(const std::string &s)
 
 std::uint64_t
 runHash(int nodes, const StrategyConfig &strategy, double billions,
-        FlowSolverMode solver = FlowSolverMode::Region,
-        bool verify = false, bool completion_index = true,
-        int solver_threads = 1)
+        bool verify = false)
 {
     ExperimentConfig cfg = paperExperiment(nodes, strategy, billions);
     cfg.iterations = 3;
     cfg.warmup = 1;
-    cfg.flow_solver = solver;
     cfg.verify_fair_share = verify;
-    cfg.use_completion_index = completion_index;
-    cfg.solver_threads = solver_threads;
     const ExperimentReport report = runExperiment(std::move(cfg));
     return fnv1a64(reportFingerprint(report));
 }
 
+/** One preset run and its golden hash. */
+struct Golden {
+    int nodes;
+    StrategyConfig strategy;
+    double billions;
+    std::uint64_t hash;
+};
+
+void
+expectLineup(const std::vector<Golden> &lineup, bool verify)
+{
+    for (const Golden &g : lineup) {
+        EXPECT_EQ(runHash(g.nodes, g.strategy, g.billions, verify),
+                  g.hash)
+            << g.strategy.displayName() << " on " << g.nodes
+            << " node(s)";
+    }
+}
+
+const std::vector<Golden> &
+singleNodeLineup()
+{
+    static const std::vector<Golden> lineup = {
+        {1, StrategyConfig::ddp(), 0.0, 0xdfff91522c6d7b5full},
+        {1, paperMegatron(1), 0.0, 0x3ab98365ca0ec6b1ull},
+        {1, StrategyConfig::zero(1), 0.0, 0xff8b3880f5ea455eull},
+        {1, StrategyConfig::zero(2), 0.0, 0x2d50256a449d56e5ull},
+        {1, StrategyConfig::zero(3), 0.0, 0x9dd372e8dbae9ea5ull},
+    };
+    return lineup;
+}
+
+const std::vector<Golden> &
+dualNodeLineup()
+{
+    static const std::vector<Golden> lineup = {
+        {2, StrategyConfig::ddp(), 0.0, 0x0b7a72c8312a4dbeull},
+        {2, paperMegatron(2), 0.0, 0x2a38f9b3622d8434ull},
+        {2, StrategyConfig::zero(1), 0.0, 0x048a684eb2d7ce7aull},
+        {2, StrategyConfig::zero(2), 0.0, 0x12e8a1145cc02716ull},
+        {2, StrategyConfig::zero(3), 0.0, 0x250b601e5ae1fffdull},
+    };
+    return lineup;
+}
+
+/**
+ * Re-captured once for the anchored-settling scheduler (flows settle
+ * in one multiply-subtract per constant-rate span instead of
+ * piecewise at every event — mathematically equal, different in the
+ * last float bit). Only the offload presets moved: they are the ones
+ * with long-lived flows spanning many scheduler events.
+ */
+const std::vector<Golden> &
+offloadLineup()
+{
+    static const std::vector<Golden> lineup = {
+        {1, StrategyConfig::zeroOffloadCpu(2), 11.4,
+         0x58f078e5ebdfba74ull},
+        {1, StrategyConfig::zeroOffloadCpu(3), 11.4,
+         0x464f8a60f5f83cc1ull},
+        {1, StrategyConfig::zeroInfinityNvme(false), 11.4,
+         0xdefe6c99743556a4ull},
+        {1, StrategyConfig::zeroInfinityNvme(true), 11.4,
+         0xd1105c2a033ddf8dull},
+    };
+    return lineup;
+}
+
 TEST(FingerprintRegression, SingleNodeLineup)
 {
-    EXPECT_EQ(runHash(1, StrategyConfig::ddp(), 0.0),
-              0xdfff91522c6d7b5full);
-    EXPECT_EQ(runHash(1, paperMegatron(1), 0.0), 0x3ab98365ca0ec6b1ull);
-    EXPECT_EQ(runHash(1, StrategyConfig::zero(1), 0.0),
-              0xff8b3880f5ea455eull);
-    EXPECT_EQ(runHash(1, StrategyConfig::zero(2), 0.0),
-              0x2d50256a449d56e5ull);
-    EXPECT_EQ(runHash(1, StrategyConfig::zero(3), 0.0),
-              0x9dd372e8dbae9ea5ull);
+    expectLineup(singleNodeLineup(), false);
 }
 
 TEST(FingerprintRegression, DualNodeLineup)
 {
-    EXPECT_EQ(runHash(2, StrategyConfig::ddp(), 0.0),
-              0x0b7a72c8312a4dbeull);
-    EXPECT_EQ(runHash(2, paperMegatron(2), 0.0), 0x2a38f9b3622d8434ull);
-    EXPECT_EQ(runHash(2, StrategyConfig::zero(1), 0.0),
-              0x048a684eb2d7ce7aull);
-    EXPECT_EQ(runHash(2, StrategyConfig::zero(2), 0.0),
-              0x12e8a1145cc02716ull);
-    EXPECT_EQ(runHash(2, StrategyConfig::zero(3), 0.0),
-              0x250b601e5ae1fffdull);
+    expectLineup(dualNodeLineup(), false);
 }
 
 TEST(FingerprintRegression, OffloadLineup)
 {
-    // Re-captured once for the anchored-settling scheduler (flows now
-    // settle in one multiply-subtract per constant-rate span instead
-    // of piecewise at every event — mathematically equal, different in
-    // the last float bit). Only the offload presets moved: they are
-    // the ones with long-lived flows spanning many scheduler events.
-    EXPECT_EQ(runHash(1, StrategyConfig::zeroOffloadCpu(2), 11.4),
-              0x58f078e5ebdfba74ull);
-    EXPECT_EQ(runHash(1, StrategyConfig::zeroOffloadCpu(3), 11.4),
-              0x464f8a60f5f83cc1ull);
-    EXPECT_EQ(runHash(1, StrategyConfig::zeroInfinityNvme(false), 11.4),
-              0xdefe6c99743556a4ull);
-    EXPECT_EQ(runHash(1, StrategyConfig::zeroInfinityNvme(true), 11.4),
-              0xd1105c2a033ddf8dull);
+    expectLineup(offloadLineup(), false);
 }
 
-TEST(FingerprintRegression, GlobalOracleSingleNodeLineup)
+TEST(FingerprintRegression, VerifyOracleSingleNodeLineup)
 {
-    const auto G = FlowSolverMode::Global;
-    EXPECT_EQ(runHash(1, StrategyConfig::ddp(), 0.0, G),
-              0xdfff91522c6d7b5full);
-    EXPECT_EQ(runHash(1, paperMegatron(1), 0.0, G),
-              0x3ab98365ca0ec6b1ull);
-    EXPECT_EQ(runHash(1, StrategyConfig::zero(1), 0.0, G),
-              0xff8b3880f5ea455eull);
-    EXPECT_EQ(runHash(1, StrategyConfig::zero(2), 0.0, G),
-              0x2d50256a449d56e5ull);
-    EXPECT_EQ(runHash(1, StrategyConfig::zero(3), 0.0, G),
-              0x9dd372e8dbae9ea5ull);
+    expectLineup(singleNodeLineup(), true);
 }
 
-TEST(FingerprintRegression, GlobalOracleDualNodeLineup)
+TEST(FingerprintRegression, VerifyOracleDualNodeLineup)
 {
-    const auto G = FlowSolverMode::Global;
-    EXPECT_EQ(runHash(2, StrategyConfig::ddp(), 0.0, G),
-              0x0b7a72c8312a4dbeull);
-    EXPECT_EQ(runHash(2, paperMegatron(2), 0.0, G),
-              0x2a38f9b3622d8434ull);
-    EXPECT_EQ(runHash(2, StrategyConfig::zero(1), 0.0, G),
-              0x048a684eb2d7ce7aull);
-    EXPECT_EQ(runHash(2, StrategyConfig::zero(2), 0.0, G),
-              0x12e8a1145cc02716ull);
-    EXPECT_EQ(runHash(2, StrategyConfig::zero(3), 0.0, G),
-              0x250b601e5ae1fffdull);
+    expectLineup(dualNodeLineup(), true);
 }
 
-TEST(FingerprintRegression, GlobalOracleOffloadLineup)
+TEST(FingerprintRegression, VerifyOracleOffloadLineup)
 {
-    const auto G = FlowSolverMode::Global;
-    EXPECT_EQ(runHash(1, StrategyConfig::zeroOffloadCpu(2), 11.4, G),
-              0x58f078e5ebdfba74ull);
-    EXPECT_EQ(runHash(1, StrategyConfig::zeroOffloadCpu(3), 11.4, G),
-              0x464f8a60f5f83cc1ull);
-    EXPECT_EQ(
-        runHash(1, StrategyConfig::zeroInfinityNvme(false), 11.4, G),
-        0xdefe6c99743556a4ull);
-    EXPECT_EQ(
-        runHash(1, StrategyConfig::zeroInfinityNvme(true), 11.4, G),
-        0xd1105c2a033ddf8dull);
+    expectLineup(offloadLineup(), true);
 }
 
 TEST(FingerprintRegression, VerifyModeMatchesAndChecksEveryEvent)
 {
-    // --verify-fair-share runs the global oracle after every scheduler
-    // event and fatal()s on any bitwise divergence: surviving the run
-    // with the golden hash proves the region solver exact end to end
-    // on the busiest dual-node preset.
-    EXPECT_EQ(runHash(2, StrategyConfig::zero(3), 0.0,
-                      FlowSolverMode::Region, true),
+    // --verify-fair-share runs the oracle after every scheduler event
+    // and fatal()s on any bitwise divergence: surviving the run with
+    // the golden hash proves the region solver exact end to end on
+    // the busiest dual-node preset.
+    EXPECT_EQ(runHash(2, StrategyConfig::zero(3), 0.0, true),
               0x250b601e5ae1fffdull);
-}
-
-TEST(FingerprintRegression, LegacyCompletionScanLineup)
-{
-    // Disabling the completion index re-enables the legacy full scan
-    // over stored finish times. The stored times are the same values
-    // either way, so the busiest presets of each lineup must pin the
-    // exact golden hashes.
-    const auto R = FlowSolverMode::Region;
-    EXPECT_EQ(runHash(2, StrategyConfig::zero(3), 0.0, R, false, false),
-              0x250b601e5ae1fffdull);
-    EXPECT_EQ(runHash(2, StrategyConfig::ddp(), 0.0, R, false, false),
-              0x0b7a72c8312a4dbeull);
-    EXPECT_EQ(runHash(1, StrategyConfig::zeroOffloadCpu(3), 11.4, R,
-                      false, false),
-              0x464f8a60f5f83cc1ull);
-}
-
-TEST(FingerprintRegression, ParallelComponentSolveLineup)
-{
-    // solver_threads > 1 fills independent components on a pool and
-    // commits in canonical component order — bit-identical to the
-    // serial fill, so the same goldens must hold.
-    const auto R = FlowSolverMode::Region;
-    EXPECT_EQ(
-        runHash(2, StrategyConfig::zero(3), 0.0, R, false, true, 3),
-        0x250b601e5ae1fffdull);
-    EXPECT_EQ(runHash(2, StrategyConfig::ddp(), 0.0, R, false, true, 3),
-              0x0b7a72c8312a4dbeull);
-    EXPECT_EQ(runHash(1, StrategyConfig::zeroOffloadCpu(3), 11.4, R,
-                      false, true, 3),
-              0x464f8a60f5f83cc1ull);
 }
 
 TEST(FingerprintRegression, ExplicitRingAlgoMatchesDefaultGolden)

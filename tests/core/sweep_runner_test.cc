@@ -122,5 +122,39 @@ TEST(SweepRunnerTest, ProgressReportsEveryPointExactlyOnce)
     EXPECT_EQ(seen.size(), 4u);
 }
 
+TEST(SweepRunnerTest, MoreJobsThanPointsRunsEachPointOnce)
+{
+    std::vector<ExperimentConfig> configs = smallSweep();
+    configs.resize(2);
+    const std::vector<ExperimentReport> serial =
+        SweepRunner(1).run(configs);
+    std::size_t calls = 0;
+    const std::vector<ExperimentReport> wide = SweepRunner(8).run(
+        configs, [&](std::size_t, std::size_t, std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 2u);
+    ASSERT_EQ(wide.size(), 2u);
+    for (std::size_t i = 0; i < wide.size(); ++i)
+        EXPECT_EQ(reportFingerprint(wide[i]), reportFingerprint(serial[i]))
+            << "sweep point " << i;
+}
+
+TEST(SweepRunnerTest, ManyBackToBackSweepsOnOneRunner)
+{
+    // Each run() starts and joins its own threads, so sweeps of any
+    // size (including fewer points than jobs) follow one another on
+    // one runner with nothing carried over.
+    const SweepRunner runner(3);
+    const ExperimentConfig cfg = smallSweep().front();
+    const std::string expect = reportFingerprint(runExperiment(cfg));
+    for (std::size_t sweep = 0; sweep < 24; ++sweep) {
+        const std::size_t points = sweep % 5;
+        const std::vector<ExperimentReport> reports =
+            runner.run(std::vector<ExperimentConfig>(points, cfg));
+        ASSERT_EQ(reports.size(), points);
+        for (const ExperimentReport &r : reports)
+            ASSERT_EQ(reportFingerprint(r), expect) << "sweep " << sweep;
+    }
+}
+
 } // namespace
 } // namespace dstrain

@@ -13,7 +13,6 @@
 #include "hw/cluster.hh"
 #include "net/flow_scheduler.hh"
 #include "util/rng.hh"
-#include "util/task_pool.hh"
 
 namespace dstrain {
 namespace {
@@ -494,10 +493,10 @@ TEST_F(FlowSchedulerTest, StallResumeKeepsCompletionOrder)
     EXPECT_GE(flows_.stats().stalled_parks, 3u);
 }
 
-/** A self-contained sim + cluster + scheduler built from options. */
-struct OptsTwin {
-    explicit OptsTwin(const FlowSchedulerOptions &opts)
-        : cluster(ClusterSpec{}), flows(sim, cluster.topology(), opts)
+/** A self-contained sim + cluster + scheduler. */
+struct Twin {
+    Twin()
+        : cluster(ClusterSpec{}), flows(sim, cluster.topology())
     {
     }
 
@@ -518,12 +517,12 @@ TEST(FlowSchedulerBatchTest, CapacityStormMatchesUnbatchedCalls)
     // A capacity-only batch is state-equivalent to the per-link call
     // sequence: rates after the storm and the final drain time must
     // match bitwise, with the batch solving once instead of per link.
-    OptsTwin plain{FlowSchedulerOptions{}};
-    OptsTwin batched{FlowSchedulerOptions{}};
+    Twin plain;
+    Twin batched;
 
     std::vector<FlowId> ids;
     std::vector<ResourceId> rids;
-    for (OptsTwin *tw : {&plain, &batched}) {
+    for (Twin *tw : {&plain, &batched}) {
         for (int pair = 0; pair < 2; ++pair) {
             for (int dup = 0; dup < 2; ++dup) {
                 FlowSpec spec;
@@ -540,7 +539,7 @@ TEST(FlowSchedulerBatchTest, CapacityStormMatchesUnbatchedCalls)
         }
     }
 
-    auto storm = [&](OptsTwin &tw, double factor) {
+    auto storm = [&](Twin &tw, double factor) {
         for (ResourceId rid : rids) {
             const Resource &r = tw.cluster.topology().resource(rid);
             tw.flows.setCapacity(rid, r.nominal_capacity * factor);
@@ -563,79 +562,6 @@ TEST(FlowSchedulerBatchTest, CapacityStormMatchesUnbatchedCalls)
               plain.flows.stats().recomputes +
                   plain.flows.stats().region_solves);
     EXPECT_EQ(plain.sim.run(), batched.sim.run());
-}
-
-TEST(FlowSchedulerIndexTest, LegacyScanIsBitIdenticalAndCounted)
-{
-    // completion_index = false restores the legacy full scan; stored
-    // finish times are the same values, so every completion instant
-    // must match the indexed scheduler bitwise.
-    FlowSchedulerOptions legacy_opts;
-    legacy_opts.completion_index = false;
-    OptsTwin indexed{FlowSchedulerOptions{}};
-    OptsTwin legacy{legacy_opts};
-
-    std::vector<SimTime> indexed_done;
-    std::vector<SimTime> legacy_done;
-    for (OptsTwin *tw : {&indexed, &legacy}) {
-        std::vector<SimTime> &done =
-            tw == &indexed ? indexed_done : legacy_done;
-        for (int i = 0; i < 6; ++i) {
-            FlowSpec spec;
-            spec.route = tw->gpuRoute(i % 2 == 0 ? 0 : 2,
-                                      i % 2 == 0 ? 1 : 3);
-            spec.bytes = 10e9 * (i + 1);
-            spec.on_complete = [&done, tw] {
-                done.push_back(tw->sim.now());
-            };
-            tw->flows.start(std::move(spec));
-        }
-    }
-    EXPECT_EQ(indexed.sim.run(), legacy.sim.run());
-    ASSERT_EQ(indexed_done.size(), legacy_done.size());
-    for (std::size_t i = 0; i < indexed_done.size(); ++i)
-        EXPECT_EQ(indexed_done[i], legacy_done[i]);
-
-    // The knob really switched implementations.
-    EXPECT_GT(indexed.flows.stats().completion_index_updates, 0u);
-    EXPECT_GT(indexed.flows.stats().completion_scans_avoided, 0u);
-    EXPECT_EQ(legacy.flows.stats().completion_index_updates, 0u);
-    EXPECT_EQ(legacy.flows.stats().completion_scans_avoided, 0u);
-}
-
-TEST(FlowSchedulerParallelTest, PooledFillsMatchSerialBitwise)
-{
-    // Batched starts force one solve spanning two components; with a
-    // pool and a low threshold the components fill concurrently, and
-    // the committed rates must equal the serial twin's bitwise.
-    TaskPool pool(2);
-    FlowSchedulerOptions par_opts;
-    par_opts.fill_pool = &pool;
-    par_opts.parallel_fill_threshold = 2;
-    OptsTwin serial{FlowSchedulerOptions{}};
-    OptsTwin par{par_opts};
-
-    std::vector<FlowId> ids;
-    for (OptsTwin *tw : {&serial, &par}) {
-        FlowScheduler::ScopedBatch batch(tw->flows);
-        for (int pair = 0; pair < 2; ++pair) {
-            for (int dup = 0; dup < 2; ++dup) {
-                FlowSpec spec;
-                spec.route = tw->gpuRoute(pair * 2, pair * 2 + 1);
-                spec.bytes = 20e9 + 10e9 * dup;
-                const FlowId id = tw->flows.start(std::move(spec));
-                if (tw == &serial)
-                    ids.push_back(id);
-            }
-        }
-    }
-    for (FlowId id : ids)
-        ASSERT_EQ(serial.flows.currentRate(id),
-                  par.flows.currentRate(id))
-            << "rate diverged for flow " << id;
-    EXPECT_GT(par.flows.stats().parallel_component_solves, 0u);
-    EXPECT_EQ(serial.flows.stats().parallel_component_solves, 0u);
-    EXPECT_EQ(serial.sim.run(), par.sim.run());
 }
 
 TEST_F(FlowSchedulerTest, CancelReturnsRemainingBytes)

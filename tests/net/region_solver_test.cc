@@ -1,26 +1,20 @@
 /**
  * @file
- * Solver-equivalence fuzz: the region-scoped incremental solver must
- * produce rates bit-identical to the global water-filling oracle on
- * randomized interleavings of start / finish / setCapacity /
- * setCapacities / cancel over generated fabrics.
+ * Solver fuzz: on randomized interleavings of start / finish /
+ * setCapacity / setCapacities / cancel over generated fabrics, the
+ * region-scoped incremental solver must match the from-scratch
+ * fair-share oracle bitwise, and the scheduler's event-storm batching
+ * must match the unbatched call sequence.
  *
- * Two layers of checking run at once:
- *
- *  - Twin lockstep: a Region-mode scheduler and a Global-mode
- *    scheduler are driven through the same op sequence on identical
- *    clusters, comparing every flow's rate (EXPECT_EQ on the doubles
- *    — bitwise for non-NaN values) after every op and every
- *    completion wave.
- *
- *  - Both twins run with verify_fair_share: the scheduler itself
- *    re-runs the from-scratch per-component oracle after every event
- *    and fatal()s on any divergence, which also covers the events
- *    that fire inside runUntil() between our checkpoints. (Verify
- *    mode disables the start/finish fast paths — an incrementally
- *    assigned rate equals a fresh fill mathematically but not always
- *    in the last bit — so the oracle checks region-closure
- *    correctness, not float dust; see DESIGN.md §6.1.)
+ * RegionSolverFuzz runs one scheduler with verify_fair_share: after
+ * every event it re-runs the from-scratch per-component oracle and
+ * fatal()s on any divergence of rates, the completion index or the
+ * stalled list, which also covers the events that fire inside
+ * runUntil() between the test's own ops. (Verify mode disables the
+ * start/finish fast paths — an incrementally assigned rate equals a
+ * fresh fill mathematically but not always in the last bit — so the
+ * oracle checks region-closure correctness, not float dust; see
+ * DESIGN.md §6.1.)
  */
 
 #include <gtest/gtest.h>
@@ -32,15 +26,14 @@
 #include "hw/cluster.hh"
 #include "net/flow_scheduler.hh"
 #include "util/rng.hh"
-#include "util/task_pool.hh"
 
 namespace dstrain {
 namespace {
 
-/** One simulation + cluster + scheduler under a chosen solver. */
-struct Twin {
-    Twin(const ClusterSpec &spec, FlowSolverMode mode, bool verify)
-        : cluster(spec), flows(sim, cluster.topology(), mode, verify)
+/** One simulation + cluster + scheduler built from explicit options. */
+struct Rig {
+    Rig(const ClusterSpec &spec, const FlowSchedulerOptions &opts)
+        : cluster(spec), flows(sim, cluster.topology(), opts)
     {
     }
 
@@ -50,54 +43,45 @@ struct Twin {
     int done = 0;
 };
 
-/** Fuzz both solvers through one seeded op sequence. */
+/** The fabric's RoCE links (uplinks + trunks) and their nominal
+ * capacities — the resources multi-link faults scale in real plans. */
 void
-fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
+roceLinks(const Rig &rig, std::vector<ResourceId> &roce,
+          std::vector<Bps> &nominal)
 {
-    Twin region(spec, FlowSolverMode::Region, true);
-    Twin global(spec, FlowSolverMode::Global, true);
-    Rng rng(seed);
-
-    // Fault candidates: the fabric's RoCE links (uplinks + trunks) —
-    // the resources multi-link faults scale in real plans.
-    std::vector<ResourceId> roce;
-    std::vector<Bps> nominal;
-    for (const Resource &r : region.cluster.topology().resources()) {
+    for (const Resource &r : rig.cluster.topology().resources()) {
         if (r.cls == LinkClass::Roce) {
             roce.push_back(r.id);
             nominal.push_back(r.nominal_capacity);
         }
     }
+}
+
+/** Fuzz a verify-on scheduler through one seeded op sequence. */
+void
+fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
+{
+    Rig rig(spec, FlowSchedulerOptions{true});
+    Rng rng(seed);
+
+    std::vector<ResourceId> roce;
+    std::vector<Bps> nominal;
+    roceLinks(rig, roce, nominal);
     ASSERT_FALSE(roce.empty());
 
-    const int gpus = region.cluster.spec().totalGpus();
-    std::vector<FlowId> ids;  // same ids in both twins
-
-    auto compareRates = [&] {
-        for (FlowId id : ids) {
-            ASSERT_EQ(region.flows.isActive(id),
-                      global.flows.isActive(id))
-                << "activity diverged for flow " << id;
-            ASSERT_EQ(region.flows.currentRate(id),
-                      global.flows.currentRate(id))
-                << "rate diverged for flow " << id;
-        }
-        ASSERT_EQ(region.flows.activeCount(),
-                  global.flows.activeCount());
-        ASSERT_EQ(region.done, global.done);
-    };
+    const int gpus = rig.cluster.spec().totalGpus();
+    std::size_t cancelled = 0;
+    std::vector<FlowId> ids;
 
     const double fractions[] = {0.0, 0.25, 0.5, 1.0};
     SimTime t = 0.0;
     for (int op = 0; op < ops; ++op) {
         t += rng.uniform(1e-4, 5e-3);
-        region.sim.runUntil(t);
-        global.sim.runUntil(t);
+        rig.sim.runUntil(t);
 
         const std::uint64_t kind = rng.below(10);
         if (kind < 5) {
-            // Start: a cross-GPU transfer on the ECMP route both
-            // routers resolve identically (same topology, same key).
+            // Start: a cross-GPU transfer on an ECMP route.
             const int a = static_cast<int>(rng.below(
                 static_cast<std::uint64_t>(gpus)));
             int b = static_cast<int>(
@@ -105,28 +89,17 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
             if (b == a)
                 b = (a + 1) % gpus;
             const std::uint64_t key = rng.below(1u << 20);
-            const Bytes bytes =
-                static_cast<double>(1 + rng.below(64)) * 1e8;
-            FlowId rid = 0;
-            FlowId gid = 0;
-            for (Twin *tw : {&region, &global}) {
-                FlowSpec fs;
-                fs.route = tw->cluster.router().routeForFlow(
-                    tw->cluster.gpuByRank(a), tw->cluster.gpuByRank(b),
-                    key);
-                fs.bytes = bytes;
-                fs.on_complete = [tw] { ++tw->done; };
-                (tw == &region ? rid : gid) =
-                    tw->flows.start(std::move(fs));
-            }
-            ASSERT_EQ(rid, gid);
-            ids.push_back(rid);
+            FlowSpec fs;
+            fs.route = rig.cluster.router().routeForFlow(
+                rig.cluster.gpuByRank(a), rig.cluster.gpuByRank(b), key);
+            fs.bytes = static_cast<double>(1 + rng.below(64)) * 1e8;
+            fs.on_complete = [&rig] { ++rig.done; };
+            ids.push_back(rig.flows.start(std::move(fs)));
         } else if (kind < 7) {
             // Single-link capacity change.
             const std::size_t i = rng.below(roce.size());
-            const double f = fractions[rng.below(4)];
-            region.flows.setCapacity(roce[i], nominal[i] * f);
-            global.flows.setCapacity(roce[i], nominal[i] * f);
+            rig.flows.setCapacity(roce[i],
+                                  nominal[i] * fractions[rng.below(4)]);
         } else if (kind == 7) {
             // Batched multi-link change (the fault-domain path).
             std::vector<std::pair<ResourceId, Bps>> batch;
@@ -136,38 +109,25 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
                 batch.emplace_back(roce[i],
                                    nominal[i] * fractions[rng.below(4)]);
             }
-            region.flows.setCapacities(batch);
-            global.flows.setCapacities(batch);
+            rig.flows.setCapacities(batch);
         } else if (!ids.empty()) {
-            // Cancel a random still-active flow.
-            const FlowId id = ids[rng.below(ids.size())];
-            Bytes rrem = 0.0;
-            Bytes grem = 0.0;
-            const bool rok = region.flows.cancel(id, &rrem);
-            const bool gok = global.flows.cancel(id, &grem);
-            ASSERT_EQ(rok, gok);
-            ASSERT_EQ(rrem, grem) << "cancel remainder diverged";
+            // Cancel a random flow (a no-op once it has finished).
+            if (rig.flows.cancel(ids[rng.below(ids.size())]))
+                ++cancelled;
         }
-        compareRates();
     }
 
-    // Restore every link and drain: both twins must finish every
-    // surviving flow at the same instant.
-    for (std::size_t i = 0; i < roce.size(); ++i) {
-        region.flows.setCapacity(roce[i], nominal[i]);
-        global.flows.setCapacity(roce[i], nominal[i]);
-    }
-    compareRates();
-    const SimTime rend = region.sim.run();
-    const SimTime gend = global.sim.run();
-    ASSERT_EQ(rend, gend) << "drain times diverged";
-    ASSERT_EQ(region.done, global.done);
-    ASSERT_EQ(region.flows.activeCount(), 0u);
+    // Restore every link and drain: every surviving flow finishes.
+    for (std::size_t i = 0; i < roce.size(); ++i)
+        rig.flows.setCapacity(roce[i], nominal[i]);
+    rig.sim.run();
+    ASSERT_EQ(rig.flows.activeCount(), 0u);
+    ASSERT_EQ(rig.flows.stalledCount(), 0u);
+    ASSERT_EQ(static_cast<std::size_t>(rig.done) + cancelled, ids.size());
 
-    // The verify twin really ran its oracle, and the region solver
-    // really ran scoped solves (not silent global fallbacks).
-    EXPECT_GT(region.flows.stats().verified_solves, 0u);
-    EXPECT_GT(region.flows.stats().region_solves, 0u);
+    // The oracle really ran, and the solver really ran scoped solves.
+    EXPECT_GT(rig.flows.stats().verified_solves, 0u);
+    EXPECT_GT(rig.flows.stats().region_solves, 0u);
 }
 
 ClusterSpec
@@ -209,83 +169,50 @@ TEST_P(RegionSolverFuzz, SpineLeafBitIdenticalToOracle)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegionSolverFuzz, testing::Range(1, 7));
 
-/** One simulation + cluster + scheduler built from explicit options. */
-struct ImplTwin {
-    ImplTwin(const ClusterSpec &spec, const FlowSchedulerOptions &opts)
-        : cluster(spec), flows(sim, cluster.topology(), opts)
-    {
-    }
-
-    Simulation sim;
-    Cluster cluster;
-    FlowScheduler flows;
-    int done = 0;
-};
-
 /**
- * Implementation-equivalence fuzz: the completion index, the legacy
- * completion scan, pooled component fills and capacity-storm batching
- * are four implementations of one contract — bit-identical flow rates
- * and completion instants for any op history. Drive all four through
- * one seeded sequence of start / capacity-storm (including full
- * outages, so flows park and unpark) / cancel / cancelAll ops and
+ * Batching-equivalence fuzz: a capacity storm applied link by link and
+ * the same storm inside one ScopedBatch must give bit-identical flow
+ * rates and completion instants for any op history. Drive both twins
+ * through one seeded sequence of start / capacity-storm (including
+ * full outages, so flows park and unpark) / cancel / cancelAll ops and
  * compare them after every op and at the drain.
  */
 void
 fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
                         int ops)
 {
-    TaskPool pool(2);
-    FlowSchedulerOptions base_opts;  // index on, serial, unbatched
-    FlowSchedulerOptions legacy_opts;
-    legacy_opts.completion_index = false;
-    FlowSchedulerOptions par_opts;
-    par_opts.fill_pool = &pool;
-    par_opts.parallel_fill_threshold = 2;
-
-    ImplTwin base(spec, base_opts);
-    ImplTwin legacy(spec, legacy_opts);
-    ImplTwin par(spec, par_opts);
-    ImplTwin batched(spec, base_opts);  // storms arrive batched
-    ImplTwin *const twins[] = {&base, &legacy, &par, &batched};
+    Rig base(spec, FlowSchedulerOptions{});
+    Rig batched(spec, FlowSchedulerOptions{});  // storms arrive batched
+    Rig *const twins[] = {&base, &batched};
     Rng rng(seed);
 
     std::vector<ResourceId> roce;
     std::vector<Bps> nominal;
-    for (const Resource &r : base.cluster.topology().resources()) {
-        if (r.cls == LinkClass::Roce) {
-            roce.push_back(r.id);
-            nominal.push_back(r.nominal_capacity);
-        }
-    }
+    roceLinks(base, roce, nominal);
     ASSERT_FALSE(roce.empty());
 
     const int gpus = base.cluster.spec().totalGpus();
     std::vector<FlowId> ids;
 
     auto compare = [&] {
-        for (ImplTwin *tw : {&legacy, &par, &batched}) {
-            for (FlowId id : ids) {
-                ASSERT_EQ(base.flows.isActive(id),
-                          tw->flows.isActive(id))
-                    << "activity diverged for flow " << id;
-                ASSERT_EQ(base.flows.currentRate(id),
-                          tw->flows.currentRate(id))
-                    << "rate diverged for flow " << id;
-            }
-            ASSERT_EQ(base.flows.activeCount(),
-                      tw->flows.activeCount());
-            ASSERT_EQ(base.flows.stalledCount(),
-                      tw->flows.stalledCount());
-            ASSERT_EQ(base.done, tw->done);
+        for (FlowId id : ids) {
+            ASSERT_EQ(base.flows.isActive(id), batched.flows.isActive(id))
+                << "activity diverged for flow " << id;
+            ASSERT_EQ(base.flows.currentRate(id),
+                      batched.flows.currentRate(id))
+                << "rate diverged for flow " << id;
         }
+        ASSERT_EQ(base.flows.activeCount(), batched.flows.activeCount());
+        ASSERT_EQ(base.flows.stalledCount(),
+                  batched.flows.stalledCount());
+        ASSERT_EQ(base.done, batched.done);
     };
 
     const double fractions[] = {0.0, 0.25, 0.5, 1.0};
     SimTime t = 0.0;
     for (int op = 0; op < ops; ++op) {
         t += rng.uniform(1e-4, 5e-3);
-        for (ImplTwin *tw : twins)
+        for (Rig *tw : twins)
             tw->sim.runUntil(t);
 
         const std::uint64_t kind = rng.below(12);
@@ -300,7 +227,7 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
             const Bytes bytes =
                 static_cast<double>(1 + rng.below(64)) * 1e8;
             FlowId first = 0;
-            for (ImplTwin *tw : twins) {
+            for (Rig *tw : twins) {
                 FlowSpec fs;
                 fs.route = tw->cluster.router().routeForFlow(
                     tw->cluster.gpuByRank(a), tw->cluster.gpuByRank(b),
@@ -317,7 +244,7 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
         } else if (kind < 9) {
             // Capacity storm over a few links; the batched twin gets
             // it as one ScopedBatch (capacity-only batches are
-            // state-equivalent), everyone else link by link.
+            // state-equivalent), the base twin link by link.
             std::vector<std::pair<ResourceId, Bps>> storm;
             const std::size_t n = 1 + rng.below(4);
             for (std::size_t k = 0; k < n; ++k) {
@@ -325,10 +252,8 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
                 storm.emplace_back(roce[i],
                                    nominal[i] * fractions[rng.below(4)]);
             }
-            for (ImplTwin *tw : {&base, &legacy, &par}) {
-                for (const auto &[rid, cap] : storm)
-                    tw->flows.setCapacity(rid, cap);
-            }
+            for (const auto &[rid, cap] : storm)
+                base.flows.setCapacity(rid, cap);
             {
                 FlowScheduler::ScopedBatch b(batched.flows);
                 for (const auto &[rid, cap] : storm)
@@ -338,7 +263,7 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
             const FlowId id = ids[rng.below(ids.size())];
             Bytes first = 0.0;
             bool first_ok = false;
-            for (ImplTwin *tw : twins) {
+            for (Rig *tw : twins) {
                 Bytes rem = 0.0;
                 const bool ok = tw->flows.cancel(id, &rem);
                 if (tw == &base) {
@@ -350,10 +275,10 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
                 }
             }
         } else if (kind == 10 && op > 0 && op % 37 == 0) {
-            // Rare mass abort: empties the index / scan state of all
-            // four twins at once.
+            // Rare mass abort: empties the index of both twins at
+            // once.
             std::size_t first = 0;
-            for (ImplTwin *tw : twins) {
+            for (Rig *tw : twins) {
                 const std::size_t n = tw->flows.cancelAll();
                 if (tw == &base)
                     first = n;
@@ -366,18 +291,15 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
     }
 
     for (std::size_t i = 0; i < roce.size(); ++i)
-        for (ImplTwin *tw : twins)
+        for (Rig *tw : twins)
             tw->flows.setCapacity(roce[i], nominal[i]);
     compare();
-    const SimTime end = base.sim.run();
-    for (ImplTwin *tw : {&legacy, &par, &batched})
-        ASSERT_EQ(tw->sim.run(), end) << "drain times diverged";
+    ASSERT_EQ(batched.sim.run(), base.sim.run()) << "drain times diverged";
     compare();
     ASSERT_EQ(base.flows.activeCount(), 0u);
 
-    // Each twin really exercised its distinct machinery.
-    EXPECT_GT(base.flows.stats().completion_index_updates, 0u);
-    EXPECT_EQ(legacy.flows.stats().completion_index_updates, 0u);
+    // The batched twin really exercised its distinct machinery.
+    EXPECT_EQ(base.flows.stats().batched_events, 0u);
     EXPECT_GT(batched.flows.stats().batched_events, 0u);
 }
 

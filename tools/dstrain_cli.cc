@@ -230,6 +230,11 @@ runFaultsDemo(int argc, const char *const *argv)
     cfg.iterations = std::max(cfg.warmup + 1, args.getInt("iterations"));
     // Retain segments so we can draw the rate sparkline afterwards.
     cfg.telemetry.retain_segments = true;
+    errors = cfg.validate();
+    if (!errors.empty()) {
+        printConfigErrors(errors);
+        return 1;
+    }
 
     inform("faults: clean run...");
     const ExperimentReport clean = runExperiment(cfg);
@@ -324,6 +329,11 @@ runRecoveryDemo(int argc, const char *const *argv)
     ExperimentConfig cfg = paperExperiment(
         args.getInt("nodes"), *strategy, args.getDouble("model"));
     cfg.iterations = std::max(cfg.warmup + 1, args.getInt("iterations"));
+    errors = cfg.validate();
+    if (!errors.empty()) {
+        printConfigErrors(errors);
+        return 1;
+    }
 
     inform("recovery: clean run...");
     const ExperimentReport clean = runExperiment(cfg);
