@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
-#include <tuple>
 
 #include "collectives/algorithms.hh"
 #include "collectives/topology_view.hh"
@@ -72,8 +71,8 @@ CollectiveEngine::CollectiveEngine(TransferManager &tm)
 }
 
 std::vector<ComponentId>
-CollectiveEngine::viaNics(int src_rank, int dst_rank, int channel,
-                          bool pin) const
+CollectiveEngine::viaNics(int src_rank, int dst_rank,
+                          std::size_t channel, bool pin) const
 {
     Cluster &cl = tm_.cluster();
     if (!pin)
@@ -86,136 +85,167 @@ CollectiveEngine::viaNics(int src_rank, int dst_rank, int channel,
     const auto &dst_nics = cl.node(dst_node).nics;
     DSTRAIN_ASSERT(!src_nics.empty() && !dst_nics.empty(),
                    "nodes %d/%d lack NICs", src_node, dst_node);
-    return {src_nics[static_cast<std::size_t>(channel) %
-                     src_nics.size()],
-            dst_nics[static_cast<std::size_t>(channel) %
-                     dst_nics.size()]};
+    return {src_nics[channel % src_nics.size()],
+            dst_nics[channel % dst_nics.size()]};
 }
 
-void
-CollectiveEngine::runRounds(const CommGroup &group,
-                            std::vector<CollectiveRound> rounds,
-                            int channel, int channels, bool pin,
-                            double bw_factor, const std::string &tag,
-                            Callback on_done)
+/**
+ * One collective invocation in flight. Every channel walks the same
+ * schedule (rounds() is pure and takes no channel) with its own
+ * cursor: round i launches when all of round i-1's hops on that
+ * channel land, and the caller's callback fires when the last
+ * channel finishes its last round.
+ *
+ * With resilience attached, a per-round progress watchdog (the
+ * NCCL-watchdog model) additionally rescues rounds stranded on a
+ * dead route: stalled hops are cancelled byte-conservingly and
+ * relaunched with the undelivered remainder once routing has
+ * reconverged — completed rounds never re-run.
+ *
+ * Ownership: each callback in flight (hop completions, armed
+ * watchdogs, deferred settles, reconvergence relaunches) holds a
+ * shared_ptr to the runner and nothing else does, so the runner is
+ * freed with its last callback — after completion, or once
+ * abortAll() and cancelAll() drop the callbacks mid-operation.
+ */
+class CollectiveEngine::RoundRunner
+    : public std::enable_shared_from_this<RoundRunner>
 {
-    // Self-destructing state machine: advance() launches round i and
-    // recurses when all of its transfers land. With resilience
-    // attached, a per-round progress watchdog (the NCCL-watchdog
-    // model) additionally rescues rounds stranded on a dead route:
-    // stalled hops are cancelled byte-conservingly and relaunched
-    // with the undelivered remainder once routing has reconverged —
-    // completed rounds never re-run.
-    struct State {
-        CollectiveEngine *eng;
-        CommGroup group;
-        std::vector<CollectiveRound> rounds;
-        int channel;
-        int channels;
-        bool pin;
-        double bw_factor = 1.0;
-        std::string tag;
-        Callback on_done;
+  public:
+    RoundRunner(CollectiveEngine &eng, std::vector<CollectiveRound> rounds,
+                int channels, bool pin, double bw_factor, std::string tag,
+                Callback on_done)
+        : eng_(eng), rounds_(std::move(rounds)),
+          cursors_(static_cast<std::size_t>(channels)), pin_(pin),
+          bw_factor_(bw_factor), tag_(std::move(tag)),
+          on_done_(std::move(on_done)), channels_left_(channels)
+    {
+        ResilienceCoordinator *rc = eng.resilience_;
+        if (rc != nullptr && rc->config().collective_timeout > 0.0)
+            rc_ = rc;
+    }
+
+    RoundRunner(const RoundRunner &) = delete;
+    RoundRunner &operator=(const RoundRunner &) = delete;
+
+    /** Launch round 0 on each channel in turn. */
+    void
+    start()
+    {
+        for (std::size_t c = 0; c < cursors_.size(); ++c)
+            startRound(c);
+    }
+
+  private:
+    /** One channel's position in the shared schedule. */
+    struct Cursor {
         std::size_t next_round = 0;
         int outstanding = 0;
-        /** Current round's hops; bytes shrink on rescue relaunch. */
-        CollectiveRound cur;
+        /** Current round's hop bytes; shrink on rescue relaunch. */
+        std::vector<Bytes> bytes;
         /** Transfer ids of the current round (0 = untracked). */
         std::vector<std::uint64_t> xids;
         /** Bumped per round launch: stale watchdog events bail. */
         std::uint64_t round_gen = 0;
-        /** Watchdog rescues performed for this invocation. */
+        /** Watchdog rescues performed on this channel. */
         int resumes = 0;
     };
-    auto st = std::make_shared<State>();
-    st->eng = this;
-    st->group = group;
-    st->rounds = std::move(rounds);
-    st->channel = channel;
-    st->channels = channels;
-    st->pin = pin;
-    st->bw_factor = bw_factor;
-    st->tag = tag;
-    st->on_done = std::move(on_done);
 
-    ResilienceCoordinator *rc = resilience_;
-    const SimTime timeout =
-        rc != nullptr ? rc->config().collective_timeout : 0.0;
-
-    // advance is stored so the completion lambdas can call it.
-    auto advance = std::make_shared<std::function<void()>>();
-    // Launches hop i of the current round (initial launch and
-    // watchdog relaunch share it so both attempts are identical).
-    auto start_hop =
-        std::make_shared<std::function<void(std::size_t)>>();
-    // The watchdog body; parameters pin the (round, abort-epoch) it
-    // was armed for.
-    auto watch = std::make_shared<
-        std::function<void(std::uint64_t, std::uint64_t)>>();
-
-    *start_hop = [st, advance](std::size_t i) {
-        Cluster &cl = st->eng->tm_.cluster();
-        const CollectiveHop &hop = st->cur[i];
-        TransferOptions opts;
-        opts.waypoints = st->eng->viaNics(
-            hop.src_rank, hop.dst_rank, st->channel, st->pin);
-        opts.rate_factor = st->bw_factor;
-        // On multipath fabrics, ECMP spreads the channels over
-        // the equal-cost trunks (deterministically).
-        opts.flow_key = static_cast<std::uint64_t>(st->channel);
-        opts.tag = st->tag;
-        st->xids[i] = st->eng->tm_.start(
-            cl.gpuByRank(hop.src_rank), cl.gpuByRank(hop.dst_rank),
-            hop.bytes,
-            [st, advance] {
-                if (--st->outstanding == 0)
-                    (*advance)();
-            },
-            std::move(opts));
-    };
-
-    *advance = [st, advance, start_hop, watch, rc, timeout]() {
-        if (st->next_round >= st->rounds.size()) {
-            if (st->on_done)
-                st->on_done();
+    /** Launch channel @p c's next round, or finish the channel. */
+    void
+    startRound(std::size_t c)
+    {
+        Cursor &cur = cursors_[c];
+        if (cur.next_round >= rounds_.size()) {
+            if (--channels_left_ == 0) {
+                ++eng_.completed_;
+                if (on_done_)
+                    on_done_();
+            }
             return;
         }
-        const CollectiveRound &round = st->rounds[st->next_round++];
+        const CollectiveRound &round = rounds_[cur.next_round++];
         DSTRAIN_ASSERT(!round.empty(), "empty collective round");
-        st->cur = round;
-        st->xids.assign(round.size(), 0);
-        st->outstanding = static_cast<int>(round.size());
-        ++st->round_gen;
-        for (std::size_t i = 0; i < st->cur.size(); ++i)
-            (*start_hop)(i);
-        if (rc != nullptr && timeout > 0.0) {
-            TransferManager &tm = st->eng->tm_;
-            const std::uint64_t gen = st->round_gen;
-            const std::uint64_t epoch = tm.abortEpoch();
-            tm.sim().events().scheduleAfter(
-                timeout, [watch, gen, epoch] { (*watch)(gen, epoch); });
-        }
-    };
+        cur.bytes.clear();
+        for (const CollectiveHop &hop : round)
+            cur.bytes.push_back(hop.bytes);
+        cur.xids.assign(round.size(), 0);
+        cur.outstanding = static_cast<int>(round.size());
+        ++cur.round_gen;
+        for (std::size_t i = 0; i < round.size(); ++i)
+            startHop(c, i);
+        if (rc_ != nullptr)
+            armWatchdog(c);
+    }
 
-    *watch = [st, watch, start_hop, advance, rc,
-              timeout](std::uint64_t gen, std::uint64_t epoch) {
-        TransferManager &tm = st->eng->tm_;
+    /**
+     * Launch hop @p i of channel @p c's current round (the initial
+     * launch and a watchdog relaunch share it, so both attempts are
+     * identical apart from the bytes).
+     */
+    void
+    startHop(std::size_t c, std::size_t i)
+    {
+        TransferManager &tm = eng_.tm_;
+        Cursor &cur = cursors_[c];
+        const CollectiveHop &hop = rounds_[cur.next_round - 1][i];
+        TransferOptions opts;
+        opts.waypoints = eng_.viaNics(hop.src_rank, hop.dst_rank, c, pin_);
+        opts.rate_factor = bw_factor_;
+        // On multipath fabrics, ECMP spreads the channels over the
+        // equal-cost trunks (deterministically).
+        opts.flow_key = c;
+        opts.tag = tag_;
+        cur.xids[i] = tm.start(
+            tm.cluster().gpuByRank(hop.src_rank),
+            tm.cluster().gpuByRank(hop.dst_rank), cur.bytes[i],
+            [self = shared_from_this(), c] { self->hopDone(c); },
+            std::move(opts));
+    }
+
+    /** One hop of channel @p c's current round landed. */
+    void
+    hopDone(std::size_t c)
+    {
+        if (--cursors_[c].outstanding == 0)
+            startRound(c);
+    }
+
+    /** Check channel @p c's current round after the timeout. */
+    void
+    armWatchdog(std::size_t c)
+    {
+        TransferManager &tm = eng_.tm_;
+        tm.sim().events().scheduleAfter(
+            rc_->config().collective_timeout,
+            [self = shared_from_this(), c,
+             gen = cursors_[c].round_gen, epoch = tm.abortEpoch()] {
+                self->watchdog(c, gen, epoch);
+            });
+    }
+
+    /** The watchdog body for the (round, abort epoch) it was armed for. */
+    void
+    watchdog(std::size_t c, std::uint64_t gen, std::uint64_t epoch)
+    {
+        TransferManager &tm = eng_.tm_;
+        Cursor &cur = cursors_[c];
         if (epoch != tm.abortEpoch())
             return;  // hard-fault abort killed this attempt
-        if (gen != st->round_gen || st->outstanding == 0)
+        if (gen != cur.round_gen || cur.outstanding == 0)
             return;  // the round completed; a new watchdog owns the next
+        const int max_resumes = rc_->config().max_collective_resumes;
         bool rescued = false;
-        if (st->resumes < rc->config().max_collective_resumes) {
-            for (std::size_t i = 0; i < st->xids.size(); ++i) {
-                if (st->xids[i] == 0 ||
-                    !tm.transferStalled(st->xids[i]))
+        if (cur.resumes < max_resumes) {
+            for (std::size_t i = 0; i < cur.xids.size(); ++i) {
+                if (cur.xids[i] == 0 || !tm.transferStalled(cur.xids[i]))
                     continue;
                 // Byte-conserving round resume: the stalled hop's
                 // delivered bytes stay delivered, only the remainder
                 // relaunches — after routing has reconverged, so the
                 // fresh transfer resolves around the cut.
-                const Bytes rem = tm.cancelTransfer(st->xids[i]);
-                st->xids[i] = 0;
+                const Bytes rem = tm.cancelTransfer(cur.xids[i]);
+                cur.xids[i] = 0;
                 rescued = true;
                 if (rem <= 0.0) {
                     // Everything had landed; the cancelled callback
@@ -223,41 +253,41 @@ CollectiveEngine::runRounds(const CommGroup &group,
                     // (deferred: advancing mid-loop would launch the
                     // next round while hops are still under review).
                     tm.sim().events().scheduleAfter(
-                        0.0, [st, advance] {
-                            if (--st->outstanding == 0)
-                                (*advance)();
+                        0.0, [self = shared_from_this(), c] {
+                            self->hopDone(c);
                         });
                     continue;
                 }
-                st->cur[i].bytes = rem;
-                const std::uint64_t g = st->round_gen;
-                const std::uint64_t e = tm.abortEpoch();
-                const SimTime at = rc->reconvergedAt();
+                cur.bytes[i] = rem;
                 tm.sim().events().schedule(
-                    at, [st, start_hop, i, g, e] {
-                        TransferManager &tm2 = st->eng->tm_;
-                        if (e != tm2.abortEpoch() ||
-                            g != st->round_gen)
-                            return;
-                        (*start_hop)(i);
+                    rc_->reconvergedAt(),
+                    [self = shared_from_this(), c, i, gen, epoch] {
+                        if (epoch == self->eng_.tm_.abortEpoch() &&
+                            gen == self->cursors_[c].round_gen)
+                            self->startHop(c, i);
                     });
             }
         }
         if (rescued) {
-            ++rc->stats().collective_timeouts;
-            ++st->resumes;
+            ++rc_->stats().collective_timeouts;
+            ++cur.resumes;
         }
-        if (st->outstanding > 0 &&
-            st->resumes < rc->config().max_collective_resumes) {
-            const std::uint64_t g = st->round_gen;
-            const std::uint64_t e = tm.abortEpoch();
-            tm.sim().events().scheduleAfter(
-                timeout, [watch, g, e] { (*watch)(g, e); });
-        }
-    };
+        if (cur.outstanding > 0 && cur.resumes < max_resumes)
+            armWatchdog(c);
+    }
 
-    (*advance)();
-}
+    CollectiveEngine &eng_;
+    /** The invocation's schedule, emitted once for all channels. */
+    const std::vector<CollectiveRound> rounds_;
+    std::vector<Cursor> cursors_;
+    bool pin_;
+    double bw_factor_;
+    std::string tag_;
+    Callback on_done_;
+    int channels_left_;
+    /** Watchdog coordinator; nullptr while the watchdog is off. */
+    ResilienceCoordinator *rc_ = nullptr;
+};
 
 void
 CollectiveEngine::markRanksDead(const std::vector<int> &ranks)
@@ -394,25 +424,12 @@ CollectiveEngine::runOp(CollectiveOp op, const CommGroup &group,
     const CollectiveAlgorithm &impl = collectiveAlgorithm(algo);
     recordUsage(op, algo, live.size(), bytes);
 
-    const std::string tag =
-        opts.tag.empty() ? kind : opts.tag + "/" + kind;
-
-    auto remaining = std::make_shared<int>(channels);
-    auto done = std::make_shared<Callback>(std::move(on_done));
-    for (int c = 0; c < channels; ++c) {
-        const Bytes share = bytes / channels;
-        std::vector<CollectiveRound> rounds =
-            impl.rounds(op, live, share, root, view);
-        runRounds(live, std::move(rounds), c, channels,
-                  opts.pin_channels_to_nics, opts.bandwidth_factor, tag,
-                  [this, remaining, done] {
-                      if (--*remaining == 0) {
-                          ++completed_;
-                          if (*done)
-                              (*done)();
-                      }
-                  });
-    }
+    std::make_shared<RoundRunner>(
+        *this, impl.rounds(op, live, bytes / channels, root, view),
+        channels, opts.pin_channels_to_nics, opts.bandwidth_factor,
+        opts.tag.empty() ? kind : opts.tag + "/" + kind,
+        std::move(on_done))
+        ->start();
 }
 
 void
@@ -461,17 +478,6 @@ CollectiveEngine::allToAll(const CommGroup &group, Bytes bytes,
 {
     runOp(CollectiveOp::AllToAll, group, -1, bytes, std::move(opts),
           std::move(on_done));
-}
-
-void
-CollectiveEngine::pointToPoint(int src_rank, int dst_rank, Bytes bytes,
-                               Callback on_done, const std::string &tag)
-{
-    Cluster &cl = tm_.cluster();
-    TransferOptions opts;
-    opts.tag = tag;
-    tm_.start(cl.gpuByRank(src_rank), cl.gpuByRank(dst_rank), bytes,
-              std::move(on_done), std::move(opts));
 }
 
 } // namespace dstrain

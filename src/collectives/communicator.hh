@@ -239,10 +239,6 @@ class CollectiveEngine
     void allToAll(const CommGroup &group, Bytes bytes, Callback on_done,
                   CollectiveOptions opts = {});
 
-    /** Plain point-to-point send between two ranks. */
-    void pointToPoint(int src_rank, int dst_rank, Bytes bytes,
-                      Callback on_done, const std::string &tag = "p2p");
-
     /** Number of collectives completed (test/diagnostic hook). */
     std::uint64_t completedCount() const { return completed_; }
 
@@ -250,19 +246,12 @@ class CollectiveEngine
     const std::vector<CollectiveUsage> &usage() const { return usage_; }
 
   private:
-    /**
-     * Execute @p rounds sequentially (round barrier) on channel
-     * @p channel of @p channels, then invoke @p on_done.
-     */
-    void runRounds(const CommGroup &group,
-                   std::vector<CollectiveRound> rounds,
-                   int channel, int channels, bool pin,
-                   double bw_factor, const std::string &tag,
-                   Callback on_done);
+    /** One invocation's rounds in flight (communicator.cc). */
+    class RoundRunner;
 
     /**
-     * Resolve the algorithm, split @p bytes across channels, fetch
-     * each channel's rounds from the algorithm and run them.
+     * Resolve the algorithm, split @p bytes across channels, emit
+     * the schedule once and run it on every channel.
      */
     void runOp(CollectiveOp op, const CommGroup &group, int root,
                Bytes bytes, CollectiveOptions opts, Callback on_done);
@@ -277,7 +266,8 @@ class CollectiveEngine
      * and unpinned collectives (shortest path).
      */
     std::vector<ComponentId>
-    viaNics(int src_rank, int dst_rank, int channel, bool pin) const;
+    viaNics(int src_rank, int dst_rank, std::size_t channel,
+            bool pin) const;
 
     /** Is @p rank marked dead (elastic shrink)? */
     bool rankDead(int rank) const;

@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests for the collective engine: completion, traffic volumes on
- * the fabric, channel pinning, and timing against the analytic ring
- * formulas.
+ * the fabric, channel pinning, invocation lifetime, and timing
+ * against the analytic ring formulas.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "collectives/algorithms.hh"
 #include "collectives/volume.hh"
@@ -112,13 +114,17 @@ TEST_F(CollectiveTest, ReduceCompletes)
     EXPECT_TRUE(done);
 }
 
-TEST_F(CollectiveTest, PointToPoint)
+TEST_F(CollectiveTest, CompletedInvocationReleasesItsCallback)
 {
+    // Nothing may keep an invocation alive once it has completed:
+    // the caller's callback (and everything it captured) is freed.
+    auto token = std::make_shared<int>(0);
     bool done = false;
-    coll_.pointToPoint(0, 3, 1e9, [&] { done = true; });
+    coll_.allReduce(CommGroup::worldOf(4), 1e9,
+                    [&done, token] { done = true; });
     sim_.run();
     EXPECT_TRUE(done);
-    EXPECT_NEAR(fabricBytes(LinkClass::NvLink), 1e9, 1e3);
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST_F(CollectiveTest, SubgroupOnlyTouchesItsLinks)
@@ -141,6 +147,26 @@ TEST_F(DualNodeCollectiveTest, SpanningGroupUsesRoce)
     coll_.allReduce(CommGroup::worldOf(8), 1e9, nullptr);
     sim_.run();
     EXPECT_GT(fabricBytes(LinkClass::Roce), 1e9);
+}
+
+TEST_F(DualNodeCollectiveTest, AbortMidOpReleasesTheInvocation)
+{
+    // The hard-failure teardown (TransferManager::abortAll() then
+    // FlowScheduler::cancelAll()) drops every pending callback of a
+    // two-channel all-reduce mid-flight; the invocation must go with
+    // them.
+    auto token = std::make_shared<int>(0);
+    bool done = false;
+    coll_.allReduce(CommGroup::worldOf(8), 4e9,
+                    [&done, token] { done = true; });
+    sim_.events().schedule(1e-3, [this] {
+        tm_.abortAll();
+        flows_.cancelAll();
+    });
+    sim_.run();
+    EXPECT_FALSE(done);
+    EXPECT_EQ(coll_.completedCount(), 0u);
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST_F(DualNodeCollectiveTest, PinnedChannelsTouchBothNicsAndXgmi)

@@ -195,13 +195,17 @@ TEST_F(DegradedCollectiveTest, WatchdogRescuesStalledRound)
     opts.channels = 1;
     opts.pin_channels_to_nics = false;
     bool done = false;
-    coll_.allReduce(CommGroup::worldOf(8), 8e8, [&] { done = true; },
-                    opts);
+    // Watchdogs, deferred settles and relaunches must all release
+    // the invocation once the drained run is over.
+    auto token = std::make_shared<int>(0);
+    coll_.allReduce(CommGroup::worldOf(8), 8e8,
+                    [&done, token] { done = true; }, opts);
     killAt(1e-3, used, /*notify_tm=*/false);
     sim_.run();
     EXPECT_TRUE(done);
     tm_.verifyConservation();
     EXPECT_GE(rc_->stats().collective_timeouts, 1u);
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST_F(DegradedCollectiveTest, HierarchicalFallsBackOnNvlinkCut)

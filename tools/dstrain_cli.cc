@@ -329,10 +329,19 @@ runRecoveryDemo(int argc, const char *const *argv)
     ExperimentConfig cfg = paperExperiment(
         args.getInt("nodes"), *strategy, args.getDouble("model"));
     cfg.iterations = std::max(cfg.warmup + 1, args.getInt("iterations"));
-    errors = cfg.validate();
-    if (!errors.empty()) {
-        printConfigErrors(errors);
-        return 1;
+    ExperimentConfig ckpt_cfg = cfg;
+    ckpt_cfg.recovery.checkpoint = ckpt;
+    ExperimentConfig fault_cfg = ckpt_cfg;
+    fault_cfg.recovery.policy = policy;
+    fault_cfg.faults = std::move(plan);
+    // Validate all three runs before the first one starts; aiming
+    // the fault below moves only its begin time, never its validity.
+    for (const ExperimentConfig *c : {&cfg, &ckpt_cfg, &fault_cfg}) {
+        errors = c->validate();
+        if (!errors.empty()) {
+            printConfigErrors(errors);
+            return 1;
+        }
     }
 
     inform("recovery: clean run...");
@@ -340,24 +349,18 @@ runRecoveryDemo(int argc, const char *const *argv)
 
     inform("recovery: checkpointed run (policy %s)...",
            ckpt.str().c_str());
-    ExperimentConfig ckpt_cfg = cfg;
-    ckpt_cfg.recovery.checkpoint = ckpt;
     const ExperimentReport checkpointed = runExperiment(ckpt_cfg);
 
     // Aim the default fault at the middle of the measured window the
     // clean run just revealed (begin times are absolute seconds).
     if (!args.provided("fault")) {
         const SimTime b = clean.execution.measured_begin;
-        plan.events[0].begin =
+        fault_cfg.faults.events[0].begin =
             b + 0.5 * (clean.execution.measured_end - b);
     }
 
     inform("recovery: faulted run (%s, %s policy)...",
-           plan.str().c_str(), recoveryPolicyName(policy));
-    ExperimentConfig fault_cfg = cfg;
-    fault_cfg.recovery.checkpoint = ckpt;
-    fault_cfg.recovery.policy = policy;
-    fault_cfg.faults = plan;
+           fault_cfg.faults.str().c_str(), recoveryPolicyName(policy));
     const ExperimentReport recovered = runExperiment(fault_cfg);
 
     std::cout << "\nclean:        " << summarizeReport(clean)
