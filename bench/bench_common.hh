@@ -107,6 +107,18 @@ applyRunSettings(ExperimentConfig &cfg, int iterations = 4,
     cfg.warmup = warmup;
 }
 
+/**
+ * Set @p cfg's telemetry bucket to 1/40 of its iteration time, the
+ * grid of the Fig. 9/10/12 per-iteration sparklines. Post-run probes
+ * read only the grid a run armed, so a first run of the same config
+ * learns the iteration time.
+ */
+inline void
+armIterationGrid(ExperimentConfig &cfg)
+{
+    cfg.telemetry.bucket = runExperiment(cfg).iteration_time / 40.0;
+}
+
 /** Run one paper configuration with the standard settings. */
 inline ExperimentReport
 runPaperCase(int nodes, const StrategyConfig &strategy,

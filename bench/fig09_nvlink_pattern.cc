@@ -30,16 +30,14 @@ main()
     for (const StrategyConfig &s : comparisonLineup(1)) {
         ExperimentConfig cfg = paperExperiment(1, s);
         bench::applyRunSettings(cfg, /*iterations=*/10, /*warmup=*/2);
-        // The per-iteration sparkline re-probes with an ad-hoc bucket
-        // width, which needs the full segment history.
-        cfg.telemetry.retain_segments = true;
+        bench::armIterationGrid(cfg);
         Experiment exp(std::move(cfg));
         const ExperimentReport r = exp.run();
 
         const BandwidthSeries series = probeClassBandwidth(
             exp.cluster().topology(), LinkClass::NvLink,
             r.execution.measured_begin, r.execution.measured_end,
-            r.iteration_time / 40.0);
+            exp.config().telemetry.bucket);
         const BandwidthSummary sum = series.summary();
         const auto &[p_avg, p_peak] = paper.at(strategyKindName(s.kind));
 

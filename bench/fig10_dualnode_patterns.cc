@@ -24,9 +24,7 @@ main()
     for (const StrategyConfig &s : comparisonLineup(2)) {
         ExperimentConfig cfg = paperExperiment(2, s);
         bench::applyRunSettings(cfg, /*iterations=*/8, /*warmup=*/2);
-        // The per-iteration sparklines re-probe with an ad-hoc bucket
-        // width, which needs the full segment history.
-        cfg.telemetry.retain_segments = true;
+        bench::armIterationGrid(cfg);
         Experiment exp(std::move(cfg));
         const ExperimentReport r = exp.run();
 
@@ -38,7 +36,7 @@ main()
             const BandwidthSeries series = probeClassBandwidth(
                 exp.cluster().topology(), cls,
                 r.execution.measured_begin, r.execution.measured_end,
-                r.iteration_time / 40.0);
+                exp.config().telemetry.bucket);
             const BandwidthSummary sum = series.summary();
             std::cout << csprintf("  %-9s |%s| avg %6.2f GBps peak "
                                   "%6.2f\n",

@@ -47,7 +47,7 @@ addExperimentOptions(ArgParser &args)
     args.addOption(
         "nodes-spec", "",
         "heterogeneous node groups "
-        "'<count>:gpus=<g>,nics=<n>[,roce=<Gbps>][,gpu-mem=<GiB>]"
+        "'<count>:gpus=<g>,nics=<n>[,roce=<GBps>][,gpu-mem=<GiB>]"
         "[;...]' (overrides --nodes)");
     args.addOption("strategy", "zero3", strategyNameHelp());
     args.addOption("model", "0",
@@ -96,9 +96,6 @@ addExperimentOptions(ArgParser &args)
                  "re-solve every fair-share component from scratch "
                  "after each scheduler event and abort on any bitwise "
                  "rate divergence (slow)");
-    args.addFlag("retain-segments",
-                 "keep the full rate-log history instead of the "
-                 "streaming bucket accumulators (more memory)");
     args.addFlag("no-serdes",
                  "disable the IOD SerDes contention model (ablation)");
 }
@@ -169,8 +166,6 @@ experimentFromArgs(const ArgParser &args)
     out.config.cluster.node.model_serdes_contention =
         !args.getFlag("no-serdes");
     out.config.telemetry.bucket = args.getDouble("bucket");
-    out.config.telemetry.retain_segments =
-        args.getFlag("retain-segments");
 
     out.config.verify_fair_share = args.getFlag("verify-fair-share");
 

@@ -42,9 +42,9 @@ std::string strategyNameHelp();
 /**
  * Declare the experiment-defining options (--nodes, --strategy,
  * --model, --tp, --pp, --batch, --iterations, --placement, --bucket,
- * --faults, --checkpoint, --recovery, --retain-segments, --no-serdes)
- * on @p args. Output-side
- * flags (--csv, --trace, ...) remain each subcommand's own business.
+ * --faults, --checkpoint, --recovery, --no-serdes) on @p args.
+ * Output-side flags (--csv, --trace, ...) remain each subcommand's
+ * own business.
  */
 void addExperimentOptions(ArgParser &args);
 

@@ -6,6 +6,8 @@
 #include "core/experiment.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 
 #include "model/flops.hh"
 #include "util/logging.hh"
@@ -89,22 +91,56 @@ std::vector<ConfigError>
 ExperimentConfig::validate() const
 {
     std::vector<ConfigError> errors;
-    if (cluster.nodeCount() < 1)
+    // Count nodes in 64 bits: group counts near INT_MAX would
+    // overflow ClusterSpec::nodeCount(), and every check below that
+    // multiplies nodes by GPUs needs a bounded shape.
+    std::int64_t nodes = cluster.nodes;
+    if (!cluster.groups.empty()) {
+        nodes = 0;
+        for (const NodeGroup &g : cluster.groups)
+            nodes += std::max(g.count, 0);
+    }
+    bool bounded = nodes <= kMaxClusterNodes;
+    if (nodes < 1)
         errors.push_back({"cluster.nodes", "must be >= 1"});
-    if (cluster.groups.empty() && cluster.node.gpus < 1)
-        errors.push_back({"cluster.node.gpus", "must be >= 1"});
+    else if (!bounded)
+        errors.push_back(
+            {"cluster.nodes",
+             csprintf("must be <= %d (got %lld)", kMaxClusterNodes,
+                      static_cast<long long>(nodes))});
+    if (cluster.groups.empty()) {
+        if (cluster.node.gpus < 1 || cluster.node.gpus > kMaxNodeDevices)
+            errors.push_back(
+                {"cluster.node.gpus",
+                 csprintf("must be in [1, %d]", kMaxNodeDevices)});
+        bounded = bounded && cluster.node.gpus <= kMaxNodeDevices;
+    }
     for (std::size_t i = 0; i < cluster.groups.size(); ++i) {
         const NodeGroup &g = cluster.groups[i];
-        if (g.count < 1 || g.node.gpus < 1 || g.node.nics < 1) {
+        if (g.count < 1 || g.node.gpus < 1 || g.node.nics < 1 ||
+            g.node.gpus > kMaxNodeDevices ||
+            g.node.nics > kMaxNodeDevices) {
             errors.push_back(
                 {csprintf("cluster.groups[%zu]", i),
-                 "needs count >= 1, gpus >= 1 and nics >= 1"});
+                 csprintf("needs count >= 1 and gpus, nics in [1, %d]",
+                          kMaxNodeDevices)});
+            bounded = false;
+        }
+        const double roce = g.node.roce_per_dir / units::GBps;
+        if (!(roce >= kMinRoceGBps && roce <= kMaxRoceGBps &&
+              std::isfinite(g.node.gpu_memory) &&
+              g.node.gpu_memory > 0.0)) {
+            errors.push_back(
+                {csprintf("cluster.groups[%zu]", i),
+                 csprintf("needs roce in [%g, %g] GBps and a finite, "
+                          "positive gpu-mem",
+                          kMinRoceGBps, kMaxRoceGBps)});
         }
     }
     for (ConfigError &e : cluster.fabric.validate())
         errors.push_back(std::move(e));
     // Group shapes the strategies would otherwise assert on.
-    const int gpus = cluster.totalGpus();
+    const int gpus = bounded ? cluster.totalGpus() : 0;
     if (gpus >= 1) {
         const int mp = strategy.modelParallelSize();
         if (mp < 1 || gpus % mp != 0)
@@ -125,24 +161,34 @@ ExperimentConfig::validate() const
                               ep, gpus)});
         }
     }
-    if (model_billions < 0.0)
+    if (!std::isfinite(model_billions) || model_billions < 0.0)
+        errors.push_back({"model_billions",
+                          "must be finite and >= 0 (0 = largest that "
+                          "fits)"});
+    if (batch_per_gpu < 1 || batch_per_gpu > kMaxBatchPerGpu)
         errors.push_back(
-            {"model_billions", "must be >= 0 (0 = largest that fits)"});
-    if (batch_per_gpu < 1)
-        errors.push_back({"batch_per_gpu", "must be >= 1"});
-    if (iterations < 1)
-        errors.push_back({"iterations", "must be >= 1"});
+            {"batch_per_gpu",
+             csprintf("must be in [1, %d]", kMaxBatchPerGpu)});
+    if (iterations < 1 || iterations > kMaxIterations)
+        errors.push_back(
+            {"iterations",
+             csprintf("must be in [1, %d]", kMaxIterations)});
     if (warmup < 0)
         errors.push_back({"warmup", "must be >= 0"});
     else if (iterations >= 1 && warmup >= iterations)
         errors.push_back(
             {"warmup", csprintf("must be < iterations (%d >= %d)",
                                 warmup, iterations)});
-    if (telemetry.bucket <= 0.0)
-        errors.push_back({"telemetry.bucket", "must be positive"});
+    if (!std::isfinite(telemetry.bucket) ||
+        telemetry.bucket < kMinTelemetryBucket)
+        errors.push_back(
+            {"telemetry.bucket",
+             csprintf("must be finite and >= %g s (got %g)",
+                      kMinTelemetryBucket, telemetry.bucket)});
     for (ConfigError &e : faults.validate())
         errors.push_back(std::move(e));
-    for (ConfigError &e : recovery.validate(faults, cluster.nodeCount()))
+    for (ConfigError &e :
+         recovery.validate(faults, bounded ? cluster.nodeCount() : 1))
         errors.push_back(std::move(e));
     for (ConfigError &e : resilience.validate())
         errors.push_back(std::move(e));

@@ -34,6 +34,21 @@
 
 namespace dstrain {
 
+/**
+ * Size limits validate() enforces. They sit far past the testbed
+ * (XE8545 nodes: 4 GPUs, 2 NICs, batch 16) and the 1024-rank fabrics
+ * the simulator targets; beyond them counts overflow int or a run
+ * could not finish.
+ */
+inline constexpr int kMaxClusterNodes = 1024;
+inline constexpr int kMaxNodeDevices = 64;  ///< GPUs or NICs per node
+inline constexpr int kMaxIterations = 10000;
+inline constexpr int kMaxBatchPerGpu = 65536;
+
+/** Per-direction RoCE rates a node group may declare (GBps). */
+inline constexpr double kMinRoceGBps = 0.1;
+inline constexpr double kMaxRoceGBps = 1e4;
+
 /** Everything that defines one experiment run. */
 struct ExperimentConfig {
     /** The cluster (defaults to one XE8545 node). */
@@ -72,9 +87,9 @@ struct ExperimentConfig {
     CollectiveAlgoSpec collective_algos;
 
     /**
-     * Telemetry collection mode (streaming by default). Benches that
-     * re-probe with ad-hoc windows or bucket widths after run() must
-     * set telemetry.retain_segments.
+     * The telemetry grid (bucket width) the run arms at the start of
+     * measurement. Post-run probes can read only this grid: a bench
+     * that wants another bucket width sets it here and runs again.
      */
     TelemetryConfig telemetry;
 

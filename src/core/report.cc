@@ -25,10 +25,8 @@ std::string
 summarizeTelemetry(const TelemetryStats &stats)
 {
     return csprintf(
-        "telemetry: %llu stream buckets, %llu segments retained, "
-        "%llu deposits, %.1f KiB",
+        "telemetry: %llu stream buckets, %llu deposits, %.1f KiB",
         static_cast<unsigned long long>(stats.stream_buckets),
-        static_cast<unsigned long long>(stats.segments_retained),
         static_cast<unsigned long long>(stats.buckets_touched),
         static_cast<double>(stats.memory_bytes) / 1024.0);
 }

@@ -19,7 +19,7 @@ std::string summarizeReport(const ExperimentReport &report);
 
 /**
  * One-line summary of the telemetry-engine counters ("telemetry: 420
- * stream buckets, 0 segments retained, 18432 deposits, 12.4 KiB").
+ * stream buckets, 18432 deposits, 12.4 KiB").
  */
 std::string summarizeTelemetry(const TelemetryStats &stats);
 

@@ -72,14 +72,9 @@ Executor::beginMeasurement(SimTime t)
     measurement_started_ = true;
     result_->measured_begin = t;
     Topology &topo = cluster_.topology();
-    // A legacy (non-streaming) run needs the segments it would sweep,
-    // so it implies retention regardless of the retain flag.
-    const bool retained =
-        telemetry_.retain_segments || !telemetry_.streaming;
-    if (!retained && t > 0.0)
+    if (t > 0.0)
         topo.dropLogsBefore(t);
-    if (telemetry_.streaming)
-        topo.armStreams(t, telemetry_.bucket);
+    topo.armStreams(t, telemetry_.bucket);
 }
 
 void
@@ -515,11 +510,6 @@ Executor::run(const IterationPlan &plan, int iterations, int warmup)
     result_->flops_per_iteration = plan.totalGpuFlops();
     state_ = std::make_shared<RunState>();
 
-    // Apply the run's telemetry mode before any rate is logged: with
-    // retention off the logs keep only streamed buckets and the O(1)
-    // byte counters, bounding telemetry memory for the whole run.
-    cluster_.topology().setRetainSegments(
-        telemetry_.retain_segments || !telemetry_.streaming);
     if (warmup == 0)
         beginMeasurement(0.0);  // the measurement window is the run
 
@@ -533,6 +523,16 @@ Executor::run(const IterationPlan &plan, int iterations, int warmup)
               iter_index_);
     }
     if (state_->remaining != 0) {
+        // Flows parked at rate zero when the queue drains crossed a
+        // link the fault plan cut for good: the configured scenario
+        // cannot finish, which is the user's to fix.
+        if (flows_.stalledCount() > 0) {
+            fatal("training cannot finish: %zu flows wait on links the "
+                  "fault plan cut for good (%d tasks outstanding); "
+                  "restore the links or route around them with "
+                  "--resilience",
+                  flows_.stalledCount(), state_->remaining);
+        }
         panic("plan execution deadlocked with %d tasks outstanding",
               state_->remaining);
     }

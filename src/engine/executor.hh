@@ -105,9 +105,8 @@ class Executor
     void configureStorage(const NvmePlacement &placement);
 
     /**
-     * Configure how runs collect bandwidth telemetry (streaming
-     * accumulators vs retained segments; see TelemetryConfig).
-     * Applies to subsequent run() calls.
+     * Set the telemetry grid runs arm at the measurement boundary
+     * (see TelemetryConfig). Applies to subsequent run() calls.
      */
     void configureTelemetry(const TelemetryConfig &telemetry)
     {
@@ -223,8 +222,8 @@ class Executor
 
     /**
      * The measurement window opens at @p t: truncate warm-up rate-log
-     * history (unless retained) and arm the streaming accumulators on
-     * the measurement grid.
+     * history and arm the streaming accumulators on the measurement
+     * grid.
      */
     void beginMeasurement(SimTime t);
 

@@ -15,7 +15,7 @@
  *
  * The injector also snapshots per-link byte counters at each apply
  * and restore so finalize() can report before/during/after average
- * bandwidth per affected link without retained segments.
+ * bandwidth per affected link.
  */
 
 #ifndef DSTRAIN_FAULT_FAULT_INJECTOR_HH

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "sim/event_queue.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -221,6 +222,11 @@ FaultPlan::validate() const
             errors.push_back({field, "begin time must be >= 0"});
         if (ev.duration < 0.0)
             errors.push_back({field, "duration must be >= 0"});
+        if (ev.begin + ev.duration > kSimHorizon)
+            errors.push_back(
+                {field, csprintf("window must end by %g s, the "
+                                 "simulated-time horizon",
+                                 kSimHorizon)});
         if ((isHardFault(ev.kind) || ev.kind == FaultKind::LinkDown) &&
             ev.duration > 0.0) {
             errors.push_back(
@@ -228,10 +234,12 @@ FaultPlan::validate() const
                                  "'+<duration>'",
                                  faultKindName(ev.kind))});
         }
+        // A near-zero fraction stretches the faulted work past any
+        // window worth simulating; flap and linkdown model dead links.
         if (usesFraction(ev.kind) &&
-            (ev.fraction <= 0.0 || ev.fraction > 1.0)) {
+            !(ev.fraction >= 1e-3 && ev.fraction <= 1.0)) {
             errors.push_back(
-                {field, csprintf("fraction %g outside (0, 1]",
+                {field, csprintf("fraction %g outside [0.001, 1]",
                                  ev.fraction)});
         }
         const std::string terr = targetSyntaxError(ev.kind, ev.target);

@@ -5,6 +5,7 @@
 
 #include "hw/cluster.hh"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -82,6 +83,7 @@ parseNodesSpec(const std::string &text, const NodeSpec &base,
                     eq == std::string::npos ? ""
                                             : trim(kv.substr(eq + 1));
                 end = nullptr;
+                double capacity = 1.0;  // roce / gpu-mem value
                 if (key == "gpus") {
                     g.node.gpus = static_cast<int>(
                         std::strtol(val.c_str(), &end, 10));
@@ -89,11 +91,11 @@ parseNodesSpec(const std::string &text, const NodeSpec &base,
                     g.node.nics = static_cast<int>(
                         std::strtol(val.c_str(), &end, 10));
                 } else if (key == "roce") {
-                    g.node.roce_per_dir =
-                        std::strtod(val.c_str(), &end) * units::GBps;
+                    capacity = std::strtod(val.c_str(), &end);
+                    g.node.roce_per_dir = capacity * units::GBps;
                 } else if (key == "gpu-mem") {
-                    g.node.gpu_memory =
-                        std::strtod(val.c_str(), &end) * units::GiB;
+                    capacity = std::strtod(val.c_str(), &end);
+                    g.node.gpu_memory = capacity * units::GiB;
                 } else {
                     errors->push_back(
                         {"nodes-spec",
@@ -102,7 +104,9 @@ parseNodesSpec(const std::string &text, const NodeSpec &base,
                     ok = false;
                     continue;
                 }
-                if (val.empty() || *end != '\0') {
+                // NaN would slip past every later range check.
+                if (val.empty() || *end != '\0' ||
+                    !std::isfinite(capacity) || capacity <= 0.0) {
                     errors->push_back({"nodes-spec",
                                        "bad value '" + val +
                                            "' for key '" + key + "'"});

@@ -54,7 +54,7 @@ struct ClusterSpec {
 /**
  * Parse a CLI heterogeneous-nodes spec: semicolon-separated groups of
  *
- *   <count>:gpus=<g>,nics=<n>[,roce=<Gbps>][,gpu-mem=<GiB>]
+ *   <count>:gpus=<g>,nics=<n>[,roce=<GBps>][,gpu-mem=<GiB>]
  *
  * Each group starts from @p base and applies its overrides, e.g.
  * "2:gpus=4,nics=2;2:gpus=8,nics=4,roce=50". Problems are appended

@@ -276,21 +276,26 @@ FabricSpec::validate() const
 {
     std::vector<ConfigError> errors;
     if (kind == FabricKind::FatTree &&
-        (fat_tree_k < 2 || fat_tree_k % 2 != 0)) {
-        errors.push_back({"fabric.fat_tree_k",
-                          csprintf("k must be even and >= 2 (got %d)",
-                                   fat_tree_k)});
+        (fat_tree_k < 2 || fat_tree_k % 2 != 0 ||
+         fat_tree_k > kMaxFabricRadix)) {
+        errors.push_back(
+            {"fabric.fat_tree_k",
+             csprintf("k must be even and in [2, %d] (got %d)",
+                      kMaxFabricRadix, fat_tree_k)});
     }
-    if (!(oversubscription > 0.0)) {
-        errors.push_back({"fabric.oversubscription",
-                          csprintf("must be > 0 (got %g)",
-                                   oversubscription)});
+    if (!(oversubscription > 0.0 && oversubscription <= kMaxFabricRadix)) {
+        errors.push_back(
+            {"fabric.oversubscription",
+             csprintf("must be in (0, %d] (got %g)", kMaxFabricRadix,
+                      oversubscription)});
     }
-    if (kind == FabricKind::SpineLeaf && (leaves < 1 || spines < 1)) {
+    if (kind == FabricKind::SpineLeaf &&
+        (leaves < 1 || spines < 1 || leaves > kMaxFabricRadix ||
+         spines > kMaxFabricRadix)) {
         errors.push_back(
             {"fabric.spine_leaf",
-             csprintf("needs leaves >= 1 and spines >= 1 (got %d/%d)",
-                      leaves, spines)});
+             csprintf("needs leaves and spines in [1, %d] (got %d/%d)",
+                      kMaxFabricRadix, leaves, spines)});
     }
     if (trunk_per_dir < 0.0)
         errors.push_back({"fabric.trunk_per_dir", "must be >= 0"});

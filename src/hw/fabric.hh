@@ -52,6 +52,13 @@ enum class FabricKind {
 /** Spec spelling of a fabric kind (`single`, `fat-tree`, ...). */
 const char *fabricKindName(FabricKind kind);
 
+/**
+ * Largest fat-tree radix, leaf or spine count and oversubscription
+ * FabricSpec::validate() accepts: a k = 64 fat tree has ~8x the links
+ * of the largest topology the scheduler benchmarks build.
+ */
+inline constexpr int kMaxFabricRadix = 64;
+
 /** The fabric specification (defaults = the paper's single switch). */
 struct FabricSpec {
     FabricKind kind = FabricKind::SingleSwitch;

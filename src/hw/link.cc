@@ -6,7 +6,6 @@
 #include "hw/link.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hh"
 
@@ -39,21 +38,33 @@ linkClassName(LinkClass cls)
 }
 
 
+double
+gridBuckets(SimTime span, SimTime bucket)
+{
+    const double buckets = span / bucket;
+    if (!(buckets < kMaxGridBuckets)) {
+        fatal("telemetry: %g s at a %g s bucket needs %g buckets per "
+              "link, over the %g limit; sample with a coarser bucket "
+              "(--bucket)",
+              span, bucket, buckets, kMaxGridBuckets);
+    }
+    return buckets;
+}
+
 void
 RateLog::fold(SimTime s_begin, SimTime s_end, Bps rate)
 {
     if (rate == 0.0 || s_end <= stream_begin_)
         return;
-    // Mirrors the segment integrator in bucketizeRateLogs() exactly
-    // (same clip, same index arithmetic, same deposit expression) so
-    // streamed buckets are bit-identical to a post-hoc segment sweep
-    // over the same history.
+    // Deposit the interval's bytes into every bucket it overlaps,
+    // clipped at the grid origin; each deposit is the bucket's share
+    // of the interval expressed as an average rate over the bucket.
     const SimTime s0 = std::max(s_begin, stream_begin_);
     const SimTime s1 = s_end;
     const auto first =
         static_cast<std::size_t>((s0 - stream_begin_) / stream_bucket_);
-    const auto last =
-        static_cast<std::size_t>((s1 - stream_begin_) / stream_bucket_);
+    const auto last = static_cast<std::size_t>(
+        gridBuckets(s1 - stream_begin_, stream_bucket_));
     if (last >= stream_values_.size())
         stream_values_.resize(last + 1, 0.0);
     for (std::size_t b = first; b <= last; ++b) {
@@ -81,8 +92,6 @@ RateLog::close(SimTime t)
         if (current_rate_ != 0.0)
             stream_end_ = t;
     }
-    if (retain_segments_)
-        segments_.push_back(Segment{open_since_, t, current_rate_});
     open_since_ = t;
 }
 
@@ -107,44 +116,13 @@ RateLog::armStream(SimTime begin, SimTime bucket)
 }
 
 void
-RateLog::clear()
-{
-    segments_.clear();
-    stream_values_.clear();
-    open_since_ = 0.0;
-    current_rate_ = 0.0;
-    total_bytes_ = 0.0;
-    stream_begin_ = 0.0;
-    stream_bucket_ = 0.0;
-    stream_end_ = 0.0;
-    buckets_touched_ = 0;
-    stream_armed_ = false;
-    // retain_segments_ is configuration, not history: it survives.
-}
-
-void
 RateLog::dropBefore(SimTime t)
 {
-    if (!retain_segments_) {
-        // No stored history: all closed intervals end at or before
-        // open_since_. Dropping into the open interval would lose
-        // bytes the counter can no longer attribute, so forbid it.
-        DSTRAIN_ASSERT(t >= open_since_,
-                       "dropBefore into the open interval of an "
-                       "unretained rate log");
-        open_since_ = std::max(open_since_, t);
-        total_bytes_ = 0.0;
-        return;
-    }
-    auto keep = std::remove_if(segments_.begin(), segments_.end(),
-                               [t](const Segment &s) { return s.end <= t; });
-    segments_.erase(keep, segments_.end());
-    for (Segment &s : segments_)
-        s.begin = std::max(s.begin, t);
-    open_since_ = std::max(open_since_, t);
+    DSTRAIN_ASSERT(t >= open_since_,
+                   "dropBefore(%g) into closed history ending at %g", t,
+                   open_since_);
+    open_since_ = t;
     total_bytes_ = 0.0;
-    for (const Segment &s : segments_)
-        total_bytes_ += s.rate * (s.end - s.begin);
 }
 
 } // namespace dstrain

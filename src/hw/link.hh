@@ -8,10 +8,9 @@
  * each physical interconnect *direction* as a `Resource` with a fixed
  * capacity; half-duplex interconnects (DRAM) use a single shared
  * resource for both directions. Flows consume resource capacity and
- * the per-resource `RateLog` records the aggregate rate history that
- * telemetry turns into the paper's avg/90th/peak summaries — either
- * online (streaming bucket accumulators) or from retained
- * piecewise-constant segments.
+ * the per-resource `RateLog` folds the aggregate rate history online
+ * into the fixed-interval buckets that telemetry turns into the
+ * paper's avg/90th/peak summaries.
  */
 
 #ifndef DSTRAIN_HW_LINK_HH
@@ -93,39 +92,38 @@ enum class PortKind {
 };
 
 /**
+ * Most buckets one telemetry grid may span: 32 MiB of doubles per
+ * rate log, e.g. 4.8 days of simulated time at the 0.1 s default
+ * bucket. A longer window at the chosen bucket width asks for a finer
+ * profile than memory can hold, so it stops the run with fatal().
+ */
+inline constexpr double kMaxGridBuckets = 4194304.0;
+
+/**
+ * The number of buckets of width @p bucket in @p span seconds, as a
+ * double; fatal() when it reaches kMaxGridBuckets (or is NaN), so a
+ * bucket index never overflows its integer type.
+ */
+double gridBuckets(SimTime span, SimTime bucket);
+
+/**
  * Aggregate-rate history of one resource.
  *
  * The flow scheduler calls setRate() whenever the aggregate rate on
  * the resource changes. Each rate change closes one constant-rate
- * interval, which is consumed two independent ways:
+ * interval, which adds to an O(1) byte counter and, once armStream()
+ * has been called, folds into a per-bucket accumulator on the grid
+ * `begin + k * bucket` in O(1) amortized time, carrying
+ * partial-bucket overlap exactly (DESIGN.md §6.4). Closed intervals
+ * are not stored: memory is O(buckets), independent of how many rate
+ * changes occur, so the grid must be armed before the history it
+ * should cover is recorded.
  *
- *  - **Streaming** (the default telemetry path): once armStream()
- *    has been called, every closed interval is folded into a
- *    per-bucket accumulator on the grid `begin + k * bucket` in O(1)
- *    amortized time, carrying partial-bucket overlap exactly. The
- *    fold mirrors the segment integrator in bucketizeRateLogs()
- *    operation for operation, so streamed series are bit-identical
- *    to a segment sweep over the same history (DESIGN.md §6.4).
- *  - **Retention** (opt-in, on by default for bare logs): closed
- *    intervals are stored as Segments so arbitrary windows and
- *    bucket widths can be re-integrated after the fact. Runs that
- *    only need the standard telemetry grid disable retention
- *    (TelemetryConfig::retain_segments) and keep O(buckets) memory
- *    instead of O(rate changes).
- *
- * finalize() closes the open interval at end-of-run so both paths
- * see the full history.
+ * finalize() closes the open interval at end-of-run.
  */
 class RateLog
 {
   public:
-    /** One closed interval of constant rate. */
-    struct Segment {
-        SimTime begin;
-        SimTime end;
-        Bps rate;
-    };
-
     /** Record a rate change at time @p t. No-op if rate unchanged.
      * Inline: the scheduler calls this once per solved resource per
      * solve, and most calls take one of the two cheap early paths
@@ -141,14 +139,11 @@ class RateLog
         current_rate_ = rate;
     }
 
-    /** Rate of the open segment. */
+    /** Rate of the open interval. */
     Bps currentRate() const { return current_rate_; }
 
-    /** Close the open segment at @p t (idempotent for same t). */
+    /** Close the open interval at @p t (idempotent for same t). */
     void finalize(SimTime t);
-
-    /** Retained closed segments, in time order (see retention). */
-    const std::vector<Segment> &segments() const { return segments_; }
 
     /** Total bytes across all closed history (O(1) running sum). */
     Bytes totalBytes() const { return total_bytes_; }
@@ -157,8 +152,7 @@ class RateLog
      * Total bytes carried through time @p t: the closed history plus
      * the open interval's contribution up to @p t. O(1) and exact for
      * any @p t at or after the last rate change; used by the fault
-     * injector to compute before/during/after window averages without
-     * retained segments.
+     * injector to compute before/during/after window averages.
      */
     Bytes bytesThrough(SimTime t) const
     {
@@ -166,40 +160,22 @@ class RateLog
                current_rate_ * std::max(0.0, t - open_since_);
     }
 
-    /** Forget all history (segments, buckets, and open state). */
-    void clear();
-
     /**
-     * Drop closed history that ends at or before @p t (history
-     * truncation between warm-up and measurement windows). With
-     * retention on, straddling segments are clipped to begin at
-     * @p t; without retention there is nothing stored, so only the
-     * byte counter resets to the post-@p t window.
+     * Start the byte counter afresh at @p t (history truncation
+     * between warm-up and measurement windows). Closed intervals are
+     * not stored, so @p t must not fall before the last rate change:
+     * a closed interval's bytes on either side of @p t can no longer
+     * be told apart.
      */
     void dropBefore(SimTime t);
-
-    // --- segment retention ----------------------------------------------
-
-    /**
-     * Keep closed segments? Defaults to true so directly-driven logs
-     * (unit tests, ad-hoc probes) behave like a full history.
-     * Configure before recording: toggling mid-history leaves
-     * previously retained segments in place but stops (or starts)
-     * retention for future closes.
-     */
-    void setRetainSegments(bool retain) { retain_segments_ = retain; }
-
-    /** Whether closed segments are being retained. */
-    bool retainSegments() const { return retain_segments_; }
 
     // --- streaming bucket accumulator -------------------------------------
 
     /**
      * Arm the online accumulator on the grid `begin + k * bucket`.
      * Rate changes closed after arming fold into per-bucket sums;
-     * history closed before arming (or before @p begin) is excluded,
-     * exactly like a segment sweep clipped at @p begin. Re-arming
-     * resets the accumulated buckets.
+     * history closed before arming (or before @p begin) is excluded.
+     * Re-arming resets the accumulated buckets.
      */
     void armStream(SimTime begin, SimTime bucket);
 
@@ -226,10 +202,10 @@ class RateLog
     }
 
     /**
-     * Can a series over [@p begin, @p end) at @p bucket be read
-     * straight from the streamed buckets? Requires an exact grid
-     * match and that no folded history extends past @p end (a
-     * segment sweep would clip there; the accumulator does not).
+     * Can a series over [@p begin, @p end) at @p bucket be read from
+     * the streamed buckets? Requires an exact grid match and that no
+     * folded history extends past @p end (the accumulator cannot
+     * un-fold it).
      */
     bool streamCovers(SimTime begin, SimTime end, SimTime bucket) const
     {
@@ -242,21 +218,19 @@ class RateLog
     /** Bucket deposits performed by the accumulator so far. */
     std::uint64_t bucketsTouched() const { return buckets_touched_; }
 
-    /** Heap bytes held by this log (segments + stream buckets). */
+    /** Heap bytes held by this log (the stream buckets). */
     std::size_t memoryBytes() const
     {
-        return segments_.capacity() * sizeof(Segment) +
-               stream_values_.capacity() * sizeof(double);
+        return stream_values_.capacity() * sizeof(double);
     }
 
   private:
-    /** Close the open interval at @p t (fold / count / retain). */
+    /** Close the open interval at @p t (count / fold). */
     void close(SimTime t);
 
     /** Fold one closed interval into the armed bucket accumulator. */
     void fold(SimTime s_begin, SimTime s_end, Bps rate);
 
-    std::vector<Segment> segments_;
     std::vector<double> stream_values_;
     SimTime open_since_ = 0.0;
     Bps current_rate_ = 0.0;
@@ -265,7 +239,6 @@ class RateLog
     SimTime stream_bucket_ = 0.0;
     SimTime stream_end_ = 0.0;
     std::uint64_t buckets_touched_ = 0;
-    bool retain_segments_ = true;
     bool stream_armed_ = false;
 };
 

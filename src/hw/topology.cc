@@ -155,13 +155,6 @@ Topology::dropLogsBefore(SimTime t)
 }
 
 void
-Topology::setRetainSegments(bool retain)
-{
-    for (Resource &r : resources_)
-        r.log.setRetainSegments(retain);
-}
-
-void
 Topology::armStreams(SimTime begin, SimTime bucket)
 {
     for (Resource &r : resources_)
@@ -173,7 +166,6 @@ Topology::telemetryStats() const
 {
     TelemetryStats stats;
     for (const Resource &r : resources_) {
-        stats.segments_retained += r.log.segments().size();
         stats.stream_buckets += r.log.streamValues().size();
         stats.buckets_touched += r.log.bucketsTouched();
         stats.memory_bytes += r.log.memoryBytes();

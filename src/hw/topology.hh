@@ -29,10 +29,9 @@ namespace dstrain {
  * topology's rate logs, in the spirit of FlowScheduler::Stats.
  */
 struct TelemetryStats {
-    std::uint64_t segments_retained = 0;  ///< closed segments held
-    std::uint64_t stream_buckets = 0;     ///< streaming buckets in use
-    std::uint64_t buckets_touched = 0;    ///< bucket deposits performed
-    std::uint64_t memory_bytes = 0;       ///< heap bytes of log state
+    std::uint64_t stream_buckets = 0;   ///< streaming buckets in use
+    std::uint64_t buckets_touched = 0;  ///< bucket deposits performed
+    std::uint64_t memory_bytes = 0;     ///< heap bytes of log state
 };
 
 /** Identifies a component (graph vertex) inside a Topology. */
@@ -220,9 +219,6 @@ class Topology
 
     /** Drop all rate-log history before @p t (warm-up truncation). */
     void dropLogsBefore(SimTime t);
-
-    /** Toggle segment retention on every resource rate log. */
-    void setRetainSegments(bool retain);
 
     /**
      * Arm every resource's streaming accumulator on the grid

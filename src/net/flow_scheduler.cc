@@ -1102,10 +1102,14 @@ FlowScheduler::onCompletionEvent()
             // Float dust: the exact settle says the flow is not quite
             // done (predicted finish rounded early). Re-predict and
             // let it fire again; never finish a flow with real bytes
-            // left.
+            // left — unless the clock cannot move past now: late in a
+            // long run one ulp of simulated time carries more bytes
+            // than the residue, and re-queueing at now would spin.
             f.finish_at = f.anchor + f.remaining / f.rate;
-            indexUpdate(slot, f.finish_at);
-            continue;
+            if (f.finish_at > now) {
+                indexUpdate(slot, f.finish_at);
+                continue;
+            }
         }
         detachFlow(slot);
         finished.push_back(std::move(slots_[slot]));

@@ -6,12 +6,20 @@ std::vector<ConfigError>
 ResilienceConfig::validate() const
 {
     std::vector<ConfigError> errors;
-    if (!(reconvergence_delay >= 0.0))
+    // The collective watchdog polls through a reconvergence window,
+    // so the window bounds that work: routing converges in O(ms).
+    if (!(reconvergence_delay >= 0.0 && reconvergence_delay <= 60.0))
         errors.push_back({"resilience.reconvergence_delay",
-                          "must be >= 0"});
-    if (!(collective_timeout >= 0.0))
+                          "must be in [0, 60] s"});
+    // A shorter timeout re-arms the watchdog faster than the clock
+    // can advance (1 ms is 25x below the default); an hour is twice
+    // the usual NCCL watchdog, and armed timers must stay within the
+    // simulated-time horizon.
+    if (collective_timeout != 0.0 &&
+        !(collective_timeout >= 1e-3 && collective_timeout <= 3600.0))
         errors.push_back({"resilience.collective_timeout",
-                          "must be >= 0 (0 disables the watchdog)"});
+                          "must be 0 (watchdog off) or in [1 ms, "
+                          "3600 s]"});
     if (max_collective_resumes < 0)
         errors.push_back({"resilience.max_collective_resumes",
                           "must be >= 0"});

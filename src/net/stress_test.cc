@@ -90,11 +90,14 @@ runRoceStressTest(const StressConfig &cfg)
         }
     }
 
+    // The telemetry grid starts where the streams reach steady state
+    // (the accumulator clips earlier history) and is read at the
+    // deadline, before the in-flight chunks drain past it.
+    Topology &topo = cluster.topology();
+    topo.armStreams(warmup, cfg.bucket);
     sim.runUntil(deadline);
-    sim.run();  // drain in-flight chunks so no flows leak
     flows.finalizeLogs();
 
-    const Topology &topo = cluster.topology();
     StressResult result;
     result.dram = summarizeClassBandwidth(topo, LinkClass::Dram, warmup,
                                           deadline, cfg.bucket);
@@ -111,6 +114,7 @@ runRoceStressTest(const StressConfig &cfg)
     // Every NIC on a node, both directions.
     result.roce_theoretical = static_cast<double>(spec.node.nics) * 2.0 *
                               spec.node.roce_per_dir;
+    sim.run();  // drain in-flight chunks so no flows leak
     return result;
 }
 

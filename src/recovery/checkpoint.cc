@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "model/memory.hh"
 #include "util/logging.hh"
@@ -70,9 +71,11 @@ parseCheckpointSpec(const std::string &spec,
         return policy;
     }
     if (unit == 'i') {
-        if (v != std::floor(v)) {
-            errors->push_back({"checkpoint['" + item + "']",
-                               "iteration count must be an integer"});
+        if (v != std::floor(v) || v > std::numeric_limits<int>::max()) {
+            errors->push_back(
+                {"checkpoint['" + item + "']",
+                 csprintf("iteration count must be an integer <= %d",
+                          std::numeric_limits<int>::max())});
             return policy;
         }
         policy.every_iterations = static_cast<int>(v);

@@ -114,6 +114,12 @@ EventQueue::popAndRun()
     releaseSlot(slotOf(top.id));
     --live_;
     DSTRAIN_ASSERT(top.when >= now_, "time went backwards");
+    if (top.when > kSimHorizon) {
+        fatal("simulated time reached %g s, past the %g s horizon: a "
+              "fault time or window, a near-zero link rate or a "
+              "near-zero slowdown fraction stalls the run",
+              top.when, kSimHorizon);
+    }
     now_ = top.when;
     ++executed_;
     cb();

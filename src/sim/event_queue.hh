@@ -24,6 +24,15 @@ namespace dstrain {
 using EventId = std::uint64_t;
 
 /**
+ * Latest simulated time an event may run at (~32 years). Beyond it one
+ * step of the double clock exceeds 0.1 us, so the model's microsecond
+ * delays stop advancing time; a run that gets there was stalled by its
+ * configuration (a fault time or window, a near-zero link rate or
+ * slowdown), and running the event is a fatal() user error.
+ */
+inline constexpr SimTime kSimHorizon = 1e9;
+
+/**
  * A time-ordered queue of callbacks with deterministic FIFO
  * tie-breaking and O(log n) scheduling.
  *

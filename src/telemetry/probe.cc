@@ -7,96 +7,28 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "util/logging.hh"
 
 namespace dstrain {
 namespace {
 
-/** Nodes handled without heap allocation by the per-probe flat set. */
-constexpr std::size_t kMaxInlineNodes = 64;
-
 /**
- * Assemble the series for one class's logs: from the streamed bucket
- * arrays when every log covers the requested window/grid, otherwise
- * by the legacy segment sweep. A sweep over a log that carried
- * traffic but retained no segments would silently read as idle, so
- * that combination panics instead.
+ * The one resource walk behind every probe: the series of each class
+ * in @p classes, in order. Summing both directions of every matching
+ * resource gives the paper's aggregate-bidirectional figure; without
+ * a @p node filter it is divided by the number of nodes carrying the
+ * class to report per-node bandwidth.
  */
-BandwidthSeries
-seriesForLogs(const std::vector<const RateLog *> &logs, SimTime begin,
-              SimTime end, SimTime bucket)
-{
-    bool streamed = !logs.empty();
-    for (const RateLog *log : logs) {
-        if (!log->streamCovers(begin, end, bucket)) {
-            streamed = false;
-            break;
-        }
-    }
-    if (streamed)
-        return sumStreamedBuckets(logs, begin, end, bucket);
-    for (const RateLog *log : logs) {
-        DSTRAIN_ASSERT(
-            log->retainSegments() || log->totalBytes() == 0.0,
-            "probe window/bucket does not match the streamed grid and "
-            "segments were not retained; enable "
-            "TelemetryConfig::retain_segments for ad-hoc probes");
-    }
-    return bucketizeRateLogs(logs, begin, end, bucket);
-}
-
-} // namespace
-
-BandwidthSeries
-probeClassBandwidth(const Topology &topo, LinkClass cls, SimTime begin,
-                    SimTime end, SimTime bucket, int node)
-{
-    // Counted flat presence array instead of a per-call std::set:
-    // slot 0 is the switch (node -1), slots 1..N the nodes.
-    const std::size_t node_slots =
-        static_cast<std::size_t>(topo.nodeCount()) + 1;
-    std::uint8_t seen_inline[kMaxInlineNodes] = {};
-    std::vector<std::uint8_t> seen_heap;
-    std::uint8_t *node_seen = seen_inline;
-    if (node_slots > kMaxInlineNodes) {
-        seen_heap.assign(node_slots, 0);
-        node_seen = seen_heap.data();
-    }
-
-    std::vector<const RateLog *> logs;
-    int nodes_with_class = 0;
-    for (const Resource &r : topo.resources()) {
-        if (r.cls != cls)
-            continue;
-        std::uint8_t &seen =
-            node_seen[static_cast<std::size_t>(r.node + 1)];
-        if (!seen) {
-            seen = 1;
-            ++nodes_with_class;
-        }
-        if (node >= 0 && r.node != node)
-            continue;
-        logs.push_back(&r.log);
-    }
-    BandwidthSeries series = seriesForLogs(logs, begin, end, bucket);
-    if (node < 0 && nodes_with_class > 1) {
-        const double scale = 1.0 / static_cast<double>(nodes_with_class);
-        for (double &v : series.values)
-            v *= scale;
-    }
-    return series;
-}
-
 std::vector<BandwidthSeries>
-probeAllClasses(const Topology &topo, SimTime begin, SimTime end,
-                SimTime bucket, int node)
+probeClasses(const Topology &topo, std::span<const LinkClass> classes,
+             SimTime begin, SimTime end, SimTime bucket, int node)
 {
-    const std::vector<LinkClass> &classes = tableIvClasses();
     const std::size_t n_cls = classes.size();
 
     // Dense class -> output-slot map so the resource walk is a flat
-    // lookup (classes outside Table IV map to -1 and are skipped).
+    // lookup (classes not asked for map to -1 and are skipped).
     int slot_of[kNumLinkClasses];
     std::fill(std::begin(slot_of), std::end(slot_of), -1);
     for (std::size_t i = 0; i < n_cls; ++i)
@@ -128,7 +60,7 @@ probeAllClasses(const Topology &topo, SimTime begin, SimTime end,
     out.reserve(n_cls);
     for (std::size_t i = 0; i < n_cls; ++i) {
         BandwidthSeries series =
-            seriesForLogs(logs[i], begin, end, bucket);
+            sumStreamedBuckets(logs[i], begin, end, bucket);
         if (node < 0 && nodes_with_class[i] > 1) {
             const double scale =
                 1.0 / static_cast<double>(nodes_with_class[i]);
@@ -138,6 +70,23 @@ probeAllClasses(const Topology &topo, SimTime begin, SimTime end,
         out.push_back(std::move(series));
     }
     return out;
+}
+
+} // namespace
+
+BandwidthSeries
+probeClassBandwidth(const Topology &topo, LinkClass cls, SimTime begin,
+                    SimTime end, SimTime bucket, int node)
+{
+    return std::move(
+        probeClasses(topo, {&cls, 1}, begin, end, bucket, node).front());
+}
+
+std::vector<BandwidthSeries>
+probeAllClasses(const Topology &topo, SimTime begin, SimTime end,
+                SimTime bucket, int node)
+{
+    return probeClasses(topo, tableIvClasses(), begin, end, bucket, node);
 }
 
 BandwidthSummary

@@ -18,27 +18,27 @@ namespace dstrain {
 inline constexpr SimTime kDefaultTelemetryBucket = 0.1;
 
 /**
- * How an engine run collects bandwidth telemetry.
- *
- * The default is the streaming engine: every rate log folds its
- * history online into buckets of `bucket` width starting at the
- * measurement window, warm-up history is truncated when measurement
- * begins, and no segments are retained — O(buckets) memory per
- * resource regardless of rate-change density. Set `retain_segments`
- * to keep the full piecewise-constant history as well (needed to
- * re-probe with ad-hoc windows or bucket widths after the run, e.g.
- * the figure benches' per-iteration series). Setting `streaming` to
- * false falls back to the legacy end-of-run segment sweep (implies
- * retention).
+ * Finest accepted sampling bucket: 100x finer than the paper's
+ * finest sampling. Log memory grows with the bucket count, so a
+ * finer grid only costs memory without resolving anything the flow
+ * model resolves.
+ */
+inline constexpr SimTime kMinTelemetryBucket = 1e-3;
+
+/**
+ * The bandwidth-telemetry grid of an engine run: every rate log is
+ * armed on `measured_begin + k * bucket` when the measurement window
+ * opens (warm-up history is truncated there), and the report's
+ * probes read exactly that grid. A probe over any other window or
+ * bucket width needs its own run with the grid armed accordingly.
  */
 struct TelemetryConfig {
     SimTime bucket = kDefaultTelemetryBucket;  ///< sampling bucket width
-    bool streaming = true;        ///< arm online bucket accumulators
-    bool retain_segments = false; ///< also keep full segment history
 };
 
 /**
- * Bandwidth series for one interconnect class.
+ * Bandwidth series for one interconnect class, read from the armed
+ * streaming grid (see sumStreamedBuckets for the grid contract).
  *
  * Sums both directions of every matching resource — the paper's
  * "aggregate bidirectional" convention — and divides by the number
@@ -53,11 +53,8 @@ probeClassBandwidth(const Topology &topo, LinkClass cls, SimTime begin,
                     int node = -1);
 
 /**
- * Single-pass multi-class probe: walk topo.resources() once and
- * produce the series of every Table IV class together, in
- * tableIvClasses() order. Equivalent to (and bit-identical with)
- * calling probeClassBandwidth() once per class, at one seventh of the
- * resource-walk cost.
+ * The series of every Table IV class, in tableIvClasses() order, from
+ * the same single resource walk probeClassBandwidth() makes for one.
  */
 std::vector<BandwidthSeries>
 probeAllClasses(const Topology &topo, SimTime begin, SimTime end,

@@ -27,75 +27,27 @@ BandwidthSeries::summary() const
     return samples().summary();
 }
 
-namespace {
-
-/** Shared shell of both assembly paths: the empty bucketed series. */
-BandwidthSeries
-emptySeries(SimTime begin, SimTime end, SimTime bucket)
-{
-    DSTRAIN_ASSERT(end > begin, "empty telemetry window");
-    DSTRAIN_ASSERT(bucket > 0.0, "non-positive bucket width");
-    const std::size_t n_buckets = static_cast<std::size_t>(
-        std::ceil((end - begin) / bucket - 1e-9));
-    BandwidthSeries series;
-    series.begin = begin;
-    series.bucket = bucket;
-    series.values.assign(std::max<std::size_t>(n_buckets, 1), 0.0);
-    return series;
-}
-
-} // namespace
-
-BandwidthSeries
-bucketizeRateLogs(const std::vector<const RateLog *> &logs, SimTime begin,
-                  SimTime end, SimTime bucket)
-{
-    BandwidthSeries series = emptySeries(begin, end, bucket);
-
-    // Integrate each log into its own partial, then sum partials in
-    // log order. This fixed association order (per-log time order,
-    // then log order) is shared with RateLog::fold() +
-    // sumStreamedBuckets(), keeping both paths bit-identical despite
-    // floating-point addition being non-associative.
-    std::vector<double> partial(series.values.size(), 0.0);
-    for (const RateLog *log : logs) {
-        std::fill(partial.begin(), partial.end(), 0.0);
-        for (const RateLog::Segment &seg : log->segments()) {
-            if (seg.end <= begin || seg.begin >= end || seg.rate == 0.0)
-                continue;
-            const SimTime s0 = std::max(seg.begin, begin);
-            const SimTime s1 = std::min(seg.end, end);
-            // Deposit the segment's bytes into overlapping buckets.
-            auto first = static_cast<std::size_t>((s0 - begin) / bucket);
-            auto last = static_cast<std::size_t>((s1 - begin) / bucket);
-            last = std::min(last, partial.size() - 1);
-            for (std::size_t b = first; b <= last; ++b) {
-                const SimTime b0 = begin + static_cast<double>(b) * bucket;
-                const SimTime b1 = b0 + bucket;
-                const SimTime overlap =
-                    std::max(0.0, std::min(s1, b1) - std::max(s0, b0));
-                partial[b] += seg.rate * overlap / bucket;
-            }
-        }
-        for (std::size_t b = 0; b < series.values.size(); ++b)
-            series.values[b] += partial[b];
-    }
-    return series;
-}
-
 BandwidthSeries
 sumStreamedBuckets(const std::vector<const RateLog *> &logs, SimTime begin,
                    SimTime end, SimTime bucket)
 {
-    BandwidthSeries series = emptySeries(begin, end, bucket);
+    DSTRAIN_ASSERT(end > begin, "empty telemetry window");
+    DSTRAIN_ASSERT(bucket > 0.0, "non-positive bucket width");
+    const std::size_t n_buckets = static_cast<std::size_t>(
+        std::ceil(gridBuckets(end - begin, bucket) - 1e-9));
+    BandwidthSeries series;
+    series.begin = begin;
+    series.bucket = bucket;
+    series.values.assign(std::max<std::size_t>(n_buckets, 1), 0.0);
 
     for (const RateLog *log : logs) {
         DSTRAIN_ASSERT(log->streamCovers(begin, end, bucket),
-                       "rate log stream does not cover the requested "
-                       "window/grid");
+                       "rate log stream does not cover [%g, %g) at "
+                       "bucket %g; arm the grid before the run",
+                       begin, end, bucket);
         // The streamed array may be shorter (no trailing activity) or
         // one bucket longer (history ending exactly on the window
-        // end; the sweep clips that empty boundary bucket too).
+        // end deposits an empty boundary bucket).
         const std::vector<double> &sv = log->streamValues();
         const std::size_t n = std::min(sv.size(), series.values.size());
         for (std::size_t b = 0; b < n; ++b)

@@ -30,27 +30,15 @@ struct BandwidthSeries {
 };
 
 /**
- * Bucket the sum of the given rate logs over [begin, end) by sweeping
- * their retained segments (the legacy end-of-run integrator; requires
- * retention — see RateLog::setRetainSegments).
+ * Bucket the sum of the given rate logs over [begin, end) from their
+ * streamed bucket arrays — O(logs x buckets), independent of how many
+ * rate changes occurred.
  *
  * Each bucket holds the time-average of the summed rates within it,
  * i.e. bytes transferred in the bucket divided by the bucket width.
- * Accumulation runs per log: each log's segments integrate into a
- * per-log partial first, then partials add in log order — the same
- * association order as the streaming accumulator, which is what makes
- * sumStreamedBuckets() bit-identical to this sweep.
- */
-BandwidthSeries
-bucketizeRateLogs(const std::vector<const RateLog *> &logs, SimTime begin,
-                  SimTime end, SimTime bucket);
-
-/**
- * Assemble the same series from the logs' streamed bucket arrays
- * instead of a segment sweep — O(logs x buckets), independent of how
- * many rate changes occurred. Every log must satisfy
- * RateLog::streamCovers(begin, end, bucket); the result is
- * bit-identical to bucketizeRateLogs() over the same history.
+ * Every log must have been armed on exactly this grid before its
+ * history was recorded, and none may have folded history past
+ * @p end (RateLog::streamCovers); anything else panics.
  */
 BandwidthSeries
 sumStreamedBuckets(const std::vector<const RateLog *> &logs, SimTime begin,

@@ -5,8 +5,10 @@
 
 #include "util/args.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -107,10 +109,15 @@ ArgParser::getInt(const std::string &name) const
 {
     const std::string &raw = get(name);
     char *end = nullptr;
+    errno = 0;
     const long value = std::strtol(raw.c_str(), &end, 10);
     if (end == raw.c_str() || *end != '\0')
         fatal("option '--%s' expects an integer (got '%s')",
               name.c_str(), raw.c_str());
+    if (errno == ERANGE || value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max())
+        fatal("option '--%s' is out of range (got '%s')", name.c_str(),
+              raw.c_str());
     return static_cast<int>(value);
 }
 

@@ -54,7 +54,8 @@ class ArgParser
     /** The value of a declared option (default if not given). */
     const std::string &get(const std::string &name) const;
 
-    /** get() converted to int; fatal() on malformed input. */
+    /** get() converted to int; fatal() on malformed or out-of-range
+     * input. */
     int getInt(const std::string &name) const;
 
     /** get() converted to double; fatal() on malformed input. */

@@ -38,13 +38,12 @@ TEST(ConfigArgsTest, FlagsReachTheConfig)
 {
     const ArgParser args = parsedArgs(
         {"--nodes", "2", "--strategy", "zero2-cpu", "--batch", "8",
-         "--bucket", "0.2", "--placement", "G", "--retain-segments"});
+         "--bucket", "0.2", "--placement", "G"});
     const ParsedExperiment parsed = experimentFromArgs(args);
     ASSERT_TRUE(parsed.ok()) << formatConfigErrors(parsed.errors);
     EXPECT_EQ(parsed.config.cluster.nodes, 2);
     EXPECT_EQ(parsed.config.batch_per_gpu, 8);
     EXPECT_DOUBLE_EQ(parsed.config.telemetry.bucket, 0.2);
-    EXPECT_TRUE(parsed.config.telemetry.retain_segments);
     EXPECT_EQ(parsed.config.placement.id, 'G');
 }
 
@@ -207,6 +206,60 @@ TEST(ConfigArgsTest, ExpertCountMustDivideGpus)
                              "strategy.experts"));
     EXPECT_FALSE(rejectsField({"--strategy", "moe", "--experts", "2"},
                               "strategy.experts"));
+}
+
+TEST(ConfigArgsTest, NonFiniteNumbersAreConfigErrors)
+{
+    // NaN slips past a plain range check (every comparison is false);
+    // an infinite model size snaps to no meaningful ladder entry.
+    for (const char *v : {"nan", "inf", "-inf"}) {
+        EXPECT_TRUE(rejectsField({"--model", v}, "model_billions")) << v;
+        EXPECT_TRUE(rejectsField({"--bucket", v}, "telemetry.bucket"))
+            << v;
+        EXPECT_TRUE(rejectsField({"--resilience", "--reconverge", v},
+                                 "resilience.reconvergence_delay"))
+            << v;
+        EXPECT_TRUE(rejectsField({"--resilience", "--collective-timeout", v},
+                                 "resilience.collective_timeout"))
+            << v;
+    }
+    EXPECT_TRUE(rejectsField(
+        {"--nodes-spec", "2:gpus=4,nics=2,roce=nan"}, "nodes-spec"));
+    EXPECT_TRUE(rejectsField({"--nodes-spec", "2:gpu-mem=inf"},
+                             "nodes-spec"));
+    EXPECT_TRUE(rejectsField({"--fabric", "fat-tree:k=4,oversub=nan"},
+                             "fabric.oversubscription"));
+}
+
+TEST(ConfigArgsTest, BucketBelowOneMillisecondIsRejected)
+{
+    // 1e-300 would overflow the bucket index; 1e-7 costs ~0.5 GB.
+    for (const char *v : {"1e-300", "1e-7", "0.0009"})
+        EXPECT_TRUE(rejectsField({"--bucket", v}, "telemetry.bucket")) << v;
+    EXPECT_FALSE(rejectsField({"--bucket", "0.001"}, "telemetry.bucket"));
+    EXPECT_FALSE(rejectsField({"--bucket", "1e300"}, "telemetry.bucket"));
+}
+
+TEST(ConfigArgsTest, SizesPastTheLimitsAreConfigErrors)
+{
+    EXPECT_TRUE(rejectsField({"--nodes", "2147483647"}, "cluster.nodes"));
+    EXPECT_TRUE(rejectsField({"--nodes-spec", "2147483647:gpus=4"},
+                             "cluster.nodes"));
+    EXPECT_TRUE(rejectsField({"--nodes-spec", "1:gpus=2147483647"},
+                             "cluster.groups[0]"));
+    EXPECT_TRUE(rejectsField({"--nodes-spec", "2:roce=1e-300"},
+                             "cluster.groups[0]"));
+    EXPECT_TRUE(rejectsField({"--batch", "2147483647"}, "batch_per_gpu"));
+    EXPECT_TRUE(rejectsField({"--iterations", "2147483647"}, "iterations"));
+    EXPECT_TRUE(rejectsField({"--fabric", "fat-tree:k=2147483646"},
+                             "fabric.fat_tree_k"));
+    EXPECT_TRUE(rejectsField({"--resilience", "--collective-timeout",
+                              "1e-300"},
+                             "resilience.collective_timeout"));
+    EXPECT_FALSE(rejectsField({"--resilience", "--collective-timeout", "0"},
+                              "resilience.collective_timeout"));
+    EXPECT_TRUE(rejectsField({"--faults", "straggler@0:rank0:1e-300"},
+                             "faults.events[0]"));
 }
 
 TEST(ConfigArgsTest, IterationsBelowOneReachValidation)

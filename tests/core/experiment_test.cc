@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/presets.hh"
-#include "core/report.hh"
 
 namespace dstrain {
 namespace {
@@ -78,29 +77,6 @@ TEST(ExperimentTest, RunExperimentConvenience)
     cfg.warmup = 1;
     const ExperimentReport r = runExperiment(std::move(cfg));
     EXPECT_GT(r.tflops, 100.0);
-}
-
-TEST(ExperimentTest, StreamingTelemetryMatchesLegacyFingerprint)
-{
-    // The streaming engine (online buckets, no retention) must
-    // publish a report bit-identical to the legacy segment sweep.
-    ExperimentConfig streaming =
-        paperExperiment(1, StrategyConfig::zero(2), 1.4);
-    streaming.iterations = 3;
-    streaming.warmup = 1;
-
-    ExperimentConfig legacy =
-        paperExperiment(1, StrategyConfig::zero(2), 1.4);
-    legacy.iterations = 3;
-    legacy.warmup = 1;
-    legacy.telemetry.streaming = false;
-    legacy.telemetry.retain_segments = true;
-
-    const ExperimentReport a = runExperiment(std::move(streaming));
-    const ExperimentReport b = runExperiment(std::move(legacy));
-    EXPECT_EQ(reportFingerprint(a), reportFingerprint(b));
-    EXPECT_EQ(a.telemetry.segments_retained, 0u);
-    EXPECT_GT(b.telemetry.segments_retained, 0u);
 }
 
 TEST(ExperimentDeathTest, DoubleRunRejected)

@@ -202,25 +202,26 @@ TEST_F(ExecutorTest, DeterministicAcrossRuns)
 
 TEST_F(ExecutorTest, StreamingRunRetainsNoSegments)
 {
-    IterationPlan plan;
-    plan.hostTransfer(0, 26.24e9, true, {}, "d2h");
-    exec_.run(plan, 3, 1);
-    const TelemetryStats stats = cluster_.topology().telemetryStats();
-    EXPECT_EQ(stats.segments_retained, 0u);
-    EXPECT_GT(stats.buckets_touched, 0u);
-    EXPECT_GT(stats.stream_buckets, 0u);
-}
-
-TEST_F(ExecutorTest, RetainSegmentsConfigKeepsHistory)
-{
     TelemetryConfig telemetry;
-    telemetry.retain_segments = true;
+    telemetry.bucket = 0.05;
     exec_.configureTelemetry(telemetry);
     IterationPlan plan;
     plan.hostTransfer(0, 26.24e9, true, {}, "d2h");
-    exec_.run(plan, 3, 1);
+    const IterationResult r = exec_.run(plan, 3, 1);
+
+    // Every log is armed on the configured grid at the measurement
+    // boundary, and the stream buckets are all the memory it holds.
+    for (const Resource &res : cluster_.topology().resources()) {
+        EXPECT_TRUE(res.log.streamCovers(r.measured_begin,
+                                         r.measured_end, 0.05))
+            << res.label;
+    }
     const TelemetryStats stats = cluster_.topology().telemetryStats();
-    EXPECT_GT(stats.segments_retained, 0u);
+    EXPECT_GT(stats.buckets_touched, 0u);
+    EXPECT_GT(stats.stream_buckets, 0u);
+    EXPECT_GE(stats.memory_bytes, stats.stream_buckets * sizeof(double));
+    EXPECT_LE(stats.memory_bytes,
+              2 * stats.stream_buckets * sizeof(double));
 }
 
 TEST_F(ExecutorTest, DeathOnBadIterationCounts)

@@ -71,7 +71,6 @@ TEST_F(FaultInjectorTest, DegradeMeasurablyImpactsTheRun)
     ev.target = "roce";
     ev.fraction = 0.4;
     cfg.faults.events.push_back(ev);
-    cfg.telemetry.retain_segments = true;
 
     Experiment exp(std::move(cfg));
     const ExperimentReport faulted = exp.run();
@@ -94,18 +93,44 @@ TEST_F(FaultInjectorTest, DegradeMeasurablyImpactsTheRun)
     }
 
     // The degraded window is visible in the Table IV-style telemetry:
-    // RoCE averaged over the fault window sits below the same span of
-    // the clean run's rate.
-    const BandwidthSeries during = probeClassBandwidth(
-        exp.cluster().topology(), LinkClass::Roce, im.applied_at,
-        im.restored_at, 0.05);
+    // on the measured grid, every bucket lying fully inside the fault
+    // window is bounded by the degraded capacity.
+    const SimTime fb = faulted.execution.measured_begin;
+    const SimTime fe = faulted.execution.measured_end;
+    const SimTime bucket = exp.config().telemetry.bucket;
+    const BandwidthSeries roce = probeClassBandwidth(
+        exp.cluster().topology(), LinkClass::Roce, fb, fe, bucket);
     double peak = 0.0;
-    for (double v : during.values)
-        peak = std::max(peak, v);
+    int inside = 0;
+    for (std::size_t b = 0; b < roce.values.size(); ++b) {
+        const SimTime b0 = fb + static_cast<double>(b) * bucket;
+        if (b0 >= im.applied_at && b0 + bucket <= im.restored_at) {
+            peak = std::max(peak, roce.values[b]);
+            ++inside;
+        }
+    }
+    EXPECT_GT(inside, 0);
     // Aggregate bidirectional per-node: 4 directions x faulted cap
     // bounds the per-bucket value.
-    EXPECT_LE(peak,
-              4.0 * im.links[0].faulted * 1.0001);
+    EXPECT_LE(peak, 4.0 * im.links[0].faulted * 1.0001);
+
+    // The before/during/after averages partition the measured window,
+    // so together they carry exactly the RoCE bytes the streamed
+    // series holds (warm-up traffic belongs to neither).
+    ASSERT_TRUE(im.restored && im.restored_at < fe);
+    const SimTime t0 = im.applied_at;
+    const SimTime t1 = im.restored_at;
+    double impact_bytes = 0.0;
+    for (const LinkImpact &li : im.links) {
+        impact_bytes += li.avg_before * (t0 - fb) +
+                        li.avg_during * (t1 - t0) +
+                        li.avg_after * (fe - t1);
+    }
+    double series_bytes = 0.0;
+    for (double v : roce.values)
+        series_bytes += v * bucket;
+    series_bytes *= exp.cluster().nodeCount();  // per-node -> total
+    EXPECT_NEAR(impact_bytes, series_bytes, 1e-9 * series_bytes);
 }
 
 TEST_F(FaultInjectorTest, SameSeedSameFingerprint)
@@ -161,6 +186,34 @@ TEST_F(FaultInjectorTest, FlapDuringCollectiveNeitherDeadlocksNorLeaks)
     // The blackout shows as zero capacity in the impact record.
     for (const LinkImpact &li : report.faults[0].links)
         EXPECT_DOUBLE_EQ(li.faulted, 0.0);
+}
+
+TEST_F(FaultInjectorTest, PermanentCutWithoutRerouteIsAUserError)
+{
+    // Every RoCE link dies for good and nothing routes around it: the
+    // run cannot finish, which is the configuration's fault (exit 1),
+    // not an engine deadlock (abort).
+    EXPECT_EXIT(runExperiment(faultedConfig("linkdown@6:roce")),
+                testing::ExitedWithCode(1), "cannot finish");
+}
+
+TEST_F(FaultInjectorTest, LongFlapResumesLateInTheRun)
+{
+    // Traffic resumes ~11.6 days into the run, where one step of the
+    // double clock carries tens of bytes of a flow: a completion whose
+    // residue the clock cannot resolve must still finish, not re-queue
+    // itself at the same instant forever.
+    ExperimentConfig cfg =
+        paperExperiment(2, StrategyConfig::zero(3), 1.4);
+    cfg.iterations = 3;
+    std::vector<ConfigError> errors;
+    cfg.faults = parseFaultSpec("flap@0.5+1e6:roce", &errors);
+    ASSERT_TRUE(errors.empty()) << formatConfigErrors(errors);
+    cfg.telemetry.bucket = 1e5;
+    const ExperimentReport r = runExperiment(std::move(cfg));
+    EXPECT_GT(r.execution.measured_end, 1e6);
+    ASSERT_EQ(r.faults.size(), 1u);
+    EXPECT_TRUE(r.faults[0].restored);
 }
 
 TEST_F(FaultInjectorTest, StragglerSlowsOnlyItsIterations)

@@ -237,6 +237,20 @@ TEST(FaultPlanTest, ValidateChecksRangesAndRetry)
     EXPECT_EQ(errors[0].field, "faults.events[0]");
     EXPECT_EQ(errors[1].field, "faults.retry.detect_delay");
 
+    // A window past the simulated-time horizon, and a fraction so
+    // small the faulted work never ends.
+    for (const auto &[begin, fraction] :
+         {std::pair{1e300, 0.5}, std::pair{0.0, 1e-300}}) {
+        FaultPlan far;
+        FaultEvent late = ev;
+        late.begin = begin;
+        late.fraction = fraction;
+        far.events.push_back(late);
+        const auto far_errors = far.validate();
+        ASSERT_EQ(far_errors.size(), 1u) << begin << " " << fraction;
+        EXPECT_EQ(far_errors[0].field, "faults.events[0]");
+    }
+
     // Retry parameters are irrelevant (and unchecked) with no events.
     FaultPlan empty;
     empty.retry.backoff = -1.0;

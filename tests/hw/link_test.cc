@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for link primitives: class names/efficiencies and the
- * RateLog piecewise-constant history.
+ * RateLog byte counter and streaming bucket accumulator.
  */
 
 #include <gtest/gtest.h>
@@ -36,84 +36,104 @@ TEST(LinkClassTest, EfficienciesInUnitInterval)
 
 TEST(RateLogTest, RecordsSegments)
 {
+    // Each rate change closes one constant-rate segment: its bytes
+    // reach the counter and its per-bucket average the stream.
     RateLog log;
+    log.armStream(0.0, 1.0);
     log.setRate(0.0, 10.0);
     log.setRate(2.0, 20.0);
+    EXPECT_DOUBLE_EQ(log.totalBytes(), 10.0 * 2.0);
+    EXPECT_DOUBLE_EQ(log.bytesThrough(3.0), 10.0 * 2.0 + 20.0 * 1.0);
     log.finalize(5.0);
-    ASSERT_EQ(log.segments().size(), 2u);
-    EXPECT_DOUBLE_EQ(log.segments()[0].begin, 0.0);
-    EXPECT_DOUBLE_EQ(log.segments()[0].end, 2.0);
-    EXPECT_DOUBLE_EQ(log.segments()[0].rate, 10.0);
-    EXPECT_DOUBLE_EQ(log.segments()[1].rate, 20.0);
     EXPECT_DOUBLE_EQ(log.totalBytes(), 10.0 * 2.0 + 20.0 * 3.0);
+    ASSERT_GE(log.streamValues().size(), 5u);
+    EXPECT_DOUBLE_EQ(log.streamValues()[1], 10.0);
+    EXPECT_DOUBLE_EQ(log.streamValues()[2], 20.0);
+    EXPECT_DOUBLE_EQ(log.streamValues()[4], 20.0);
 }
 
 TEST(RateLogTest, NoopOnUnchangedRate)
 {
     RateLog log;
+    log.armStream(0.0, 1.0);
     log.setRate(0.0, 5.0);
-    log.setRate(1.0, 5.0);  // no-op
+    log.setRate(1.0, 5.0);  // no-op: the segment stays open
+    EXPECT_DOUBLE_EQ(log.totalBytes(), 0.0);
+    EXPECT_EQ(log.bucketsTouched(), 0u);
     log.finalize(2.0);
-    EXPECT_EQ(log.segments().size(), 1u);
+    EXPECT_DOUBLE_EQ(log.totalBytes(), 10.0);
 }
 
 TEST(RateLogTest, ZeroRateSegmentsAreDroppedFromInitial)
 {
     RateLog log;
+    log.armStream(0.0, 1.0);
     // Rate stays 0 until t=3, then 7.
     log.setRate(3.0, 7.0);
+    // The initial zero-rate stretch closes without depositing.
+    EXPECT_EQ(log.bucketsTouched(), 0u);
+    EXPECT_DOUBLE_EQ(log.streamEnd(), 0.0);
     log.finalize(4.0);
-    // The initial zero-rate stretch becomes a closed 0-rate segment.
-    ASSERT_EQ(log.segments().size(), 2u);
-    EXPECT_DOUBLE_EQ(log.segments()[0].rate, 0.0);
     EXPECT_DOUBLE_EQ(log.totalBytes(), 7.0);
+    ASSERT_GE(log.streamValues().size(), 4u);
+    for (std::size_t b = 0; b < 3; ++b)
+        EXPECT_DOUBLE_EQ(log.streamValues()[b], 0.0);
+    EXPECT_DOUBLE_EQ(log.streamValues()[3], 7.0);
 }
 
 TEST(RateLogTest, FinalizeIdempotentAtSameTime)
 {
     RateLog log;
+    log.armStream(0.0, 0.5);
     log.setRate(0.0, 1.0);
     log.finalize(2.0);
+    const std::uint64_t touched = log.bucketsTouched();
     log.finalize(2.0);
-    EXPECT_EQ(log.segments().size(), 1u);
+    EXPECT_EQ(log.bucketsTouched(), touched);
+    EXPECT_DOUBLE_EQ(log.totalBytes(), 2.0);
 }
 
 TEST(RateLogTest, DropBeforeTruncates)
 {
+    // Truncation at the measurement boundary: only bytes carried
+    // after it count, including the segment open across it.
     RateLog log;
     log.setRate(0.0, 10.0);
     log.setRate(2.0, 20.0);
+    log.dropBefore(3.0);
+    EXPECT_DOUBLE_EQ(log.totalBytes(), 0.0);
+    EXPECT_DOUBLE_EQ(log.bytesThrough(4.0), 20.0);
     log.finalize(4.0);
-    log.dropBefore(2.0);
-    ASSERT_EQ(log.segments().size(), 1u);
-    EXPECT_DOUBLE_EQ(log.segments()[0].begin, 2.0);
-
-    log.clear();
-    EXPECT_TRUE(log.segments().empty());
-    EXPECT_DOUBLE_EQ(log.currentRate(), 0.0);
+    EXPECT_DOUBLE_EQ(log.totalBytes(), 20.0);
 }
 
 TEST(RateLogTest, DropBeforeClipsStraddlingSegment)
 {
     RateLog log;
     log.setRate(0.0, 10.0);
+    log.dropBefore(1.0);  // the open segment straddles t = 1
     log.finalize(4.0);
-    log.dropBefore(1.0);
-    ASSERT_EQ(log.segments().size(), 1u);
-    EXPECT_DOUBLE_EQ(log.segments()[0].begin, 1.0);
     EXPECT_DOUBLE_EQ(log.totalBytes(), 30.0);
+}
+
+TEST(RateLogDeathTest, DropBeforeIntoClosedHistoryPanics)
+{
+    // Closed segments are not stored, so bytes already counted
+    // cannot be split at an earlier time.
+    RateLog log;
+    log.setRate(0.0, 10.0);
+    log.finalize(4.0);
+    EXPECT_DEATH(log.dropBefore(1.0), "closed history");
 }
 
 TEST(RateLogTest, StreamedBucketsAccumulateOnline)
 {
     RateLog log;
-    log.setRetainSegments(false);
     log.armStream(0.0, 0.5);
     log.setRate(0.0, 10.0);
     log.setRate(1.0, 0.0);
     log.finalize(2.0);
 
-    EXPECT_TRUE(log.segments().empty());
     EXPECT_TRUE(log.streamArmed());
     // The trailing idle interval [1,2) deposits nothing, so the
     // folded-history mark stays at the last nonzero-rate close: a
@@ -134,40 +154,52 @@ TEST(RateLogTest, StreamedBucketsAccumulateOnline)
 TEST(RateLogTest, UnretainedDropBeforeResetsBytes)
 {
     RateLog log;
-    log.setRetainSegments(false);
     log.setRate(0.0, 10.0);
     log.setRate(2.0, 4.0);  // closes [0,2) @ 10
     log.dropBefore(2.0);
     EXPECT_DOUBLE_EQ(log.totalBytes(), 0.0);
     log.finalize(3.0);
     EXPECT_DOUBLE_EQ(log.totalBytes(), 4.0);
-    EXPECT_TRUE(log.segments().empty());
 }
 
-TEST(RateLogTest, MemoryBytesTracksRetention)
+/** Arm a log on [0, 1) at @p bucket and change its rate @p changes
+ * times, evenly spaced: every third segment idle, the others at
+ * distinct rates, the last one busy. */
+RateLog
+busyLog(SimTime bucket, int changes)
 {
-    RateLog retained;
-    RateLog streamed;
-    streamed.setRetainSegments(false);
-    streamed.armStream(0.0, 0.1);
-    for (int i = 0; i < 100; ++i) {
-        const SimTime t = i * 0.01;
-        const Bps rate = (i % 3 == 0) ? 0.0 : 1e9 + i;
-        retained.setRate(t, rate);
-        streamed.setRate(t, rate);
+    RateLog log;
+    log.armStream(0.0, bucket);
+    for (int i = 0; i < changes; ++i) {
+        const SimTime t = static_cast<double>(i) / changes;
+        log.setRate(t, (i % 3 == 1) ? 0.0 : 1e9 + i);
     }
-    retained.finalize(1.0);
-    streamed.finalize(1.0);
+    log.finalize(1.0);
+    return log;
+}
 
-    EXPECT_TRUE(streamed.segments().empty());
-    EXPECT_FALSE(retained.segments().empty());
-    EXPECT_GT(retained.memoryBytes(), streamed.memoryBytes());
+TEST(RateLogTest, MemoryBytesTrackBucketsNotRateChanges)
+{
+    // A thousandfold denser rate history costs no extra log memory:
+    // only the bucket count sets it.
+    const RateLog sparse = busyLog(0.01, 40);
+    const RateLog dense = busyLog(0.01, 40000);
+    EXPECT_EQ(dense.streamValues().size(), sparse.streamValues().size());
+    EXPECT_GT(dense.bucketsTouched(), 100 * sparse.bucketsTouched());
+    for (const RateLog *log : {&sparse, &dense}) {
+        EXPECT_LE(log->streamValues().size(), 101u);
+        EXPECT_LE(log->memoryBytes(),
+                  2 * log->streamValues().size() * sizeof(double));
+    }
+    // A 100x coarser grid over the same dense history shrinks it.
+    const RateLog coarse = busyLog(1.0, 40000);
+    EXPECT_LE(coarse.streamValues().size(), 2u);
+    EXPECT_LT(coarse.memoryBytes(), dense.memoryBytes());
 }
 
 TEST(RateLogTest, RearmResetsStreamState)
 {
     RateLog log;
-    log.setRetainSegments(false);
     log.armStream(0.0, 0.5);
     log.setRate(0.0, 8.0);
     log.setRate(1.0, 0.0);

@@ -101,12 +101,15 @@ TEST(TopologyTest, FinalizeLogsClosesAll)
     auto [fwd, rev] = topo.addDuplexLink(LinkClass::PcieGpu, 1.0, a, b,
                                          PortKind::SerDes,
                                          PortKind::Device, 0.0, "l");
+    topo.armStreams(0.0, 1.0);
     topo.resource(fwd).log.setRate(0.0, 0.5);
     topo.finalizeLogs(2.0);
-    EXPECT_EQ(topo.resource(fwd).log.segments().size(), 1u);
-    // The untouched reverse log closes with one zero-rate segment.
-    ASSERT_EQ(topo.resource(rev).log.segments().size(), 1u);
-    EXPECT_DOUBLE_EQ(topo.resource(rev).log.segments()[0].rate, 0.0);
+    EXPECT_DOUBLE_EQ(topo.resource(fwd).log.totalBytes(), 1.0);
+    EXPECT_DOUBLE_EQ(topo.resource(fwd).log.streamEnd(), 2.0);
+    // The untouched reverse log closes one zero-rate segment, which
+    // carries no bytes and deposits nothing.
+    EXPECT_DOUBLE_EQ(topo.resource(rev).log.totalBytes(), 0.0);
+    EXPECT_EQ(topo.resource(rev).log.bucketsTouched(), 0u);
 }
 
 } // namespace

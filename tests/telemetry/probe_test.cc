@@ -24,6 +24,7 @@ TEST(ProbeTest, AggregatesBothDirections)
 {
     Simulation sim;
     Cluster cluster{ClusterSpec{}};
+    cluster.topology().armStreams(0.0, 0.1);
     FlowScheduler flows(sim, cluster.topology());
     // Opposite-direction flows on the same NVLink pair.
     for (int dir = 0; dir < 2; ++dir) {
@@ -47,6 +48,7 @@ TEST(ProbeTest, PerNodeDivisionForMultiNode)
     ClusterSpec spec;
     spec.nodes = 2;
     Cluster cluster(spec);
+    cluster.topology().armStreams(0.0, 0.01);
     FlowScheduler flows(sim, cluster.topology());
     // Symmetric flows: one NVLink flow in each node.
     for (int node = 0; node < 2; ++node) {
@@ -73,6 +75,7 @@ TEST(ProbeTest, QuietClassesReadZero)
 {
     Simulation sim;
     Cluster cluster{ClusterSpec{}};
+    cluster.topology().armStreams(0.0, kDefaultTelemetryBucket);
     FlowScheduler flows(sim, cluster.topology());
     FlowSpec fs;
     fs.route = cluster.router().route(cluster.gpuByRank(0),
@@ -87,11 +90,13 @@ TEST(ProbeTest, QuietClassesReadZero)
     EXPECT_DOUBLE_EQ(dram.peak, 0.0);
 }
 
-/** Start the AggregatesBothDirections flow pattern on @p cluster. */
-void
-runOppositeNvLinkFlows(Simulation &sim, Cluster &cluster,
-                       FlowScheduler &flows)
+TEST(ProbeTest, ProbeAllClassesMatchesPerClassProbes)
 {
+    Simulation sim;
+    Cluster cluster{ClusterSpec{}};
+    cluster.topology().armStreams(0.0, 0.1);
+    FlowScheduler flows(sim, cluster.topology());
+    // NVLink and host traffic, so several classes carry bytes.
     for (int dir = 0; dir < 2; ++dir) {
         FlowSpec spec;
         spec.route = cluster.router().route(
@@ -99,16 +104,13 @@ runOppositeNvLinkFlows(Simulation &sim, Cluster &cluster,
         spec.bytes = 80e9;
         flows.start(std::move(spec));
     }
+    FlowSpec h2d;
+    h2d.route = cluster.router().route(cluster.node(0).drams[0],
+                                       cluster.gpuByRank(0));
+    h2d.bytes = 8e9;
+    flows.start(std::move(h2d));
     sim.run();
     flows.finalizeLogs();
-}
-
-TEST(ProbeTest, ProbeAllClassesMatchesPerClassProbes)
-{
-    Simulation sim;
-    Cluster cluster{ClusterSpec{}};
-    FlowScheduler flows(sim, cluster.topology());
-    runOppositeNvLinkFlows(sim, cluster, flows);
 
     const std::vector<BandwidthSeries> all = probeAllClasses(
         cluster.topology(), 0.0, sim.now(), 0.1);
@@ -126,40 +128,24 @@ TEST(ProbeTest, ProbeAllClassesMatchesPerClassProbes)
     }
 }
 
-TEST(ProbeTest, StreamedProbeMatchesSegmentSweep)
+TEST(ProbeDeathTest, ProbeOffTheArmedGridPanics)
 {
-    // Two identical simulations: A streams into online buckets with
-    // retention off; B keeps segments and sweeps them at probe time.
-    // The published series must be bitwise identical.
-    Simulation sim_a;
-    Cluster cluster_a{ClusterSpec{}};
-    cluster_a.topology().setRetainSegments(false);
-    cluster_a.topology().armStreams(0.0, 0.1);
-    FlowScheduler flows_a(sim_a, cluster_a.topology());
-    runOppositeNvLinkFlows(sim_a, cluster_a, flows_a);
-
-    Simulation sim_b;
-    Cluster cluster_b{ClusterSpec{}};
-    FlowScheduler flows_b(sim_b, cluster_b.topology());
-    runOppositeNvLinkFlows(sim_b, cluster_b, flows_b);
-    ASSERT_EQ(sim_a.now(), sim_b.now());
-
-    const std::vector<BandwidthSeries> streamed = probeAllClasses(
-        cluster_a.topology(), 0.0, sim_a.now(), 0.1);
-    const std::vector<BandwidthSeries> swept = probeAllClasses(
-        cluster_b.topology(), 0.0, sim_b.now(), 0.1);
-    ASSERT_EQ(streamed.size(), swept.size());
-    for (std::size_t c = 0; c < swept.size(); ++c) {
-        ASSERT_EQ(streamed[c].values.size(), swept[c].values.size());
-        for (std::size_t b = 0; b < swept[c].values.size(); ++b)
-            EXPECT_EQ(streamed[c].values[b], swept[c].values[b]);
-    }
-
-    const TelemetryStats stats = cluster_a.topology().telemetryStats();
-    EXPECT_EQ(stats.segments_retained, 0u);
-    EXPECT_GT(stats.buckets_touched, 0u);
-    EXPECT_GT(cluster_b.topology().telemetryStats().segments_retained,
-              0u);
+    // The probe reads only the grid armed before the run; a finer
+    // bucket cannot be recovered afterwards.
+    Simulation sim;
+    Cluster cluster{ClusterSpec{}};
+    cluster.topology().armStreams(0.0, 0.1);
+    FlowScheduler flows(sim, cluster.topology());
+    FlowSpec fs;
+    fs.route = cluster.router().route(cluster.gpuByRank(0),
+                                      cluster.gpuByRank(1));
+    fs.bytes = 8e9;
+    flows.start(std::move(fs));
+    sim.run();
+    flows.finalizeLogs();
+    EXPECT_DEATH(probeClassBandwidth(cluster.topology(), LinkClass::NvLink,
+                                     0.0, sim.now(), 0.05),
+                 "arm the grid");
 }
 
 } // namespace

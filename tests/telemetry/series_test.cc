@@ -5,18 +5,38 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "telemetry/series.hh"
 
 namespace dstrain {
 namespace {
 
-TEST(SeriesTest, ConstantRateFillsBuckets)
+/** One rate change: the log runs at @p rate from time @p t on. */
+struct Change {
+    SimTime t;
+    Bps rate;
+};
+
+/** A log armed on `begin + k * bucket` that recorded @p changes and
+ * was closed at @p finalize_at. */
+RateLog
+streamedLog(SimTime begin, SimTime bucket,
+            const std::vector<Change> &changes, SimTime finalize_at)
 {
     RateLog log;
-    log.setRate(0.0, 10.0);
-    log.finalize(1.0);
-    const BandwidthSeries s =
-        bucketizeRateLogs({&log}, 0.0, 1.0, 0.25);
+    log.armStream(begin, bucket);
+    for (const Change &c : changes)
+        log.setRate(c.t, c.rate);
+    log.finalize(finalize_at);
+    return log;
+}
+
+TEST(SeriesTest, ConstantRateFillsBuckets)
+{
+    const RateLog log = streamedLog(0.0, 0.25, {{0.0, 10.0}}, 1.0);
+    const BandwidthSeries s = sumStreamedBuckets({&log}, 0.0, 1.0, 0.25);
     ASSERT_EQ(s.values.size(), 4u);
     for (double v : s.values)
         EXPECT_DOUBLE_EQ(v, 10.0);
@@ -24,64 +44,54 @@ TEST(SeriesTest, ConstantRateFillsBuckets)
 
 TEST(SeriesTest, PartialOverlapWeighted)
 {
-    RateLog log;
-    log.setRate(0.0, 0.0);
-    log.setRate(0.5, 20.0);  // active only in the second half
-    log.finalize(1.0);
-    const BandwidthSeries s = bucketizeRateLogs({&log}, 0.0, 1.0, 1.0);
+    // Active only in the second half.
+    const RateLog log =
+        streamedLog(0.0, 1.0, {{0.0, 0.0}, {0.5, 20.0}}, 1.0);
+    const BandwidthSeries s = sumStreamedBuckets({&log}, 0.0, 1.0, 1.0);
     ASSERT_EQ(s.values.size(), 1u);
     EXPECT_DOUBLE_EQ(s.values[0], 10.0);  // time-weighted average
 }
 
 TEST(SeriesTest, MultipleLogsSum)
 {
-    RateLog a;
-    a.setRate(0.0, 3.0);
-    a.finalize(1.0);
-    RateLog b;
-    b.setRate(0.0, 4.0);
-    b.finalize(1.0);
-    const BandwidthSeries s =
-        bucketizeRateLogs({&a, &b}, 0.0, 1.0, 0.5);
+    const RateLog a = streamedLog(0.0, 0.5, {{0.0, 3.0}}, 1.0);
+    const RateLog b = streamedLog(0.0, 0.5, {{0.0, 4.0}}, 1.0);
+    const BandwidthSeries s = sumStreamedBuckets({&a, &b}, 0.0, 1.0, 0.5);
     for (double v : s.values)
         EXPECT_DOUBLE_EQ(v, 7.0);
 }
 
 TEST(SeriesTest, WindowClipsHistory)
 {
-    RateLog log;
-    log.setRate(0.0, 8.0);
-    log.finalize(10.0);
-    const BandwidthSeries s =
-        bucketizeRateLogs({&log}, 4.0, 6.0, 1.0);
-    ASSERT_EQ(s.values.size(), 2u);
-    EXPECT_DOUBLE_EQ(s.values[0], 8.0);
-    EXPECT_DOUBLE_EQ(s.values[1], 8.0);
+    // Armed at t = 4: the history before the grid origin is clipped.
+    const RateLog log = streamedLog(4.0, 1.0, {{0.0, 8.0}}, 10.0);
+    const BandwidthSeries s = sumStreamedBuckets({&log}, 4.0, 10.0, 1.0);
+    ASSERT_EQ(s.values.size(), 6u);
+    for (double v : s.values)
+        EXPECT_DOUBLE_EQ(v, 8.0);
+    // History past a window's end is already folded in, so a shorter
+    // window is refused rather than read.
+    EXPECT_FALSE(log.streamCovers(4.0, 6.0, 1.0));
 }
 
 TEST(SeriesTest, SummaryMatchesSamples)
 {
-    RateLog log;
-    log.setRate(0.0, 10.0);
-    log.setRate(1.0, 30.0);
-    log.finalize(2.0);
-    const BandwidthSeries s =
-        bucketizeRateLogs({&log}, 0.0, 2.0, 1.0);
-    const BandwidthSummary sum = s.summary();
+    const RateLog log =
+        streamedLog(0.0, 1.0, {{0.0, 10.0}, {1.0, 30.0}}, 2.0);
+    const BandwidthSummary sum =
+        sumStreamedBuckets({&log}, 0.0, 2.0, 1.0).summary();
     EXPECT_DOUBLE_EQ(sum.avg, 20.0);
     EXPECT_DOUBLE_EQ(sum.peak, 30.0);
 }
 
 TEST(SeriesTest, BytesConservedAcrossBucketSizes)
 {
-    RateLog log;
-    log.setRate(0.0, 5.0);
-    log.setRate(0.7, 15.0);
-    log.setRate(1.3, 2.0);
-    log.finalize(3.0);
+    const std::vector<Change> changes = {
+        {0.0, 5.0}, {0.7, 15.0}, {1.3, 2.0}};
     for (SimTime bucket : {0.1, 0.25, 0.5, 1.0}) {
+        const RateLog log = streamedLog(0.0, bucket, changes, 3.0);
         const BandwidthSeries s =
-            bucketizeRateLogs({&log}, 0.0, 3.0, bucket);
+            sumStreamedBuckets({&log}, 0.0, 3.0, bucket);
         double integrated = 0.0;
         for (double v : s.values)
             integrated += v * bucket;
@@ -89,63 +99,61 @@ TEST(SeriesTest, BytesConservedAcrossBucketSizes)
     }
 }
 
-/** One rate change in the oracle replay below. */
-struct Change {
-    SimTime t;
-    Bps rate;
-};
-
 /**
- * Replay the same rate sequence into a retained log (legacy segment
- * sweep) and a streamed log (online accumulator armed on the probe
- * grid), then demand the two series be bitwise identical. This is
- * the oracle for the streaming engine's exact partial-bucket carry.
+ * Record @p changes into a log armed on the probe grid and compare
+ * each streamed bucket with the exact integral of the rate function
+ * over that bucket, computed here segment by segment. This is the
+ * oracle for the accumulator's partial-bucket carry.
  */
 void
-expectStreamMatchesSweep(const std::vector<Change> &changes,
-                         SimTime finalize_at, SimTime begin,
-                         SimTime end, SimTime bucket)
+expectStreamMatchesIntegral(const std::vector<Change> &changes,
+                            SimTime finalize_at, SimTime begin,
+                            SimTime end, SimTime bucket)
 {
-    RateLog retained;
-    RateLog streamed;
-    streamed.setRetainSegments(false);
-    streamed.armStream(begin, bucket);
-    for (const Change &c : changes) {
-        retained.setRate(c.t, c.rate);
-        streamed.setRate(c.t, c.rate);
-    }
-    retained.finalize(finalize_at);
-    streamed.finalize(finalize_at);
-    ASSERT_TRUE(streamed.streamCovers(begin, end, bucket));
-
-    const BandwidthSeries sweep =
-        bucketizeRateLogs({&retained}, begin, end, bucket);
+    const RateLog log = streamedLog(begin, bucket, changes, finalize_at);
+    ASSERT_TRUE(log.streamCovers(begin, end, bucket));
     const BandwidthSeries stream =
-        sumStreamedBuckets({&streamed}, begin, end, bucket);
-    ASSERT_EQ(stream.values.size(), sweep.values.size());
-    for (std::size_t b = 0; b < sweep.values.size(); ++b)
-        EXPECT_EQ(stream.values[b], sweep.values[b]) << b;
+        sumStreamedBuckets({&log}, begin, end, bucket);
+    ASSERT_EQ(stream.values.size(),
+              static_cast<std::size_t>(
+                  std::ceil((end - begin) / bucket - 1e-9)));
+
+    for (std::size_t b = 0; b < stream.values.size(); ++b) {
+        const SimTime b0 = begin + static_cast<double>(b) * bucket;
+        const SimTime b1 = std::min(b0 + bucket, end);
+        double bytes = 0.0;
+        for (std::size_t i = 0; i < changes.size(); ++i) {
+            const SimTime s1 = i + 1 < changes.size()
+                                   ? changes[i + 1].t
+                                   : finalize_at;
+            const SimTime overlap = std::min(s1, b1) -
+                                    std::max(changes[i].t, b0);
+            if (overlap > 0.0)
+                bytes += changes[i].rate * overlap;
+        }
+        EXPECT_NEAR(stream.values[b], bytes / bucket,
+                    1e-12 * std::max(1.0, bytes / bucket))
+            << "bucket " << b;
+    }
 }
 
 TEST(StreamSeriesTest, SegmentStraddlingWindowStart)
 {
-    // History begins before the armed window; legacy clips the
-    // straddling segment, streaming clips in fold(). Note the
-    // streamed log is armed at 0.35 but the rate opened at 0.0 —
-    // legacy sees the full segment and clips it to the window.
-    expectStreamMatchesSweep({{0.0, 5.0}, {0.8, 2.0}}, 1.15, 0.35,
-                             1.15, 0.2);
+    // The rate opened at 0.0, before the grid armed at 0.35: fold()
+    // clips the straddling segment to the window.
+    expectStreamMatchesIntegral({{0.0, 5.0}, {0.8, 2.0}}, 1.15, 0.35,
+                                1.15, 0.2);
 }
 
 TEST(StreamSeriesTest, SegmentEndingExactlyAtWindowEnd)
 {
-    expectStreamMatchesSweep({{0.0, 4.0}, {0.5, 9.0}}, 1.0, 0.0, 1.0,
-                             0.25);
+    expectStreamMatchesIntegral({{0.0, 4.0}, {0.5, 9.0}}, 1.0, 0.0, 1.0,
+                                0.25);
 }
 
 TEST(StreamSeriesTest, RateZeroGapsSkipped)
 {
-    expectStreamMatchesSweep(
+    expectStreamMatchesIntegral(
         {{0.0, 10.0}, {0.3, 0.0}, {0.55, 6.0}, {0.8, 0.0}}, 1.2, 0.0,
         1.2, 0.1);
 }
@@ -153,53 +161,40 @@ TEST(StreamSeriesTest, RateZeroGapsSkipped)
 TEST(StreamSeriesTest, BucketNotDividingWindow)
 {
     // 1.0 / 0.3 is not integral: the last bucket is partial on the
-    // grid, and ceil() decides the bucket count in both paths.
-    expectStreamMatchesSweep({{0.0, 7.0}, {0.45, 12.0}}, 1.0, 0.0,
-                             1.0, 0.3);
+    // grid, and ceil() decides the bucket count.
+    expectStreamMatchesIntegral({{0.0, 7.0}, {0.45, 12.0}}, 1.0, 0.0,
+                                1.0, 0.3);
 }
 
 TEST(StreamSeriesTest, MidBucketPartialCarry)
 {
     // Several changes inside one bucket exercise the exact
     // partial-bucket carry (each change deposits its fraction).
-    expectStreamMatchesSweep(
-        {{0.0, 3.0}, {0.12, 8.0}, {0.31, 1.0}, {0.33, 20.0}}, 0.5,
-        0.0, 0.5, 0.5);
+    expectStreamMatchesIntegral(
+        {{0.0, 3.0}, {0.12, 8.0}, {0.31, 1.0}, {0.33, 20.0}}, 0.5, 0.0,
+        0.5, 0.5);
 }
 
 TEST(StreamSeriesTest, MultiLogSumsBitIdentical)
 {
-    RateLog ra, rb, sa, sb;
-    for (RateLog *log : {&sa, &sb}) {
-        log->setRetainSegments(false);
-        log->armStream(0.0, 0.25);
-    }
-    for (RateLog *log : {&ra, &sa}) {
-        log->setRate(0.0, 3.125);
-        log->setRate(0.4, 11.5);
-        log->finalize(1.0);
-    }
-    for (RateLog *log : {&rb, &sb}) {
-        log->setRate(0.1, 0.7);
-        log->setRate(0.6, 0.0);
-        log->finalize(1.0);
-    }
-    const BandwidthSeries sweep =
-        bucketizeRateLogs({&ra, &rb}, 0.0, 1.0, 0.25);
-    const BandwidthSeries stream =
-        sumStreamedBuckets({&sa, &sb}, 0.0, 1.0, 0.25);
-    ASSERT_EQ(stream.values.size(), sweep.values.size());
-    for (std::size_t b = 0; b < sweep.values.size(); ++b)
-        EXPECT_EQ(stream.values[b], sweep.values[b]) << b;
+    // Logs add in log order, so the sum of two logs is bitwise the sum
+    // of their single-log series.
+    const RateLog a =
+        streamedLog(0.0, 0.25, {{0.0, 3.125}, {0.4, 11.5}}, 1.0);
+    const RateLog b =
+        streamedLog(0.0, 0.25, {{0.1, 0.7}, {0.6, 0.0}}, 1.0);
+    const BandwidthSeries sum =
+        sumStreamedBuckets({&a, &b}, 0.0, 1.0, 0.25);
+    const BandwidthSeries sa = sumStreamedBuckets({&a}, 0.0, 1.0, 0.25);
+    const BandwidthSeries sb = sumStreamedBuckets({&b}, 0.0, 1.0, 0.25);
+    ASSERT_EQ(sum.values.size(), sa.values.size());
+    for (std::size_t i = 0; i < sum.values.size(); ++i)
+        EXPECT_EQ(sum.values[i], sa.values[i] + sb.values[i]) << i;
 }
 
 TEST(StreamSeriesTest, StreamCoverageGuard)
 {
-    RateLog log;
-    log.setRetainSegments(false);
-    log.armStream(0.0, 0.1);
-    log.setRate(0.0, 5.0);
-    log.finalize(2.0);
+    const RateLog log = streamedLog(0.0, 0.1, {{0.0, 5.0}}, 2.0);
     EXPECT_TRUE(log.streamCovers(0.0, 2.0, 0.1));
     // History extends past the requested end: the accumulator folded
     // [1,2) into the grid, so a [0,1) probe cannot reuse it.
@@ -211,10 +206,20 @@ TEST(StreamSeriesTest, StreamCoverageGuard)
 
 TEST(SeriesDeathTest, BadWindowRejected)
 {
-    RateLog log;
-    EXPECT_DEATH(bucketizeRateLogs({&log}, 1.0, 1.0, 0.1),
+    RateLog unarmed;
+    EXPECT_DEATH(sumStreamedBuckets({&unarmed}, 1.0, 1.0, 0.1),
                  "empty telemetry window");
-    EXPECT_DEATH(bucketizeRateLogs({&log}, 0.0, 1.0, 0.0), "bucket");
+    EXPECT_DEATH(sumStreamedBuckets({&unarmed}, 0.0, 1.0, 0.0), "bucket");
+    // Only the armed grid can answer: not a log that was never armed,
+    // not another bucket width, not a window ending before the folded
+    // history does.
+    EXPECT_DEATH(sumStreamedBuckets({&unarmed}, 0.0, 1.0, 0.1),
+                 "arm the grid");
+    const RateLog log = streamedLog(0.0, 0.1, {{0.0, 5.0}}, 2.0);
+    EXPECT_DEATH(sumStreamedBuckets({&log}, 0.0, 2.0, 0.2),
+                 "arm the grid");
+    EXPECT_DEATH(sumStreamedBuckets({&log}, 0.0, 1.0, 0.1),
+                 "arm the grid");
 }
 
 } // namespace

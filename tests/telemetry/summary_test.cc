@@ -36,6 +36,7 @@ TEST(SummaryTest, MeasureRowCoversAllClasses)
                                          PortKind::SerDes,
                                          PortKind::Device, 0.0, "l");
     (void)rev;
+    topo.armStreams(0.0, 0.1);
     topo.resource(fwd).log.setRate(0.0, 10e9);
     topo.finalizeLogs(1.0);
 

@@ -90,6 +90,13 @@ TEST(ArgParserDeathTest, MalformedNumbersFatal)
     ASSERT_TRUE(args.parse(3, argv));
     EXPECT_EXIT(args.getInt("nodes"), testing::ExitedWithCode(1),
                 "integer");
+
+    // Beyond int: rejected, not wrapped to an unrelated count.
+    ArgParser wide = makeParser();
+    const char *wide_argv[] = {"prog", "--nodes", "99999999999"};
+    ASSERT_TRUE(wide.parse(3, wide_argv));
+    EXPECT_EXIT(wide.getInt("nodes"), testing::ExitedWithCode(1),
+                "out of range");
 }
 
 TEST(ArgParserDeathTest, UndeclaredAccessPanics)

@@ -228,8 +228,6 @@ runFaultsDemo(int argc, const char *const *argv)
     ExperimentConfig cfg = paperExperiment(
         args.getInt("nodes"), *strategy, args.getDouble("model"));
     cfg.iterations = std::max(cfg.warmup + 1, args.getInt("iterations"));
-    // Retain segments so we can draw the rate sparkline afterwards.
-    cfg.telemetry.retain_segments = true;
     errors = cfg.validate();
     if (!errors.empty()) {
         printConfigErrors(errors);
