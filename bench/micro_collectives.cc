@@ -2,12 +2,15 @@
  * @file
  * JSON-emitting micro-benchmark of the collective-algorithm library:
  * back-to-back collectives per (algorithm, op, cluster shape) cell,
- * tracking simulator events/sec and the fabric bytes each schedule
- * puts on the wire. The grid pins the scheduling cost of every
- * family — ring, pairwise, tree and the two-level hierarchical
- * decomposition — so an algorithm change that bloats round counts or
- * flow churn shows up as an events/sec regression in CI
- * (tools/perf_guard.py, baseline bench/baselines/micro_collectives.jsonl).
+ * tracking collectives/sec, simulator events/sec and the fabric bytes
+ * each schedule puts on the wire. The grid pins the scheduling cost
+ * of every family — ring, pairwise, tree and the two-level
+ * hierarchical decomposition — so an algorithm change that bloats
+ * round counts or flow churn shows up as a collectives/sec regression
+ * in CI (tools/perf_guard.py, baseline
+ * bench/baselines/micro_collectives.jsonl). Collectives/sec, not
+ * events/sec, is the guarded rate: a round's hops share launch
+ * events, so a cheaper hop path runs fewer events per collective.
  *
  * Output is one JSON object per line:
  *
@@ -101,7 +104,8 @@ collectiveScenario(const std::string &name, int nodes, CollectiveOp op,
         .add("sim_seconds", sim.now())
         .add("events", sim.events().executedCount())
         .add("wall_seconds", secs)
-        .add("events_per_sec", sim.events().executedCount() / secs);
+        .add("events_per_sec", sim.events().executedCount() / secs)
+        .add("collectives_per_sec", coll.completedCount() / secs);
     return json;
 }
 

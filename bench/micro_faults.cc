@@ -51,7 +51,7 @@ capacityChurnScenario(int waves, int per_wave, int toggles)
                 int dst = (i * 3 + w) % 8;
                 if (dst == src)
                     dst = (dst + 1) % 8;
-                spec.route = cluster.router().route(
+                spec.route = &cluster.router().route(
                     cluster.gpuByRank(src), cluster.gpuByRank(dst));
                 spec.bytes = 1e8 + 1e6 * i;
                 spec.on_complete = [&done] { ++done; };

@@ -85,7 +85,7 @@ denseFlowScenario(int waves, int per_wave)
                 int dst = (i * 3 + w) % 8;
                 if (dst == src)
                     dst = (dst + 1) % 8;
-                spec.route = cluster.router().route(
+                spec.route = &cluster.router().route(
                     cluster.gpuByRank(src), cluster.gpuByRank(dst));
                 spec.bytes = 1e8 + 1e6 * i;
                 spec.on_complete = [&done] { ++done; };
@@ -141,7 +141,7 @@ spineLeafScenario(int waves, int per_wave)
                 int dst = (src + world / 2 + i) % world;
                 if (dst == src)
                     dst = (dst + 1) % world;
-                spec.route = cluster.router().routeForFlow(
+                spec.route = &cluster.router().routeForFlow(
                     cluster.gpuByRank(src), cluster.gpuByRank(dst),
                     static_cast<std::uint64_t>(i));
                 spec.bytes = 1e8 + 1e6 * i;
@@ -200,7 +200,7 @@ fatTree10kScenario(int waves, int per_wave)
                 int dst = (src + world / 2 + i) % world;
                 if (dst == src)
                     dst = (dst + 1) % world;
-                spec.route = cluster.router().routeForFlow(
+                spec.route = &cluster.router().routeForFlow(
                     cluster.gpuByRank(src), cluster.gpuByRank(dst),
                     static_cast<std::uint64_t>(i * 31 + w));
                 spec.bytes = 1e8 + 1e6 * i;
@@ -253,7 +253,7 @@ fatTree100kScenario(int waves, int per_wave)
                 int dst = (src + world / 2 + i) % world;
                 if (dst == src)
                     dst = (dst + 1) % world;
-                spec.route = cluster.router().routeForFlow(
+                spec.route = &cluster.router().routeForFlow(
                     cluster.gpuByRank(src), cluster.gpuByRank(dst),
                     static_cast<std::uint64_t>(i * 37 + w));
                 spec.bytes = 1e8 + 1e6 * i;

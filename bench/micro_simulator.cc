@@ -41,14 +41,15 @@ BM_FlowSchedulerFairShare(benchmark::State &state)
         Simulation sim;
         Cluster cluster(xe8545Cluster(2));
         FlowScheduler sched(sim, cluster.topology());
+        const TagId tag = sched.tags().intern("bench");
         for (int i = 0; i < flows; ++i) {
             FlowSpec spec;
             const int src = i % 4;
             const int dst = 4 + i % 4;
-            spec.route = cluster.router().route(
+            spec.route = &cluster.router().route(
                 cluster.gpuByRank(src), cluster.gpuByRank(dst));
             spec.bytes = 1e9;
-            spec.tag = "bench";
+            spec.tag = tag;
             sched.start(std::move(spec));
         }
         sim.run();

@@ -70,7 +70,7 @@ CollectiveEngine::CollectiveEngine(TransferManager &tm)
 {
 }
 
-std::vector<ComponentId>
+CollectiveEngine::NicPins
 CollectiveEngine::viaNics(int src_rank, int dst_rank,
                           std::size_t channel, bool pin) const
 {
@@ -85,8 +85,9 @@ CollectiveEngine::viaNics(int src_rank, int dst_rank,
     const auto &dst_nics = cl.node(dst_node).nics;
     DSTRAIN_ASSERT(!src_nics.empty() && !dst_nics.empty(),
                    "nodes %d/%d lack NICs", src_node, dst_node);
-    return {src_nics[channel % src_nics.size()],
-            dst_nics[channel % dst_nics.size()]};
+    return {{src_nics[channel % src_nics.size()],
+             dst_nics[channel % dst_nics.size()]},
+            2};
 }
 
 /**
@@ -102,22 +103,28 @@ CollectiveEngine::viaNics(int src_rank, int dst_rank,
  * relaunched with the undelivered remainder once routing has
  * reconverged — completed rounds never re-run.
  *
- * Ownership: each callback in flight (hop completions, armed
- * watchdogs, deferred settles, reconvergence relaunches) holds a
- * shared_ptr to the runner and nothing else does, so the runner is
- * freed with its last callback — after completion, or once
- * abortAll() and cancelAll() drop the callbacks mid-operation.
+ * A round's hops launch inside one TransferManager::LaunchScope, so
+ * hops with equal route latency share one launch event. A hop's
+ * completion captures only (this, channel) and allocates nothing;
+ * the hop's transfer holds the runner through its keepalive.
+ *
+ * Ownership: each transfer in flight (through its keepalive) and
+ * each scheduled callback (armed watchdogs, deferred settles,
+ * reconvergence relaunches) holds a shared_ptr to the runner, and
+ * nothing else does, so the runner is freed with its last holder —
+ * after completion, or once abortAll() releases the transfers and
+ * their keepalives mid-operation.
  */
 class CollectiveEngine::RoundRunner
     : public std::enable_shared_from_this<RoundRunner>
 {
   public:
     RoundRunner(CollectiveEngine &eng, std::vector<CollectiveRound> rounds,
-                int channels, bool pin, double bw_factor, std::string tag,
+                int channels, bool pin, double bw_factor, TagId tag,
                 Callback on_done)
         : eng_(eng), rounds_(std::move(rounds)),
           cursors_(static_cast<std::size_t>(channels)), pin_(pin),
-          bw_factor_(bw_factor), tag_(std::move(tag)),
+          bw_factor_(bw_factor), tag_(tag),
           on_done_(std::move(on_done)), channels_left_(channels)
     {
         ResilienceCoordinator *rc = eng.resilience_;
@@ -172,8 +179,11 @@ class CollectiveEngine::RoundRunner
         cur.xids.assign(round.size(), 0);
         cur.outstanding = static_cast<int>(round.size());
         ++cur.round_gen;
-        for (std::size_t i = 0; i < round.size(); ++i)
-            startHop(c, i);
+        {
+            TransferManager::LaunchScope scope(eng_.tm_);
+            for (std::size_t i = 0; i < round.size(); ++i)
+                startHop(c, i);
+        }
         if (rc_ != nullptr)
             armWatchdog(c);
     }
@@ -189,18 +199,20 @@ class CollectiveEngine::RoundRunner
         TransferManager &tm = eng_.tm_;
         Cursor &cur = cursors_[c];
         const CollectiveHop &hop = rounds_[cur.next_round - 1][i];
+        const NicPins pins =
+            eng_.viaNics(hop.src_rank, hop.dst_rank, c, pin_);
         TransferOptions opts;
-        opts.waypoints = eng_.viaNics(hop.src_rank, hop.dst_rank, c, pin_);
+        opts.waypoints = pins.span();
         opts.rate_factor = bw_factor_;
         // On multipath fabrics, ECMP spreads the channels over the
         // equal-cost trunks (deterministically).
         opts.flow_key = c;
         opts.tag = tag_;
-        cur.xids[i] = tm.start(
-            tm.cluster().gpuByRank(hop.src_rank),
-            tm.cluster().gpuByRank(hop.dst_rank), cur.bytes[i],
-            [self = shared_from_this(), c] { self->hopDone(c); },
-            std::move(opts));
+        opts.keepalive = shared_from_this();
+        cur.xids[i] = tm.start(tm.cluster().gpuByRank(hop.src_rank),
+                               tm.cluster().gpuByRank(hop.dst_rank),
+                               cur.bytes[i], [this, c] { hopDone(c); },
+                               std::move(opts));
     }
 
     /** One hop of channel @p c's current round landed. */
@@ -282,7 +294,7 @@ class CollectiveEngine::RoundRunner
     std::vector<Cursor> cursors_;
     bool pin_;
     double bw_factor_;
-    std::string tag_;
+    TagId tag_;  ///< interned once per invocation
     Callback on_done_;
     int channels_left_;
     /** Watchdog coordinator; nullptr while the watchdog is off. */
@@ -427,7 +439,7 @@ CollectiveEngine::runOp(CollectiveOp op, const CommGroup &group,
     std::make_shared<RoundRunner>(
         *this, impl.rounds(op, live, bytes / channels, root, view),
         channels, opts.pin_channels_to_nics, opts.bandwidth_factor,
-        opts.tag.empty() ? kind : opts.tag + "/" + kind,
+        tm_.internTag(opts.tag.empty() ? kind : opts.tag + "/" + kind),
         std::move(on_done))
         ->start();
 }

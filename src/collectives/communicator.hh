@@ -27,6 +27,7 @@
 
 #include <array>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -260,14 +261,24 @@ class CollectiveEngine
     void recordUsage(CollectiveOp op, CollectiveAlgo algo, int n,
                      Bytes bytes);
 
+    /** A hop's pinned route waypoints, held inline (no heap). */
+    struct NicPins {
+        std::array<ComponentId, 2> ids{};
+        std::size_t count = 0;
+
+        std::span<const ComponentId> span() const
+        {
+            return {ids.data(), count};
+        }
+    };
+
     /**
      * Resolve the pinned route waypoints for a hop: the src node's
      * and dst node's NIC of the channel. Empty for intra-node hops
      * and unpinned collectives (shortest path).
      */
-    std::vector<ComponentId>
-    viaNics(int src_rank, int dst_rank, std::size_t channel,
-            bool pin) const;
+    NicPins viaNics(int src_rank, int dst_rank, std::size_t channel,
+                    bool pin) const;
 
     /** Is @p rank marked dead (elastic shrink)? */
     bool rankDead(int rank) const;

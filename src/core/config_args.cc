@@ -122,6 +122,23 @@ experimentFromArgs(const ArgParser &args)
             {"experts", "--experts applies to the moe strategy only"});
         return out;
     }
+    // A degree the strategy takes no model parallelism for would be
+    // silently ignored: reject it, as --experts is.
+    const StrategyFactory &factory = *Strategy::find(args.get("strategy"));
+    if (args.getInt("tp") != 0 && !factory.takes_tp) {
+        out.errors.push_back(
+            {"tp", csprintf("--tp does not apply to the %s strategy "
+                            "(no tensor parallelism)",
+                            factory.name.c_str())});
+    }
+    if (args.getInt("pp") != 0 && !factory.takes_pp) {
+        out.errors.push_back(
+            {"pp", csprintf("--pp does not apply to the %s strategy "
+                            "(no pipeline parallelism)",
+                            factory.name.c_str())});
+    }
+    if (!out.errors.empty())
+        return out;
 
     out.config = paperExperiment(args.getInt("nodes"), *strategy,
                                  args.getDouble("model"));

@@ -181,7 +181,7 @@ Executor::dispatchCpu(RunState &st, int node, int socket)
     // stretches the step, which is exactly the physical effect.
     TransferOptions opts;
     opts.rate_cap = dram_traffic / duration;
-    opts.tag = t.label;
+    opts.tag = tm_.internTag(t.label);
     const NodeHandles &nh = cluster_.node(mapNode(node));
     tm_.start(nh.drams[static_cast<std::size_t>(socket)],
               nh.cpus[static_cast<std::size_t>(socket)], dram_traffic,
@@ -282,7 +282,7 @@ Executor::startTask(RunState &st, int task_id)
         const ComponentId dram =
             nh.drams[static_cast<std::size_t>(socket)];
         TransferOptions opts;
-        opts.tag = t.label;
+        opts.tag = tm_.internTag(t.label);
         tm_.start(t.to_host ? gpu : dram, t.to_host ? dram : gpu,
                   t.bytes,
                   [this, &st, task_id, gen = gen_] {

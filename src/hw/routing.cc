@@ -80,8 +80,11 @@ Router::edgeDead(HalfLinkId hid) const
 void
 Router::invalidateRouteCaches() const
 {
+    // The lookups go; route_store_/ecmp_store_ stay, so a route held
+    // by an in-flight transfer outlives the flush.
     cache_.clear();
     ecmp_cache_.clear();
+    composed_.clear();
     rev_dist_cache_.clear();
     tree_src_ = kNoComponent;
     tree_scratch_.complete = false;
@@ -147,8 +150,8 @@ Router::route(ComponentId src, ComponentId dst) const
     const std::uint64_t key = cacheKey(src, dst);
     auto it = cache_.find(key);
     if (it == cache_.end())
-        it = cache_.emplace(key, computeRoute(src, dst)).first;
-    const Route &r = it->second;
+        it = cache_.emplace(key, store(computeRoute(src, dst))).first;
+    const Route &r = *it->second;
     if (!r.valid()) {
         fatal("no route from %s to %s in this topology",
               topo_.component(src).name.c_str(),
@@ -157,18 +160,25 @@ Router::route(ComponentId src, ComponentId dst) const
     return r;
 }
 
+const Route *
+Router::store(Route r) const
+{
+    route_store_.push_back(std::move(r));
+    return &route_store_.back();
+}
+
 Router::EcmpEntry &
 Router::ecmpEntry(ComponentId src, ComponentId dst) const
 {
     const std::uint64_t key = cacheKey(src, dst);
     auto it = ecmp_cache_.find(key);
     if (it == ecmp_cache_.end()) {
-        EcmpEntry e;
+        EcmpEntry &e = ecmp_store_.emplace_back();
         e.paths = computeEqualCost(src, dst);
         e.done.assign(e.paths.size(), 0);
-        it = ecmp_cache_.emplace(key, std::move(e)).first;
+        it = ecmp_cache_.emplace(key, &e).first;
     }
-    return it->second;
+    return *it->second;
 }
 
 const Route &
@@ -215,11 +225,31 @@ Router::routeForFlow(ComponentId src, ComponentId dst,
         e, static_cast<std::size_t>(h % e.paths.size()));
 }
 
-Route
+std::size_t
+Router::ComposedHash::operator()(const ComposedKey &k) const
+{
+    std::uint64_t h = mix64(cacheKey(k.src, k.dst) ^ k.flow_key);
+    for (ComponentId wp : k.waypoints)
+        h = mix64(h + static_cast<std::uint32_t>(wp));
+    return static_cast<std::size_t>(h);
+}
+
+const Route &
 Router::routeThrough(ComponentId src,
-                     const std::vector<ComponentId> &waypoints,
+                     std::span<const ComponentId> waypoints,
                      ComponentId dst, std::uint64_t flow_key) const
 {
+    if (waypoints.empty())
+        return routeForFlow(src, dst, flow_key);
+    ComposedKey &probe = composed_probe_;
+    probe.src = src;
+    probe.dst = dst;
+    probe.flow_key = flow_key;
+    probe.waypoints.assign(waypoints.begin(), waypoints.end());
+    const auto it = composed_.find(probe);
+    if (it != composed_.end())
+        return *it->second;
+
     std::vector<HalfLinkId> hops;
     ComponentId cur = src;
     for (ComponentId wp : waypoints) {
@@ -229,20 +259,9 @@ Router::routeThrough(ComponentId src,
     }
     const Route &last = routeForFlow(cur, dst, flow_key);
     hops.insert(hops.end(), last.hops.begin(), last.hops.end());
-    return finishRoute(std::move(hops));
-}
-
-Route
-Router::routeVia(ComponentId src, ComponentId via, ComponentId dst) const
-{
-    return routeThrough(src, {via}, dst);
-}
-
-Route
-Router::routeVia2(ComponentId src, ComponentId via_a, ComponentId via_b,
-                  ComponentId dst) const
-{
-    return routeThrough(src, {via_a, via_b}, dst);
+    const Route *r = store(finishRoute(std::move(hops)));
+    composed_.emplace(probe, r);
+    return *r;
 }
 
 const Router::Nav &
@@ -567,6 +586,9 @@ Router::finishRoute(std::vector<HalfLinkId> hops) const
     for (std::size_t i = 0; i < r.hops.size(); ++i) {
         const HalfLink &hl = topo_.halfLink(r.hops[i]);
         r.latency += hl.latency;
+        if (std::find(r.resources.begin(), r.resources.end(),
+                      hl.resource) == r.resources.end())
+            r.resources.push_back(hl.resource);
         const Resource &res = topo_.resource(hl.resource);
         // Route caps model the *uncontended protocol* limit of the
         // path, so they are computed from the as-built capacity: a

@@ -27,6 +27,8 @@
 #define DSTRAIN_HW_ROUTING_HH
 
 #include <cstdint>
+#include <deque>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -39,6 +41,12 @@ namespace dstrain {
 struct Route {
     /** Half-link ids, in traversal order. Empty = no route. */
     std::vector<HalfLinkId> hops;
+
+    /**
+     * The distinct resources of `hops`, in first-crossing order: the
+     * resource set a flow on this route occupies.
+     */
+    std::vector<ResourceId> resources;
 
     /** Sum of hop latencies. */
     SimTime latency = 0.0;
@@ -74,6 +82,11 @@ struct EcmpConfig {
  *
  * The router must outlive no topology mutation: build the topology
  * fully, then construct the router.
+ *
+ * Every Route the router hands out lives in its route storage and
+ * stays valid for the router's lifetime: invalidateRouteCaches()
+ * flushes the lookups, never the storage, so a transfer holding a
+ * route across a flush still launches on it.
  */
 class Router
 {
@@ -122,19 +135,16 @@ class Router
      * selections). Used for NIC pinning in multi-channel collectives
      * and for fault reroutes. An empty waypoint list is a plain
      * routeForFlow(src, dst, flow_key).
+     *
+     * Composed routes are cached per (src, waypoints, dst, flow_key):
+     * a ring reuses the same pinned routes in every round, so the
+     * segment concatenation and its analysis run once per distinct
+     * tuple, and repeated lookups return the same object.
      */
-    Route routeThrough(ComponentId src,
-                       const std::vector<ComponentId> &waypoints,
-                       ComponentId dst,
-                       std::uint64_t flow_key = 0) const;
-
-    /** routeThrough() with a single waypoint. */
-    Route routeVia(ComponentId src, ComponentId via,
-                   ComponentId dst) const;
-
-    /** routeThrough() with two waypoints. */
-    Route routeVia2(ComponentId src, ComponentId via_a,
-                    ComponentId via_b, ComponentId dst) const;
+    const Route &routeThrough(ComponentId src,
+                              std::span<const ComponentId> waypoints,
+                              ComponentId dst,
+                              std::uint64_t flow_key = 0) const;
 
     const EcmpConfig &ecmp() const { return ecmp_; }
 
@@ -156,12 +166,13 @@ class Router
     bool avoidDeadLinks() const { return avoid_dead_; }
 
     /**
-     * Drop every cached route, ECMP enumeration and BFS tree so the
-     * next computation sees the current capacities. Called by the
-     * ResilienceCoordinator when a routing-reconvergence window
+     * Drop every cached route lookup, ECMP enumeration and BFS tree
+     * so the next computation sees the current capacities. Called by
+     * the ResilienceCoordinator when a routing-reconvergence window
      * closes; cheap relative to the reconvergence delay it models.
      * The structural navigation arrays survive (the graph itself
-     * never mutates).
+     * never mutates), and so does the route storage: references
+     * handed out before the flush stay valid.
      */
     void invalidateRouteCaches() const;
 
@@ -278,8 +289,11 @@ class Router
     std::vector<Route> computeEqualCost(ComponentId src,
                                         ComponentId dst) const;
 
-    /** Analyze crossings/latency/cap of a hop sequence. */
+    /** Analyze resources/crossings/latency/cap of a hop sequence. */
     Route finishRoute(std::vector<HalfLinkId> hops) const;
+
+    /** Move @p r into the route storage; the address is stable. */
+    const Route *store(Route r) const;
 
     /** Is @p hid's resource at capacity zero right now? */
     bool edgeDead(HalfLinkId hid) const;
@@ -300,6 +314,20 @@ class Router
                static_cast<std::uint32_t>(dst);
     }
 
+    /** The (src, waypoints, dst, flow_key) tuple of a composed
+     * route. */
+    struct ComposedKey {
+        ComponentId src = kNoComponent;
+        ComponentId dst = kNoComponent;
+        std::uint64_t flow_key = 0;
+        std::vector<ComponentId> waypoints;
+
+        bool operator==(const ComposedKey &) const = default;
+    };
+    struct ComposedHash {
+        std::size_t operator()(const ComposedKey &k) const;
+    };
+
     const Topology &topo_;
     bool model_serdes_ = true;
     EcmpConfig ecmp_;
@@ -307,13 +335,25 @@ class Router
     bool avoid_dead_ = false;
     mutable std::uint64_t invalidations_ = 0;
     /**
-     * Sparse route caches. Node-based maps keep returned references
-     * stable across later insertions; sparseness matters because a
-     * generated fabric can reach thousands of components, where a
-     * dense n^2 table would dwarf the topology itself.
+     * Route storage: every route and ECMP path list ever handed out,
+     * at stable addresses (a deque never moves its elements). It
+     * grows only with the distinct tuples looked up between flushes;
+     * invalidateRouteCaches() clears the lookups below, not these.
      */
-    mutable std::unordered_map<std::uint64_t, Route> cache_;
-    mutable std::unordered_map<std::uint64_t, EcmpEntry> ecmp_cache_;
+    mutable std::deque<Route> route_store_;
+    mutable std::deque<EcmpEntry> ecmp_store_;
+    /**
+     * Sparse route lookups into the storage; sparseness matters
+     * because a generated fabric can reach thousands of components,
+     * where a dense n^2 table would dwarf the topology itself.
+     */
+    mutable std::unordered_map<std::uint64_t, const Route *> cache_;
+    mutable std::unordered_map<std::uint64_t, EcmpEntry *> ecmp_cache_;
+    mutable std::unordered_map<ComposedKey, const Route *, ComposedHash>
+        composed_;
+    /** routeThrough()'s lookup key, reused so a hit allocates
+     * nothing (its waypoint vector keeps its capacity). */
+    mutable ComposedKey composed_probe_;
     /**
      * Single-slot forward-tree scratch. Finished routes are cached
      * per pair above, so a source tree is only re-read while the

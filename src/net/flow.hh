@@ -13,9 +13,13 @@
 #define DSTRAIN_NET_FLOW_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "hw/routing.hh"
@@ -26,10 +30,43 @@ namespace dstrain {
 /** Identifies an active flow. */
 using FlowId = std::uint64_t;
 
+/** An interned debugging label (see TagTable); 0 is the empty label. */
+using TagId = std::uint32_t;
+
+/** The TagId of the empty label. */
+constexpr TagId kNoTag = 0;
+
+/**
+ * Interned debugging labels. Flows and transfers carry a TagId
+ * instead of a string, so the per-flow path copies no text; a caller
+ * interns its label once (a collective once per invocation) and
+ * diagnostics resolve the id back with label().
+ */
+class TagTable
+{
+  public:
+    TagTable();
+
+    /** The id of @p label, adding it on first use; "" is kNoTag. */
+    TagId intern(std::string_view label);
+
+    /** The label of @p id. */
+    const std::string &label(TagId id) const;
+
+  private:
+    /** Labels by id; a deque keeps each string (and the views the
+     * index holds into it) in place. */
+    std::deque<std::string> labels_;
+    std::unordered_map<std::string_view, TagId> ids_;
+};
+
 /** Parameters for starting a flow. */
 struct FlowSpec {
-    /** The path; must be valid. */
-    Route route;
+    /**
+     * The path (non-owning; valid for the start() call, which copies
+     * what the flow keeps). Must be valid.
+     */
+    const Route *route = nullptr;
 
     /** Payload size; zero-byte flows complete immediately. */
     Bytes bytes = 0.0;
@@ -43,28 +80,28 @@ struct FlowSpec {
     /**
      * Additional shared resources this flow consumes beyond the
      * route's links (e.g. the IOD crossbar for cross-socket storage
-     * streams).
+     * streams); valid for the start() call.
      */
-    std::vector<ResourceId> extra_resources;
+    std::span<const ResourceId> extra_resources;
 
     /** Invoked (once) when the last byte arrives. */
     std::function<void()> on_complete;
 
-    /** Debugging label. */
-    std::string tag;
+    /** Debugging label (FlowScheduler::tags()). */
+    TagId tag = kNoTag;
 };
 
 /** finish_at value for flows that are not progressing. */
 constexpr SimTime kFlowNeverFinishes =
     std::numeric_limits<SimTime>::infinity();
 
-/** Internal representation of an active flow (scheduler-owned). */
+/**
+ * Internal representation of an active flow (scheduler-owned). Its
+ * deduplicated resources, and its position in each resource's
+ * crossing-flow list, live as a span of the scheduler's route arena.
+ */
 struct Flow {
     FlowId id = 0;
-    std::vector<ResourceId> resources;  ///< deduplicated route resources
-    /** Scheduler bookkeeping: this flow's index inside each crossed
-     * resource's crossing-flow list, parallel to `resources`. */
-    std::vector<std::uint32_t> res_pos;
     /**
      * Bytes left as of `anchor`. The scheduler keeps (anchor,
      * remaining) exact and settles a flow — one multiply-subtract
@@ -84,7 +121,7 @@ struct Flow {
     Bps cap = 0.0;         ///< min(route cap, spec cap)
     bool stalled = false;  ///< parked: every crossed link at zero capacity
     std::function<void()> on_complete;
-    std::string tag;
+    TagId tag = kNoTag;
 };
 
 } // namespace dstrain

@@ -110,7 +110,8 @@ FlowScheduler::saturated(ResourceId rid) const
 // --- dense slot map ------------------------------------------------------
 
 std::uint32_t
-FlowScheduler::registerFlow(Flow f)
+FlowScheduler::registerFlow(Flow f, const Route &route,
+                            std::span<const ResourceId> extra)
 {
     std::uint32_t slot;
     if (free_slots_.empty()) {
@@ -136,15 +137,26 @@ FlowScheduler::registerFlow(Flow f)
     }
     Flow &g = slots_[slot];
     cap_slot_[slot] = g.cap;
-    if (route_arena_.size() + g.resources.size() >
+    if (route_arena_.size() + route.resources.size() + extra.size() >
         2 * arena_live_ + 64) {
         compactRouteArena();
     }
-    route_begin_[slot] = static_cast<std::uint32_t>(route_arena_.size());
-    route_len_[slot] = static_cast<std::uint32_t>(g.resources.size());
-    route_arena_.insert(route_arena_.end(), g.resources.begin(),
-                        g.resources.end());
-    arena_live_ += g.resources.size();
+    // The route's resources are already deduplicated; an extra joins
+    // only if the route does not cross it.
+    const std::size_t begin = route_arena_.size();
+    route_arena_.insert(route_arena_.end(), route.resources.begin(),
+                        route.resources.end());
+    for (ResourceId rid : extra) {
+        if (std::find(route_arena_.begin() +
+                          static_cast<std::ptrdiff_t>(begin),
+                      route_arena_.end(), rid) == route_arena_.end())
+            route_arena_.push_back(rid);
+    }
+    const std::size_t len = route_arena_.size() - begin;
+    route_pos_.resize(route_arena_.size());
+    route_begin_[slot] = static_cast<std::uint32_t>(begin);
+    route_len_[slot] = static_cast<std::uint32_t>(len);
+    arena_live_ += len;
     slot_of_id_[static_cast<std::size_t>(g.id - 1)] =
         static_cast<std::int32_t>(slot);
 
@@ -159,10 +171,11 @@ FlowScheduler::registerFlow(Flow f)
         head_slot_ = static_cast<std::int32_t>(slot);
     tail_slot_ = static_cast<std::int32_t>(slot);
 
-    g.res_pos.clear();
-    for (std::size_t k = 0; k < g.resources.size(); ++k) {
-        auto &lst = res_flows_[g.resources[k]];
-        g.res_pos.push_back(static_cast<std::uint32_t>(lst.size()));
+    for (std::size_t k = 0; k < len; ++k) {
+        const ResourceId rid = route_arena_[begin + k];
+        nflows_[rid] += 1;
+        auto &lst = res_flows_[rid];
+        route_pos_[begin + k] = static_cast<std::uint32_t>(lst.size());
         lst.push_back({slot, static_cast<std::uint32_t>(k)});
     }
     ++active_count_;
@@ -172,16 +185,16 @@ FlowScheduler::registerFlow(Flow f)
 void
 FlowScheduler::detachFlow(std::uint32_t slot)
 {
-    Flow &f = slots_[slot];
-    for (std::size_t k = 0; k < f.resources.size(); ++k) {
-        auto &lst = res_flows_[f.resources[k]];
-        const std::uint32_t pos = f.res_pos[k];
+    const std::uint32_t begin = route_begin_[slot];
+    for (std::uint32_t k = 0; k < route_len_[slot]; ++k) {
+        auto &lst = res_flows_[route_arena_[begin + k]];
+        const std::uint32_t pos = route_pos_[begin + k];
         const ResFlow back = lst.back();
         lst[pos] = back;
-        slots_[back.slot].res_pos[back.idx] = pos;
+        route_pos_[route_begin_[back.slot] + back.idx] = pos;
         lst.pop_back();
     }
-    slot_of_id_[static_cast<std::size_t>(f.id - 1)] = -1;
+    slot_of_id_[static_cast<std::size_t>(slots_[slot].id - 1)] = -1;
     arena_live_ -= route_len_[slot];
 
     const std::int32_t prev = prev_slot_[slot];
@@ -213,17 +226,22 @@ FlowScheduler::compactRouteArena()
     // outnumber live ones, so the copy cost amortizes to O(1) per
     // registration.
     std::vector<ResourceId> packed;
+    std::vector<std::uint32_t> packed_pos;
     packed.reserve(arena_live_);
+    packed_pos.reserve(arena_live_);
     for (std::int32_t s = head_slot_; s >= 0; s = next_slot_[s]) {
         const std::uint32_t slot = static_cast<std::uint32_t>(s);
         const std::uint32_t at = static_cast<std::uint32_t>(packed.size());
-        packed.insert(packed.end(),
-                      route_arena_.begin() + route_begin_[slot],
-                      route_arena_.begin() + route_begin_[slot] +
-                          route_len_[slot]);
+        const std::uint32_t from = route_begin_[slot];
+        const std::uint32_t to = from + route_len_[slot];
+        packed.insert(packed.end(), route_arena_.begin() + from,
+                      route_arena_.begin() + to);
+        packed_pos.insert(packed_pos.end(), route_pos_.begin() + from,
+                          route_pos_.begin() + to);
         route_begin_[slot] = at;
     }
     route_arena_ = std::move(packed);
+    route_pos_ = std::move(packed_pos);
 }
 
 // --- completion index ----------------------------------------------------
@@ -559,9 +577,9 @@ FlowScheduler::fillComponent(std::size_t c)
             // Water-filling assigns rate 0 only to flows stranded on
             // a link faulted to zero capacity: they have no finish
             // time and resume when setCapacity() restores the link.
-            DSTRAIN_ASSERT(stalledByFault(f),
+            DSTRAIN_ASSERT(stalledByFault(slot),
                            "active flow '%s' got zero rate",
-                           f.tag.c_str());
+                           tags_.label(f.tag).c_str());
             parkStalled(slot);
         }
     }
@@ -633,10 +651,11 @@ FlowScheduler::zeroIfIdle(ResourceId rid)
 FlowId
 FlowScheduler::start(FlowSpec spec)
 {
-    DSTRAIN_ASSERT(spec.route.valid(), "flow '%s' has no route",
-                   spec.tag.c_str());
+    DSTRAIN_ASSERT(spec.route != nullptr && spec.route->valid(),
+                   "flow '%s' has no route",
+                   tags_.label(spec.tag).c_str());
     DSTRAIN_ASSERT(spec.bytes >= 0.0, "flow '%s' has negative size",
-                   spec.tag.c_str());
+                   tags_.label(spec.tag).c_str());
 
     FlowId id = next_id_++;
     slot_of_id_.push_back(-1);
@@ -655,31 +674,16 @@ FlowScheduler::start(FlowSpec spec)
     f.remaining = spec.bytes;
     f.anchor = sim_.now();
     f.on_complete = std::move(spec.on_complete);
-    f.tag = std::move(spec.tag);
-    f.cap = spec.route.rate_cap;
+    f.tag = spec.tag;
+    f.cap = spec.route->rate_cap;
     if (spec.rate_cap > 0.0)
         f.cap = std::min(f.cap, spec.rate_cap);
     DSTRAIN_ASSERT(f.cap > 0.0, "flow '%s' has zero rate cap",
-                   f.tag.c_str());
-
-    for (HalfLinkId hid : spec.route.hops) {
-        ResourceId rid = topo_.halfLink(hid).resource;
-        if (std::find(f.resources.begin(), f.resources.end(), rid) ==
-            f.resources.end()) {
-            f.resources.push_back(rid);
-        }
-    }
-    for (ResourceId rid : spec.extra_resources) {
-        if (std::find(f.resources.begin(), f.resources.end(), rid) ==
-            f.resources.end()) {
-            f.resources.push_back(rid);
-        }
-    }
+                   tags_.label(f.tag).c_str());
 
     ensureResourceArrays();
-    for (ResourceId rid : f.resources)
-        nflows_[rid] += 1;
-    const std::uint32_t slot = registerFlow(std::move(f));
+    const std::uint32_t slot =
+        registerFlow(std::move(f), *spec.route, spec.extra_resources);
     Flow &g = slots_[slot];
     if (batch_depth_ > 0) {
         // Deferred admission: the flow sits rate-less (not stalled,
@@ -712,10 +716,11 @@ bool
 FlowScheduler::tryFastStart(std::uint32_t slot)
 {
     Flow &f = slots_[slot];
+    const std::span<const ResourceId> resources = resourcesOf(slot);
     // Pass 1: the admitted rate — the cap, further limited by
     // resources this flow has to itself (which it may saturate).
     double rate = f.cap;
-    for (ResourceId rid : f.resources) {
+    for (ResourceId rid : resources) {
         if (nflows_[rid] == 1)  // counting this flow
             rate = std::min(rate, eff_cap_[rid]);
     }
@@ -725,7 +730,7 @@ FlowScheduler::tryFastStart(std::uint32_t slot)
         return false;
     // Pass 2: every shared resource must keep slack for the full
     // admitted rate, i.e. stay strictly unsaturated afterwards.
-    for (ResourceId rid : f.resources) {
+    for (ResourceId rid : resources) {
         if (nflows_[rid] == 1)
             continue;
         const double slack_after =
@@ -737,7 +742,7 @@ FlowScheduler::tryFastStart(std::uint32_t slot)
     const SimTime now = sim_.now();
     f.rate = rate;
     rate_slot_[slot] = rate;
-    for (ResourceId rid : f.resources) {
+    for (ResourceId rid : resources) {
         total_rate_[rid] += rate;
         topo_.resource(rid).log.setRate(now, total_rate_[rid]);
         ++stats_.rate_updates;
@@ -950,13 +955,15 @@ FlowScheduler::cancel(FlowId id, Bytes *remaining)
     settleFlow(f, sim_.now());  // observation point for `remaining`
     if (remaining)
         *remaining = f.remaining;
-    for (ResourceId rid : f.resources)
+    // The detached span stays readable until the next registration,
+    // so the region work below reads it after the slot is freed.
+    const std::span<const ResourceId> removed = resourcesOf(slot);
+    for (ResourceId rid : removed)
         nflows_[rid] -= 1;
     if (f.stalled)
         unparkStalled(slot);
     indexRemove(slot);
     detachFlow(slot);
-    Flow removed = std::move(slots_[slot]);
     releaseSlot(slot);
     ++stats_.cancels;
 
@@ -968,9 +975,9 @@ FlowScheduler::cancel(FlowId id, Bytes *remaining)
                                              slot),
                                  batch_start_slots_.end());
         ++mark_epoch_;  // fresh epoch for zeroIfIdle deduplication
-        for (ResourceId rid : removed.resources)
+        for (ResourceId rid : removed)
             zeroIfIdle(rid);
-        for (ResourceId rid : removed.resources)
+        for (ResourceId rid : removed)
             if (nflows_[rid] > 0)
                 batch_dirty_.push_back(rid);
         batch_need_solve_ = true;
@@ -978,11 +985,11 @@ FlowScheduler::cancel(FlowId id, Bytes *remaining)
     }
 
     beginRegion();
-    for (ResourceId rid : removed.resources)
+    for (ResourceId rid : removed)
         zeroIfIdle(rid);
     // zeroIfIdle shares the mark epoch; a resource marked idle has no
     // flows, so it can never be (re)seeded anyway.
-    for (ResourceId rid : removed.resources)
+    for (ResourceId rid : removed)
         seedRegionResource(rid);
     solveRegion();
     maybeVerify();
@@ -1004,15 +1011,15 @@ FlowScheduler::cancelAll()
     for (std::int32_t s = head_slot_; s >= 0;) {
         const std::uint32_t slot = static_cast<std::uint32_t>(s);
         s = next_slot_[slot];
-        for (ResourceId rid : slots_[slot].resources)
+        const std::span<const ResourceId> removed = resourcesOf(slot);
+        for (ResourceId rid : removed)
             nflows_[rid] -= 1;
         indexRemove(slot);
         detachFlow(slot);
-        Flow removed = std::move(slots_[slot]);
         releaseSlot(slot);
         // Every resource the flow crossed logs exactly zero once idle,
         // so the abort instant is bit-reproducible.
-        for (ResourceId rid : removed.resources)
+        for (ResourceId rid : removed)
             zeroIfIdle(rid);
     }
     stats_.cancels += n;
@@ -1023,9 +1030,9 @@ FlowScheduler::cancelAll()
 }
 
 bool
-FlowScheduler::stalledByFault(const Flow &f) const
+FlowScheduler::stalledByFault(std::uint32_t slot) const
 {
-    for (ResourceId rid : f.resources)
+    for (ResourceId rid : resourcesOf(slot))
         if (eff_cap_[rid] <= 0.0)
             return true;
     return false;
@@ -1090,7 +1097,7 @@ FlowScheduler::onCompletionEvent()
 
     // Reuse the member buffers but operate on moved-out locals so a
     // callback that re-enters the scheduler can't alias them.
-    std::vector<Flow> finished = std::move(finished_);
+    std::vector<std::uint32_t> finished = std::move(finished_);
     std::vector<std::function<void()>> callbacks = std::move(callbacks_);
     finished.clear();
     callbacks.clear();
@@ -1111,9 +1118,11 @@ FlowScheduler::onCompletionEvent()
                 continue;
             }
         }
+        // Detached but not yet released: the slot keeps the Flow and
+        // its arena span readable until the release below, and no
+        // registration (the only arena writer) can run before it.
         detachFlow(slot);
-        finished.push_back(std::move(slots_[slot]));
-        releaseSlot(slot);
+        finished.push_back(slot);
     }
 
     if (finished.empty()) {
@@ -1132,11 +1141,11 @@ FlowScheduler::onCompletionEvent()
     // participant, and a fresh fill without it walks a different
     // increment sequence — equal mathematically, not always bitwise.
     bool need_full = verify_;
-    for (const Flow &f : finished)
-        for (ResourceId rid : f.resources)
+    for (std::uint32_t slot : finished)
+        for (ResourceId rid : resourcesOf(slot))
             nflows_[rid] -= 1;
-    for (const Flow &f : finished) {
-        for (ResourceId rid : f.resources) {
+    for (std::uint32_t slot : finished) {
+        for (ResourceId rid : resourcesOf(slot)) {
             if (nflows_[rid] > 0 && saturated(rid)) {
                 need_full = true;
                 break;
@@ -1147,32 +1156,33 @@ FlowScheduler::onCompletionEvent()
     }
 
     if (need_full) {
-        for (Flow &f : finished)
-            if (f.on_complete)
-                callbacks.push_back(std::move(f.on_complete));
         beginRegion();
-        for (const Flow &f : finished)
-            for (ResourceId rid : f.resources)
+        for (std::uint32_t slot : finished)
+            for (ResourceId rid : resourcesOf(slot))
                 zeroIfIdle(rid);
-        for (const Flow &f : finished)
-            for (ResourceId rid : f.resources)
+        for (std::uint32_t slot : finished)
+            for (ResourceId rid : resourcesOf(slot))
                 seedRegionResource(rid);
         solveRegion();
     } else {
-        for (Flow &f : finished) {
+        for (std::uint32_t slot : finished) {
             ++stats_.fast_finishes;
-            for (ResourceId rid : f.resources) {
-                total_rate_[rid] -= f.rate;
+            const double rate = slots_[slot].rate;
+            for (ResourceId rid : resourcesOf(slot)) {
+                total_rate_[rid] -= rate;
                 // Snap float dust so idle resources read exactly 0.
                 if (nflows_[rid] == 0 || total_rate_[rid] < 0.0)
                     total_rate_[rid] = 0.0;
                 topo_.resource(rid).log.setRate(now, total_rate_[rid]);
                 ++stats_.rate_updates;
             }
-            if (f.on_complete)
-                callbacks.push_back(std::move(f.on_complete));
         }
         scheduleNextCompletion();
+    }
+    for (std::uint32_t slot : finished) {
+        if (slots_[slot].on_complete)
+            callbacks.push_back(std::move(slots_[slot].on_complete));
+        releaseSlot(slot);
     }
     maybeVerify();
 
@@ -1198,7 +1208,7 @@ FlowScheduler::oracleFillComponent(std::size_t begin, std::size_t end)
         const std::uint32_t slot = components_[i];
         oracle_rate_[slot] = 0.0;
         oracle_unfrozen_.push_back(slot);
-        for (ResourceId rid : slots_[slot].resources) {
+        for (ResourceId rid : resourcesOf(slot)) {
             if (crossing_[rid]++ == 0) {
                 residual_[rid] = eff_cap_[rid];
                 comp_resources_.push_back(rid);
@@ -1232,7 +1242,7 @@ FlowScheduler::oracleFillComponent(std::size_t begin, std::size_t end)
             bool froze =
                 oracle_rate_[slot] >= f.cap * (1.0 - kSaturationFraction);
             if (!froze) {
-                for (ResourceId rid : f.resources) {
+                for (ResourceId rid : resourcesOf(slot)) {
                     if (res_saturated_[rid]) {
                         froze = true;
                         break;
@@ -1241,7 +1251,7 @@ FlowScheduler::oracleFillComponent(std::size_t begin, std::size_t end)
             }
             if (froze) {
                 any_frozen = true;
-                for (ResourceId rid : f.resources)
+                for (ResourceId rid : resourcesOf(slot))
                     crossing_[rid] -= 1;
             } else {
                 oracle_still_.push_back(slot);
@@ -1292,17 +1302,17 @@ FlowScheduler::maybeVerify()
         const Flow &f = slots_[slot];
         if (f.stalled) {
             ++nstalled;
-            if (f.rate != 0.0 || !stalledByFault(f))
+            if (f.rate != 0.0 || !stalledByFault(slot))
                 fatal("verify-fair-share: flow '%s' (id %llu) parked "
                       "while not fault-stalled at t=%g",
-                      f.tag.c_str(),
+                      tags_.label(f.tag).c_str(),
                       static_cast<unsigned long long>(f.id), sim_.now());
             continue;
         }
         if (oracle_rate_[slot] != f.rate) {
             fatal("verify-fair-share: flow '%s' (id %llu) rate %a "
                   "diverged from the oracle's %a at t=%g",
-                  f.tag.c_str(),
+                  tags_.label(f.tag).c_str(),
                   static_cast<unsigned long long>(f.id), f.rate,
                   oracle_rate_[slot], sim_.now());
         }
@@ -1312,14 +1322,14 @@ FlowScheduler::maybeVerify()
         if (f.finish_at != expect) {
             fatal("verify-fair-share: flow '%s' (id %llu) finish %a "
                   "!= anchor+remaining/rate %a at t=%g",
-                  f.tag.c_str(),
+                  tags_.label(f.tag).c_str(),
                   static_cast<unsigned long long>(f.id), f.finish_at,
                   expect, sim_.now());
         }
         if (index_seq_[slot] == 0)
             fatal("verify-fair-share: flow '%s' (id %llu) missing "
                   "from the completion index at t=%g",
-                  f.tag.c_str(),
+                  tags_.label(f.tag).c_str(),
                   static_cast<unsigned long long>(f.id), sim_.now());
         if (f.finish_at < best)
             best = f.finish_at;

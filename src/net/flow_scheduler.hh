@@ -47,6 +47,7 @@
 #include <array>
 #include <cstdint>
 #include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -109,7 +110,9 @@ class FlowScheduler
     ~FlowScheduler();
 
     /**
-     * Start a flow now. Zero-byte flows invoke on_complete via a
+     * Start a flow now. The flow copies the route's resource set into
+     * the route arena; @p spec's route and extra resources need only
+     * live for the call. Zero-byte flows invoke on_complete via a
      * zero-delay event (never synchronously, to keep callback
      * ordering deterministic); the returned id refers to a flow that
      * is already finished, so isActive() reports false and
@@ -118,6 +121,10 @@ class FlowScheduler
      * @return the flow id.
      */
     FlowId start(FlowSpec spec);
+
+    /** The labels FlowSpec::tag ids refer to. */
+    TagTable &tags() { return tags_; }
+    const TagTable &tags() const { return tags_; }
 
     /** Number of currently active flows. */
     std::size_t activeCount() const { return active_count_; }
@@ -312,8 +319,17 @@ class FlowScheduler
     /** Is the resource at (or beyond) its saturation threshold? */
     bool saturated(ResourceId rid) const;
 
-    /** Does @p f cross a resource faulted to zero capacity? */
-    bool stalledByFault(const Flow &f) const;
+    /** Does the flow in @p slot cross a resource faulted to zero
+     * capacity? */
+    bool stalledByFault(std::uint32_t slot) const;
+
+    /** The flow in @p slot's resources: its route-arena span (valid
+     * until the next registration). */
+    std::span<const ResourceId> resourcesOf(std::uint32_t slot) const
+    {
+        return {route_arena_.data() + route_begin_[slot],
+                route_len_[slot]};
+    }
 
     // --- completion index -------------------------------------------------
 
@@ -359,9 +375,12 @@ class FlowScheduler
         return slot_of_id_[static_cast<std::size_t>(id - 1)];
     }
 
-    /** Place @p f in a slot, link it into the active list and the
-     * per-resource flow lists. @return the slot. */
-    std::uint32_t registerFlow(Flow f);
+    /** Place @p f in a slot, append its resources — @p route's,
+     * then each of @p extra not already among them — to the route
+     * arena, and link it into the active list and the per-resource
+     * flow lists. @return the slot. */
+    std::uint32_t registerFlow(Flow f, const Route &route,
+                               std::span<const ResourceId> extra);
 
     /** Detach slot @p slot from the active list, the per-resource
      * lists and the id map (the Flow itself stays readable). */
@@ -437,6 +456,7 @@ class FlowScheduler
     Simulation &sim_;
     Topology &topo_;
     const bool verify_;
+    TagTable tags_;
     FlowId next_id_ = 1;
     EventId completion_event_ = 0;
     SimTime completion_time_ = 0.0;  ///< when completion_event_ fires
@@ -476,14 +496,16 @@ class FlowScheduler
     std::vector<double> rate_slot_;
     std::vector<std::uint8_t> stalled_slot_;
 
-    /** Flat mirror of every active flow's resource list (and rate
-     * cap), appended at registration and compacted when the arena
-     * doubles its live footprint — same lazy-reclamation idea as the
-     * completion index. The partition BFS walks these contiguous
-     * spans instead of dereferencing each Flow's own vector, which
-     * kept one cache-missing struct hop per member flow in the
-     * per-solve closure. */
+    /** Every active flow's resource list (and rate cap), appended at
+     * registration and compacted when the arena doubles its live
+     * footprint — same lazy-reclamation idea as the completion
+     * index. The arena is the only copy: a flow owns no vectors, and
+     * the partition BFS walks these contiguous spans without a
+     * struct hop per member flow. route_pos_ runs parallel to
+     * route_arena_: the flow's index inside that resource's
+     * crossing-flow list (res_flows_), for O(1) swap-remove. */
     std::vector<ResourceId> route_arena_;
+    std::vector<std::uint32_t> route_pos_;
     std::vector<std::uint32_t> route_begin_;  ///< per-slot arena offset
     std::vector<std::uint32_t> route_len_;    ///< per-slot span length
     std::size_t arena_live_ = 0;  ///< summed span length of active slots
@@ -537,7 +559,7 @@ class FlowScheduler
     std::vector<ResourceId> active_resources_;  ///< solved resources
     std::vector<ResourceId> cap_dirty_;  ///< batch-update seeds
     std::vector<std::function<void()>> callbacks_;
-    std::vector<Flow> finished_;
+    std::vector<std::uint32_t> finished_;  ///< detached finisher slots
     std::vector<double> oracle_rate_;          ///< verify-mode rates
     std::vector<std::uint32_t> oracle_unfrozen_;
     std::vector<std::uint32_t> oracle_still_;

@@ -29,9 +29,10 @@ sustainStream(TransferManager &tm, ComponentId src, ComponentId dst,
     // posting; 256 MB keeps the event count low while re-planning
     // often enough for the fair-share model.
     const Bytes chunk = 256e6;
+    const ComponentId waypoints[] = {via, via2};
     TransferOptions opts;
-    opts.waypoints = {via, via2};
-    opts.tag = tag;
+    opts.waypoints = waypoints;
+    opts.tag = tm.internTag(tag);
     tm.start(src, dst, chunk,
              [&tm, src, dst, via, via2, deadline, tag] {
                  sustainStream(tm, src, dst, via, via2, deadline, tag);

@@ -47,6 +47,18 @@ TransferManager::TransferManager(Simulation &sim, Cluster &cluster,
 {
 }
 
+TransferManager::LaunchScope::LaunchScope(TransferManager &tm) : tm_(tm)
+{
+    DSTRAIN_ASSERT(!tm_.scope_open_, "nested launch scope");
+    tm_.scope_open_ = true;
+    tm_.scope_groups_.clear();
+}
+
+TransferManager::LaunchScope::~LaunchScope()
+{
+    tm_.scope_open_ = false;
+}
+
 std::uint64_t
 TransferManager::start(ComponentId src, ComponentId dst, Bytes bytes,
                        std::function<void()> on_done, TransferOptions opts)
@@ -55,8 +67,8 @@ TransferManager::start(ComponentId src, ComponentId dst, Bytes bytes,
                    src);
     DSTRAIN_ASSERT(opts.rate_factor > 0.0 && opts.rate_factor <= 1.0,
                    "bad rate factor %g", opts.rate_factor);
-    Route route = cluster_.router().routeThrough(src, opts.waypoints,
-                                                 dst, opts.flow_key);
+    const Route &route = cluster_.router().routeThrough(
+        src, opts.waypoints, dst, opts.flow_key);
     const SimTime latency = route.latency;
     ++stats_.started;
     stats_.bytes_requested += bytes;
@@ -69,62 +81,155 @@ TransferManager::start(ComponentId src, ComponentId dst, Bytes bytes,
         Pending p;
         p.src = src;
         p.dst = dst;
-        p.waypoints = std::move(opts.waypoints);
+        p.waypoints.assign(opts.waypoints.begin(), opts.waypoints.end());
         p.requested = bytes;
         p.remaining = bytes;
         p.rate_cap = opts.rate_cap;
         p.rate_factor = opts.rate_factor;
         p.extra_resources = std::move(opts.extra_resources);
         p.flow_key = opts.flow_key;
-        p.tag = std::move(opts.tag);
+        p.tag = opts.tag;
         p.on_done = std::move(on_done);
+        p.keepalive = std::move(opts.keepalive);
         pending_.emplace(xid, std::move(p));
-        sim_.events().scheduleAfter(
-            latency, [this, xid] { launchPending(xid); });
+        queueLaunch(latency, Member{xid, true});
         return xid;
     }
 
-    const Bps rate_cap =
-        attemptRateCap(opts.rate_cap, opts.rate_factor, route);
-    auto launch = [this, route = std::move(route), bytes,
-                   on_done = std::move(on_done), rate_cap,
-                   extra = std::move(opts.extra_resources),
-                   tag = std::move(opts.tag),
-                   epoch = epoch_]() mutable {
-        if (epoch != epoch_)
-            return;  // aborted before the latency elapsed
-        FlowSpec spec;
-        spec.route = std::move(route);
-        spec.bytes = bytes;
-        spec.rate_cap = rate_cap;
-        spec.extra_resources = std::move(extra);
-        std::string done_tag = tag;
-        spec.tag = std::move(tag);
-        spec.on_complete = [this, bytes, on_done = std::move(on_done),
-                            done_tag = std::move(done_tag), epoch] {
-            if (epoch != epoch_)
-                return;  // abortAll() accounted this one in aggregate
-            accountDelivery(bytes, 0.0, 0, done_tag);
-            if (on_done)
-                on_done();
-        };
-        flows_.start(std::move(spec));
-    };
-
-    sim_.events().scheduleAfter(latency, std::move(launch));
+    const std::uint32_t idx = allocRecord();
+    Record &r = records_[idx];
+    r.route = &route;
+    r.bytes = bytes;
+    r.rate_cap = attemptRateCap(opts.rate_cap, opts.rate_factor, route);
+    r.extra_resources = std::move(opts.extra_resources);
+    r.tag = opts.tag;
+    r.on_done = std::move(on_done);
+    r.keepalive = std::move(opts.keepalive);
+    queueLaunch(latency, Member{idx, false});
     return 0;
+}
+
+std::uint32_t
+TransferManager::allocRecord()
+{
+    std::uint32_t idx;
+    if (free_records_.empty()) {
+        idx = static_cast<std::uint32_t>(records_.size());
+        records_.emplace_back();
+    } else {
+        idx = free_records_.back();
+        free_records_.pop_back();
+    }
+    return idx;
+}
+
+void
+TransferManager::releaseRecord(std::uint32_t idx)
+{
+    Record &r = records_[idx];
+    r.route = nullptr;
+    r.extra_resources.clear();
+    r.on_done = nullptr;
+    r.keepalive.reset();
+    ++r.gen;
+    free_records_.push_back(idx);
+}
+
+void
+TransferManager::queueLaunch(SimTime latency, Member m)
+{
+    // The same sum scheduleAfter() forms, so a grouped launch time is
+    // bitwise the time its own event would have had.
+    const SimTime when = sim_.now() + latency;
+    if (scope_open_) {
+        for (auto it = scope_groups_.rbegin(); it != scope_groups_.rend();
+             ++it) {
+            LaunchGroup &g = groups_[*it];
+            if (g.when != when)
+                continue;
+            // Joining an earlier event moves this launch ahead of
+            // everything queued after that event. Exact only while
+            // nothing else was queued since the scope's last event.
+            DSTRAIN_ASSERT(sim_.events().nextSequence() == scope_seq_,
+                           "an event was queued inside a launch scope");
+            g.members.push_back(m);
+            return;
+        }
+    }
+    std::uint32_t gi;
+    if (free_groups_.empty()) {
+        gi = static_cast<std::uint32_t>(groups_.size());
+        groups_.emplace_back();
+    } else {
+        gi = free_groups_.back();
+        free_groups_.pop_back();
+    }
+    LaunchGroup &g = groups_[gi];
+    g.when = when;
+    g.members.push_back(m);
+    g.event = sim_.events().schedule(when, [this, gi] { runLaunchGroup(gi); });
+    if (scope_open_) {
+        scope_groups_.push_back(gi);
+        scope_seq_ = sim_.events().nextSequence();
+    }
+}
+
+void
+TransferManager::runLaunchGroup(std::uint32_t gi)
+{
+    LaunchGroup &g = groups_[gi];
+    launching_.swap(g.members);
+    g.event = 0;
+    free_groups_.push_back(gi);
+    for (const Member &m : launching_) {
+        if (m.retry)
+            launchPending(m.id);
+        else
+            launchRecord(static_cast<std::uint32_t>(m.id));
+    }
+    launching_.clear();
+}
+
+void
+TransferManager::launchRecord(std::uint32_t idx)
+{
+    const Record &r = records_[idx];
+    FlowSpec spec;
+    spec.route = r.route;
+    spec.bytes = r.bytes;
+    spec.rate_cap = r.rate_cap;
+    spec.extra_resources = r.extra_resources;
+    spec.tag = r.tag;
+    spec.on_complete = [this, idx, gen = r.gen] { finishRecord(idx, gen); };
+    flows_.start(std::move(spec));
+}
+
+void
+TransferManager::finishRecord(std::uint32_t idx, std::uint32_t gen)
+{
+    Record &r = records_[idx];
+    if (r.gen != gen)
+        return;  // abortAll() accounted this one in aggregate
+    accountDelivery(r.bytes, 0.0, 0, r.tag);
+    // Free the slot before the continuation runs (it may start more
+    // transfers); the keepalive outlives the call.
+    std::function<void()> done = std::move(r.on_done);
+    const std::shared_ptr<void> keepalive = std::move(r.keepalive);
+    releaseRecord(idx);
+    if (done)
+        done();
 }
 
 void
 TransferManager::accountDelivery(Bytes requested, Bytes undelivered,
-                                 int attempts, const std::string &tag)
+                                 int attempts, TagId tag)
 {
     ++stats_.completed;
     stats_.bytes_delivered += requested - undelivered;
     if (undelivered > deliveryTolerance(requested, attempts)) {
         ++stats_.conservation_violations;
         warn("transfer '%s' completed %g bytes short of %g requested",
-             tag.c_str(), undelivered, requested);
+             flows_.tags().label(tag).c_str(), undelivered, requested);
     }
 }
 
@@ -133,41 +238,18 @@ TransferManager::launchPending(std::uint64_t xid)
 {
     auto it = pending_.find(xid);
     if (it == pending_.end())
-        return;  // completed while a relaunch was queued
+        return;  // completed or cancelled while a launch was queued
     Pending &p = it->second;
-    Route route = cluster_.router().routeThrough(p.src, p.waypoints,
-                                                 p.dst, p.flow_key);
-    const Bps rate_cap = attemptRateCap(p.rate_cap, p.rate_factor, route);
+    const Route &route = cluster_.router().routeThrough(
+        p.src, p.waypoints, p.dst, p.flow_key);
 
     FlowSpec spec;
-    spec.route = std::move(route);
+    spec.route = &route;
     spec.bytes = p.remaining;
-    spec.rate_cap = rate_cap;
+    spec.rate_cap = attemptRateCap(p.rate_cap, p.rate_factor, route);
     spec.extra_resources = p.extra_resources;
     spec.tag = p.tag;
-    spec.on_complete = [this, xid, epoch = epoch_] {
-        auto done_it = pending_.find(xid);
-        if (done_it == pending_.end()) {
-            // A zero-byte completion scheduled before an abortAll()
-            // lands after it; anything else is a bookkeeping bug.
-            DSTRAIN_ASSERT(epoch != epoch_,
-                           "completion for unknown transfer");
-            return;
-        }
-        Pending &done_p = done_it->second;
-        // The completed attempt delivered its whole launch size, so
-        // cumulative delivery must equal the original request; any
-        // shortfall beyond the scheduler's completion epsilon means a
-        // cancel/relaunch lost bytes.
-        done_p.delivered += done_p.remaining;
-        accountDelivery(done_p.requested,
-                        done_p.requested - done_p.delivered,
-                        done_p.attempts, done_p.tag);
-        std::function<void()> done = std::move(done_p.on_done);
-        pending_.erase(done_it);
-        if (done)
-            done();
-    };
+    spec.on_complete = [this, xid] { finishPending(xid); };
     p.flow = flows_.start(std::move(spec));
 
     // Launched straight into a fault (e.g. the alternate NIC is down
@@ -175,6 +257,32 @@ TransferManager::launchPending(std::uint64_t xid)
     // keeps making progress without further capacity changes.
     if (flows_.isActive(p.flow) && flows_.currentRate(p.flow) <= 0.0)
         notifyCapacityChange();
+}
+
+void
+TransferManager::finishPending(std::uint64_t xid)
+{
+    auto it = pending_.find(xid);
+    if (it == pending_.end()) {
+        // A zero-byte completion scheduled before an abortAll() lands
+        // after it; anything else is a bookkeeping bug.
+        DSTRAIN_ASSERT(xid < abort_xid_floor_,
+                       "completion for unknown transfer");
+        return;
+    }
+    Pending &p = it->second;
+    // The completed attempt delivered its whole launch size, so
+    // cumulative delivery must equal the original request; any
+    // shortfall beyond the scheduler's completion epsilon means a
+    // cancel/relaunch lost bytes.
+    p.delivered += p.remaining;
+    accountDelivery(p.requested, p.requested - p.delivered, p.attempts,
+                    p.tag);
+    std::function<void()> done = std::move(p.on_done);
+    const std::shared_ptr<void> keepalive = std::move(p.keepalive);
+    pending_.erase(it);
+    if (done)
+        done();
 }
 
 void
@@ -297,16 +405,25 @@ TransferManager::abortAll()
         ++n;
     }
     pending_.clear();
-    // Invalidate latency-delayed launches and zero-byte completions
-    // scheduled before the abort; they check the epoch and bail.
     ++epoch_;
-    // Non-retry transfers keep no per-transfer state (by design: the
-    // fault-free hot path has zero bookkeeping), so account whatever
-    // is still in flight in aggregate. Their latency-delayed launches
-    // and completion callbacks die on the epoch bump, and the owner
-    // kills their active flows via FlowScheduler::cancelAll(), so
-    // every byte not delivered by now — including partial progress of
-    // a cancelled flow — is discarded.
+    abort_xid_floor_ = next_xfer_;
+    // Launches still inside their latency delay never fire.
+    for (LaunchGroup &g : groups_)
+        if (g.event != 0)
+            sim_.events().cancel(g.event);
+    groups_.clear();
+    free_groups_.clear();
+    // Every fault-free record goes with its completion and keepalive;
+    // a flow completion or zero-byte completion still queued for one
+    // finds its generation bumped and bails.
+    for (std::uint32_t idx = 0; idx < records_.size(); ++idx)
+        if (records_[idx].route != nullptr)
+            releaseRecord(idx);
+    // Fault-free records carry no per-attempt progress, so account
+    // whatever is still in flight in aggregate: the owner kills their
+    // active flows via FlowScheduler::cancelAll(), so every byte not
+    // delivered by now — including partial progress of a cancelled
+    // flow — is discarded.
     const std::uint64_t untracked =
         stats_.started - stats_.completed - stats_.aborted;
     if (untracked > 0) {
@@ -321,9 +438,11 @@ TransferManager::abortAll()
 void
 TransferManager::verifyConservation() const
 {
-    DSTRAIN_ASSERT(pending_.empty(),
+    DSTRAIN_ASSERT(pending_.empty() &&
+                       free_records_.size() == records_.size(),
                    "%zu transfers still pending at conservation check",
-                   pending_.size());
+                   pending_.size() + records_.size() -
+                       free_records_.size());
     DSTRAIN_ASSERT(stats_.started == stats_.completed + stats_.aborted,
                    "transfer count leak: %llu started, %llu completed, "
                    "%llu aborted",
@@ -353,7 +472,7 @@ TransferManager::alternateWaypoints(
     std::uint64_t flow_key) const
 {
     const Topology &topo = cluster_.topology();
-    Route failed =
+    const Route &failed =
         cluster_.router().routeThrough(src, current, dst, flow_key);
     std::vector<ComponentId> next;
     bool swapped = false;

@@ -8,11 +8,20 @@
  * start delay, starts the flow, and invokes the completion callback.
  * Collectives, offload staging and NVMe IO are all built from this.
  *
+ * A fault-free transfer is a record in a slab: the route (a stable
+ * reference into the router's storage), the bytes, an interned tag
+ * and the caller's completion. Its latency-delayed launch event and
+ * its flow completion capture only (this, index), so they fit
+ * std::function's inline buffer and a hop allocates nothing. A
+ * LaunchScope lets a caller that starts many transfers at once (a
+ * collective round) share one launch event per distinct launch time.
+ *
  * With a RetryPolicy enabled (the fault-injection path), the manager
- * additionally tracks every in-flight transfer and recovers flows
- * stranded on a downed route: a stalled flow is cancelled, rerouted
- * through the node's alternate NIC, and relaunched with the remaining
- * bytes under bounded exponential backoff (DESIGN.md "Fault model").
+ * instead keeps the full request of every in-flight transfer and
+ * recovers flows stranded on a downed route: a stalled flow is
+ * cancelled, rerouted through the node's alternate NIC, and
+ * relaunched with the remaining bytes under bounded exponential
+ * backoff (DESIGN.md "Fault model").
  */
 
 #ifndef DSTRAIN_NET_TRANSFER_MANAGER_HH
@@ -21,7 +30,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
+#include <memory>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "hw/cluster.hh"
@@ -37,9 +48,10 @@ struct TransferOptions {
     /**
      * Force the route through these components, in order (e.g. pin
      * traffic to a local/remote NIC pair for multi-channel
-     * collectives). Empty = shortest path.
+     * collectives). Empty = shortest path. Valid for the start()
+     * call; the manager copies what it keeps.
      */
-    std::vector<ComponentId> waypoints;
+    std::span<const ComponentId> waypoints;
 
     /** Extra per-flow rate cap (0 = none); see FlowSpec::rate_cap. */
     Bps rate_cap = 0.0;
@@ -62,14 +74,24 @@ struct TransferOptions {
      */
     std::uint64_t flow_key = 0;
 
-    /** Debug label. */
-    std::string tag;
+    /** Debug label (TransferManager::internTag()). */
+    TagId tag = kNoTag;
+
+    /**
+     * Keeps the caller's state alive while the transfer is in
+     * flight: the transfer holds it until on_done has run, or until
+     * abortAll() drops the transfer. A caller whose on_done captures
+     * only a raw pointer and an index (so it fits std::function's
+     * inline buffer) passes its owner here. The caller must not keep
+     * itself alive through it: nothing may hold itself.
+     */
+    std::shared_ptr<void> keepalive;
 };
 
 /**
  * Recovery policy for transfers stranded by a link fault. Disabled by
- * default: without faults there is nothing to recover from and the
- * manager keeps zero per-transfer state.
+ * default: without faults there is nothing to recover from, and the
+ * manager keeps only the lean launch record of each transfer.
  */
 struct RetryPolicy {
     /** Master switch; the fault injector enables it. */
@@ -132,11 +154,38 @@ class TransferManager
      *
      * @return the transfer id when the retry policy is enabled (a
      *         handle for transferStalled()/cancelTransfer()), 0 on
-     *         the stateless fault-free path.
+     *         the fault-free path.
      */
     std::uint64_t start(ComponentId src, ComponentId dst, Bytes bytes,
                         std::function<void()> on_done,
                         TransferOptions opts = {});
+
+    /** The TagId of @p label for TransferOptions::tag. */
+    TagId internTag(std::string_view label)
+    {
+        return flows_.tags().intern(label);
+    }
+
+    /**
+     * Groups the launches of the transfers started while it is open:
+     * transfers (either record kind) whose launch times are bitwise
+     * equal share one launch event, and its members start in call
+     * order. That is exactly the FIFO order their separate events
+     * would have run in, provided nothing else is queued inside the
+     * scope; the manager asserts that from the event queue's
+     * sequence counter. Scopes do not nest.
+     */
+    class LaunchScope
+    {
+      public:
+        explicit LaunchScope(TransferManager &tm);
+        ~LaunchScope();
+        LaunchScope(const LaunchScope &) = delete;
+        LaunchScope &operator=(const LaunchScope &) = delete;
+
+      private:
+        TransferManager &tm_;
+    };
 
     /** Install the stranded-flow recovery policy (fault injection). */
     void configureRetry(const RetryPolicy &policy) { retry_ = policy; }
@@ -191,11 +240,13 @@ class TransferManager
     void notifyCapacityChange();
 
     /**
-     * Abort every in-flight transfer: cancel the underlying flows
-     * without completion callbacks, drop the retry bookkeeping, and
-     * advance the abort epoch so latency-delayed launches and
-     * stranded-flow scans scheduled before the abort become no-ops.
-     * The hard-failure recovery path; aborted bytes are accounted in
+     * Abort every in-flight transfer: cancel the retryable flows
+     * without completion callbacks, release every transfer record
+     * with its completion and keepalive, cancel the pending launch
+     * events, and advance the abort epoch so stranded-flow scans
+     * scheduled before the abort become no-ops. The owner then drops
+     * the remaining flows with FlowScheduler::cancelAll(). The
+     * hard-failure recovery path; aborted bytes are accounted in
      * stats().bytes_aborted.
      * @return the number of transfers aborted.
      */
@@ -237,6 +288,21 @@ class TransferManager
     Simulation &sim() { return sim_; }
 
   private:
+    /** One fault-free transfer in flight: a slab record. */
+    struct Record {
+        /** Resolved at start() (router storage outlives cache
+         * flushes); nullptr marks a free slot. */
+        const Route *route = nullptr;
+        Bytes bytes = 0.0;
+        Bps rate_cap = 0.0;           ///< attemptRateCap() of the route
+        std::vector<ResourceId> extra_resources;
+        TagId tag = kNoTag;
+        /** Bumped at release: a completion for an older use bails. */
+        std::uint32_t gen = 0;
+        std::function<void()> on_done;
+        std::shared_ptr<void> keepalive;
+    };
+
     /** In-flight bookkeeping for one retryable transfer. */
     struct Pending {
         ComponentId src = kNoComponent;
@@ -249,18 +315,56 @@ class TransferManager
         double rate_factor = 1.0;
         std::vector<ResourceId> extra_resources;
         std::uint64_t flow_key = 0;   ///< ECMP key of every attempt
-        std::string tag;
+        TagId tag = kNoTag;
         std::function<void()> on_done;
+        std::shared_ptr<void> keepalive;
         FlowId flow = 0;              ///< 0 = not currently flowing
         int attempts = 0;             ///< reroutes performed so far
     };
 
+    /** A launch-group member: a record index or a retryable xid. */
+    struct Member {
+        std::uint64_t id;
+        bool retry;
+    };
+
+    /** The transfers one launch event starts, in call order. */
+    struct LaunchGroup {
+        SimTime when = 0.0;
+        EventId event = 0;  ///< 0 = free slot
+        std::vector<Member> members;
+    };
+
     /** Record a completed delivery and check byte conservation. */
     void accountDelivery(Bytes requested, Bytes undelivered,
-                         int attempts, const std::string &tag);
+                         int attempts, TagId tag);
+
+    /** Take a free record slot (or grow the slab). */
+    std::uint32_t allocRecord();
+
+    /** Drop record @p idx's completion and free the slot. */
+    void releaseRecord(std::uint32_t idx);
+
+    /** Start the flow of record @p idx. */
+    void launchRecord(std::uint32_t idx);
+
+    /** Flow completion of record @p idx, issued at generation @p gen. */
+    void finishRecord(std::uint32_t idx, std::uint32_t gen);
+
+    /**
+     * Queue @p m's launch @p latency from now: into the open scope's
+     * group for the same launch time, or as a group of its own.
+     */
+    void queueLaunch(SimTime latency, Member m);
+
+    /** The launch event of group @p g: start its members in order. */
+    void runLaunchGroup(std::uint32_t g);
 
     /** Resolve the route and start the flow for transfer @p xid. */
     void launchPending(std::uint64_t xid);
+
+    /** Flow completion of retryable transfer @p xid. */
+    void finishPending(std::uint64_t xid);
 
     /** Scan for stranded flows and reroute them (bounded). */
     void checkStranded();
@@ -282,9 +386,23 @@ class TransferManager
     Stats stats_;
     RetryPolicy retry_;
     ResilienceCoordinator *resilience_ = nullptr;
+    /** The fault-free slab; freed slots are reused LIFO. */
+    std::vector<Record> records_;
+    std::vector<std::uint32_t> free_records_;
     /** Ordered by transfer id so recovery scans are deterministic. */
     std::map<std::uint64_t, Pending> pending_;
     std::uint64_t next_xfer_ = 1;
+    /** First xid issued after the last abortAll(). */
+    std::uint64_t abort_xid_floor_ = 1;
+    /** Launch groups with a pending event; free slots reused. */
+    std::vector<LaunchGroup> groups_;
+    std::vector<std::uint32_t> free_groups_;
+    std::vector<Member> launching_;  ///< runLaunchGroup() scratch
+    /** The open LaunchScope's groups, and the sequence number the
+     * event queue must show when a member joins one of them. */
+    bool scope_open_ = false;
+    std::vector<std::uint32_t> scope_groups_;
+    std::uint64_t scope_seq_ = 0;
     /** Bumped by abortAll(); stale scheduled work checks it. */
     std::uint64_t epoch_ = 0;
     bool check_scheduled_ = false;

@@ -277,7 +277,7 @@ RecoveryManager::issueRestoreReads(int dead_node,
             [this, mirror, dead_node, socket, shard, r, part] {
                 const std::size_t s = static_cast<std::size_t>(socket);
                 TransferOptions opts;
-                opts.tag = csprintf("restore.ship.r%d", r);
+                opts.tag = tm_.internTag(csprintf("restore.ship.r%d", r));
                 tm_.start(cluster_.node(mirror).drams[s],
                           cluster_.node(dead_node).drams[s], shard, part,
                           std::move(opts));
@@ -371,8 +371,8 @@ RecoveryManager::beginElastic(std::size_t event_index, SimTime fault_time)
                                 continue;
                             ++*remaining;
                             TransferOptions opts;
-                            opts.tag =
-                                csprintf("reshard.ship.r%d.n%d", r, t);
+                            opts.tag = tm_.internTag(
+                                csprintf("reshard.ship.r%d.n%d", r, t));
                             tm_.start(cluster_.node(mirror).drams[s],
                                       cluster_.node(t).drams[s], share,
                                       part, std::move(opts));

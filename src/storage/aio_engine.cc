@@ -65,7 +65,7 @@ AioEngine::submit(int drive_index, StorageIo io)
         };
 
         TransferOptions opts;
-        opts.tag = io.tag;
+        opts.tag = tm_.internTag(io.tag);
         // model_serdes_contention is a whole-experiment ablation
         // toggle, so the template spec is authoritative even on
         // heterogeneous clusters.

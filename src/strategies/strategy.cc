@@ -77,7 +77,8 @@ registerBuiltins(std::vector<StrategyFactory> &reg)
                  if (c.isHybridZero())
                      return std::make_unique<HybridZeroStrategy>(c);
                  return std::make_unique<ZeroStrategy>(c);
-             }});
+             },
+             /*takes_tp=*/stage < 3, /*takes_pp=*/false});
     };
     auto zeroCpuEntry = [&](int stage, StrategyKind kind) {
         reg.push_back(
@@ -109,7 +110,8 @@ registerBuiltins(std::vector<StrategyFactory> &reg)
                    [](const StrategyConfig &c) {
                        return c.kind == StrategyKind::Megatron;
                    },
-                   makeStrategy<MegatronStrategy>});
+                   makeStrategy<MegatronStrategy>, /*takes_tp=*/true,
+                   /*takes_pp=*/true});
     zeroEntry(1, StrategyKind::Zero1);
     zeroEntry(2, StrategyKind::Zero2);
     zeroEntry(3, StrategyKind::Zero3);
@@ -162,7 +164,8 @@ registerBuiltins(std::vector<StrategyFactory> &reg)
                    [](const StrategyConfig &c) {
                        return c.kind == StrategyKind::Hybrid3d;
                    },
-                   makeStrategy<Hybrid3dStrategy>});
+                   makeStrategy<Hybrid3dStrategy>, /*takes_tp=*/true,
+                   /*takes_pp=*/true});
 }
 
 /**

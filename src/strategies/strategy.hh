@@ -90,6 +90,11 @@ struct StrategyFactory {
     /** Make the strategy for a matching config. */
     std::function<std::unique_ptr<Strategy>(const StrategyConfig &)>
         instantiate;
+
+    /** Does configure() use its @p tp / @p pp argument? A degree
+     * given to an entry that ignores it is a user error. */
+    bool takes_tp = false;
+    bool takes_pp = false;
 };
 
 /**

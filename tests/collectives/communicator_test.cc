@@ -169,6 +169,19 @@ TEST_F(DualNodeCollectiveTest, AbortMidOpReleasesTheInvocation)
     EXPECT_EQ(token.use_count(), 1);
 }
 
+TEST_F(DualNodeCollectiveTest, RingAllGatherEventCountIsPinned)
+{
+    // 7 rounds on each of 2 channels, 8 hops a round. A round
+    // launches through one event per distinct route latency (NVLink,
+    // pinned RoCE): 7 x 2 x 2 = 28 launch events where one per hop
+    // took 112. The other 14 are flow-completion events.
+    coll_.allGather(CommGroup::worldOf(8), 1e9, nullptr);
+    sim_.run();
+    EXPECT_EQ(coll_.completedCount(), 1u);
+    EXPECT_EQ(tm_.startedCount(), 112u);
+    EXPECT_EQ(sim_.events().executedCount(), 42u);
+}
+
 TEST_F(DualNodeCollectiveTest, PinnedChannelsTouchBothNicsAndXgmi)
 {
     CollectiveOptions opts;

@@ -175,6 +175,37 @@ TEST(ConfigArgsTest, ExpertsFlagIsMoeOnly)
     EXPECT_FALSE(experimentFromArgs(bad).ok());
 }
 
+TEST(ConfigArgsTest, ModelParallelFlagsNeedAStrategyThatTakesThem)
+{
+    // A degree given to a strategy without that parallelism would be
+    // dropped silently, so it is a user error on that flag.
+    const std::vector<std::vector<const char *>> rejected = {
+        {"--strategy", "fsdp", "--tp", "2"},
+        {"--strategy", "ddp", "--pp", "2"},
+        {"--strategy", "zero3", "--tp", "2"},
+        {"--strategy", "zero1", "--pp", "2"},
+        {"--strategy", "zero2", "--pp", "2"},
+        {"--strategy", "moe", "--tp", "2"},
+    };
+    for (const auto &argv : rejected) {
+        const ParsedExperiment parsed = experimentFromArgs(parsedArgs(argv));
+        ASSERT_FALSE(parsed.ok()) << argv[1] << " " << argv[2];
+        EXPECT_EQ(parsed.errors[0].field, std::string(argv[2] + 2))
+            << argv[1];
+    }
+    // The entries that take the degrees keep them.
+    const ParsedExperiment hybrid =
+        experimentFromArgs(parsedArgs({"--strategy", "zero2", "--tp", "2"}));
+    ASSERT_TRUE(hybrid.ok()) << formatConfigErrors(hybrid.errors);
+    EXPECT_TRUE(hybrid.config.strategy.isHybridZero());
+    const ParsedExperiment megatron = experimentFromArgs(parsedArgs(
+        {"--strategy", "megatron", "--tp", "2", "--pp", "2"}));
+    EXPECT_TRUE(megatron.ok()) << formatConfigErrors(megatron.errors);
+    const ParsedExperiment hybrid3d = experimentFromArgs(parsedArgs(
+        {"--strategy", "hybrid3d", "--tp", "2", "--pp", "2"}));
+    EXPECT_TRUE(hybrid3d.ok()) << formatConfigErrors(hybrid3d.errors);
+}
+
 /** True when parsing @p argv reports an error on @p field. */
 bool
 rejectsField(std::vector<const char *> argv, const std::string &field)

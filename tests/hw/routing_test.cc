@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "hw/cluster.hh"
 
 namespace dstrain {
@@ -95,8 +98,9 @@ TEST_F(RoutingTest, RouteViaPinsTheNic)
     const NodeHandles &n0 = cluster_.node(0);
     const NodeHandles &n1 = cluster_.node(1);
     // GPU 0 sits on socket 0; pin its egress to NIC 1 (socket 1).
-    Route r = cluster_.router().routeVia(n0.gpus[0], n0.nics[1],
-                                         n1.gpus[0]);
+    const ComponentId via[] = {n0.nics[1]};
+    const Route &r =
+        cluster_.router().routeThrough(n0.gpus[0], via, n1.gpus[0]);
     // gpu -> cpu0 -> cpu1 -> nic1 -> sw -> nic -> cpu -> gpu = 7 hops
     EXPECT_EQ(r.hops.size(), 7u);
     EXPECT_GE(r.crossings.size(), 3u);
@@ -107,8 +111,9 @@ TEST_F(RoutingTest, RouteVia2PinsBothNics)
 {
     const NodeHandles &n0 = cluster_.node(0);
     const NodeHandles &n1 = cluster_.node(1);
-    Route r = cluster_.router().routeVia2(n0.drams[0], n0.nics[1],
-                                          n1.nics[1], n1.drams[0]);
+    const ComponentId via[] = {n0.nics[1], n1.nics[1]};
+    const Route &r =
+        cluster_.router().routeThrough(n0.drams[0], via, n1.drams[0]);
     // Two xGMI-involving crossings, one per node.
     EXPECT_EQ(r.crossings.size(), 2u);
     EXPECT_DOUBLE_EQ(r.serdes_factor, 0.224);
@@ -122,6 +127,57 @@ TEST_F(RoutingTest, RoutesAreCachedAndStable)
                                              cluster_.gpuByRank(5));
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(a.hops, b.hops);
+}
+
+TEST_F(RoutingTest, ComposedLookupsReturnTheSameObject)
+{
+    const NodeHandles &n0 = cluster_.node(0);
+    const NodeHandles &n1 = cluster_.node(1);
+    const ComponentId via[] = {n0.nics[1], n1.nics[0]};
+    const Router &router = cluster_.router();
+    const Route &a = router.routeThrough(n0.gpus[0], via, n1.gpus[0], 1);
+    const Route &b = router.routeThrough(n0.gpus[0], via, n1.gpus[0], 1);
+    EXPECT_EQ(&a, &b);
+    // Another flow key or waypoint list is another cache entry.
+    EXPECT_NE(&a, &router.routeThrough(n0.gpus[0], via, n1.gpus[0], 0));
+    EXPECT_NE(&a, &router.routeThrough(n0.gpus[0],
+                                       std::span(via).first(1),
+                                       n1.gpus[0], 1));
+    // No waypoints: the plain ECMP route itself.
+    EXPECT_EQ(&router.routeThrough(n0.gpus[0], {}, n1.gpus[0], 1),
+              &router.routeForFlow(n0.gpus[0], n1.gpus[0], 1));
+    // The resource set is the hops' distinct resources in order.
+    std::vector<ResourceId> expect;
+    for (HalfLinkId hid : a.hops) {
+        const ResourceId rid = cluster_.topology().halfLink(hid).resource;
+        if (std::find(expect.begin(), expect.end(), rid) == expect.end())
+            expect.push_back(rid);
+    }
+    EXPECT_EQ(a.resources, expect);
+}
+
+TEST_F(RoutingTest, RoutesOutliveACacheFlush)
+{
+    // A flush drops the lookups, not the storage: a reference taken
+    // before it stays valid (ASan checks the reads), and the next
+    // lookup builds a fresh, equal route.
+    const NodeHandles &n0 = cluster_.node(0);
+    const NodeHandles &n1 = cluster_.node(1);
+    const ComponentId via[] = {n0.nics[1], n1.nics[1]};
+    const Router &router = cluster_.router();
+    const Route &plain = router.route(n0.gpus[0], n1.gpus[0]);
+    const Route &pinned = router.routeThrough(n0.gpus[0], via, n1.gpus[0]);
+    const std::vector<HalfLinkId> plain_hops = plain.hops;
+    const std::vector<HalfLinkId> pinned_hops = pinned.hops;
+    router.invalidateRouteCaches();
+    const Route &pinned2 =
+        router.routeThrough(n0.gpus[0], via, n1.gpus[0]);
+    EXPECT_NE(&pinned, &pinned2);
+    EXPECT_EQ(pinned2.hops, pinned_hops);
+    EXPECT_EQ(pinned.hops, pinned_hops);
+    EXPECT_EQ(plain.hops, plain_hops);
+    EXPECT_EQ(&pinned2,
+              &router.routeThrough(n0.gpus[0], via, n1.gpus[0]));
 }
 
 TEST_F(RoutingTest, LatencyIsSumOfHops)

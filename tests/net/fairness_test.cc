@@ -28,7 +28,7 @@ TEST(FairnessTest, CappedFlowsFreeCapacityForOthers)
     const double caps[] = {5e9, 0.0, 0.0};  // 0 = uncapped
     for (double cap : caps) {
         FlowSpec spec;
-        spec.route = route;
+        spec.route = &route;
         spec.bytes = 1e12;  // long-lived
         spec.rate_cap = cap;
         ids.push_back(flows.start(std::move(spec)));
@@ -56,14 +56,14 @@ TEST(FairnessTest, MultiHopFlowLimitedByItsBottleneck)
     FlowScheduler flows(sim, cluster.topology());
 
     FlowSpec remote;
-    remote.route = cluster.router().route(cluster.gpuByRank(0),
-                                          cluster.gpuByRank(4));
+    remote.route = &cluster.router().route(cluster.gpuByRank(0),
+                                           cluster.gpuByRank(4));
     remote.bytes = 1e12;
     const FlowId rid = flows.start(std::move(remote));
 
     FlowSpec local;
-    local.route = cluster.router().route(cluster.gpuByRank(1),
-                                         cluster.gpuByRank(2));
+    local.route = &cluster.router().route(cluster.gpuByRank(1),
+                                          cluster.gpuByRank(2));
     local.bytes = 1e12;
     const FlowId lid = flows.start(std::move(local));
 
@@ -101,7 +101,7 @@ TEST_P(MaxMinProperty, SingleResourceWaterFilling)
         const double cap = rng.uniform(2e9, 60e9);
         caps.push_back(cap);
         FlowSpec spec;
-        spec.route = route;
+        spec.route = &route;
         spec.bytes = 1e13;
         spec.rate_cap = cap;
         ids.push_back(flows.start(std::move(spec)));

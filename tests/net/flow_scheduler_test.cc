@@ -26,11 +26,11 @@ class FlowSchedulerTest : public testing::Test
     {
     }
 
-    Route
+    const Route *
     gpuRoute(int a, int b)
     {
-        return cluster_.router().route(cluster_.gpuByRank(a),
-                                       cluster_.gpuByRank(b));
+        return &cluster_.router().route(cluster_.gpuByRank(a),
+                                        cluster_.gpuByRank(b));
     }
 
     Simulation sim_;
@@ -135,10 +135,11 @@ TEST_F(FlowSchedulerTest, ExtraResourceConstrains)
     ResourceId shared = cluster_.topology().addResource(
         LinkClass::IodXbar, 40e9, "test-xbar", 0, -1);
     for (int pair = 0; pair < 2; ++pair) {
+        const ResourceId extra[] = {shared};
         FlowSpec spec;
         spec.route = gpuRoute(pair * 2, pair * 2 + 1);
         spec.bytes = 20e9;
-        spec.extra_resources = {shared};
+        spec.extra_resources = extra;
         flows_.start(std::move(spec));
     }
     sim_.run();
@@ -282,8 +283,8 @@ TEST_P(FlowConservationProperty, BytesConserved)
         if (b == a)
             b = (a + 1) % 4;
         FlowSpec spec;
-        spec.route = cluster.router().route(cluster.gpuByRank(a),
-                                            cluster.gpuByRank(b));
+        spec.route = &cluster.router().route(cluster.gpuByRank(a),
+                                             cluster.gpuByRank(b));
         spec.bytes = rng.uniform(1e6, 5e9);
         injected += spec.bytes;
         spec.on_complete = [&completed] { ++completed; };
@@ -323,7 +324,7 @@ TEST_F(FlowSchedulerTest, SetCapacityDegradesActiveFlow)
     spec.route = gpuRoute(0, 1);
     spec.bytes = 80e9;
     const std::vector<ResourceId> rids =
-        routeResources(cluster_.topology(), spec.route);
+        routeResources(cluster_.topology(), *spec.route);
     bool done = false;
     spec.on_complete = [&] { done = true; };
     flows_.start(std::move(spec));
@@ -347,7 +348,7 @@ TEST_F(FlowSchedulerTest, ZeroCapacityStallsThenResumes)
     spec.route = gpuRoute(0, 1);
     spec.bytes = 80e9;
     const std::vector<ResourceId> rids =
-        routeResources(cluster_.topology(), spec.route);
+        routeResources(cluster_.topology(), *spec.route);
     bool done = false;
     spec.on_complete = [&] { done = true; };
     const FlowId id = flows_.start(std::move(spec));
@@ -381,7 +382,7 @@ TEST_F(FlowSchedulerTest, SlackToSlackCapacityChangeIsFast)
     spec.bytes = 10e9;
     spec.rate_cap = 10e9;
     const std::vector<ResourceId> rids =
-        routeResources(cluster_.topology(), spec.route);
+        routeResources(cluster_.topology(), *spec.route);
     flows_.start(std::move(spec));
     sim_.events().schedule(0.1, [&] {
         const std::uint64_t before = flows_.stats().recomputes;
@@ -432,7 +433,7 @@ TEST_F(FlowSchedulerTest, StalledFlowsParkOnTheStalledList)
     spec.route = gpuRoute(0, 1);
     spec.bytes = 80e9;
     const std::vector<ResourceId> rids =
-        routeResources(cluster_.topology(), spec.route);
+        routeResources(cluster_.topology(), *spec.route);
     const FlowId id = flows_.start(std::move(spec));
     EXPECT_EQ(flows_.stalledCount(), 0u);
     sim_.events().schedule(0.5, [&] {
@@ -468,7 +469,7 @@ TEST_F(FlowSchedulerTest, StallResumeKeepsCompletionOrder)
         spec.route = gpuRoute(0, 1);
         spec.bytes = 30e9;
         if (i == 0)
-            rids = routeResources(cluster_.topology(), spec.route);
+            rids = routeResources(cluster_.topology(), *spec.route);
         spec.on_complete = [&order, i] { order.push_back(i); };
         flows_.start(std::move(spec));
     }
@@ -500,11 +501,11 @@ struct Twin {
     {
     }
 
-    Route
+    const Route *
     gpuRoute(int a, int b)
     {
-        return cluster.router().route(cluster.gpuByRank(a),
-                                      cluster.gpuByRank(b));
+        return &cluster.router().route(cluster.gpuByRank(a),
+                                       cluster.gpuByRank(b));
     }
 
     Simulation sim;
@@ -529,7 +530,7 @@ TEST(FlowSchedulerBatchTest, CapacityStormMatchesUnbatchedCalls)
                 spec.route = tw->gpuRoute(pair * 2, pair * 2 + 1);
                 if (tw == &plain && dup == 0)
                     for (ResourceId rid : routeResources(
-                             tw->cluster.topology(), spec.route))
+                             tw->cluster.topology(), *spec.route))
                         rids.push_back(rid);
                 spec.bytes = 40e9;
                 const FlowId id = tw->flows.start(std::move(spec));

@@ -90,7 +90,7 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
                 b = (a + 1) % gpus;
             const std::uint64_t key = rng.below(1u << 20);
             FlowSpec fs;
-            fs.route = rig.cluster.router().routeForFlow(
+            fs.route = &rig.cluster.router().routeForFlow(
                 rig.cluster.gpuByRank(a), rig.cluster.gpuByRank(b), key);
             fs.bytes = static_cast<double>(1 + rng.below(64)) * 1e8;
             fs.on_complete = [&rig] { ++rig.done; };
@@ -229,7 +229,7 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
             FlowId first = 0;
             for (Rig *tw : twins) {
                 FlowSpec fs;
-                fs.route = tw->cluster.router().routeForFlow(
+                fs.route = &tw->cluster.router().routeForFlow(
                     tw->cluster.gpuByRank(a), tw->cluster.gpuByRank(b),
                     key);
                 fs.bytes = bytes;

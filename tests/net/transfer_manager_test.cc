@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "net/transfer_manager.hh"
 
 namespace dstrain {
@@ -80,8 +83,9 @@ TEST_F(TransferManagerTest, ViaChangesThePath)
 {
     // Pin node-0 GPU0's egress through NIC1 (the cross-socket NIC):
     // xGMI must carry traffic.
+    const ComponentId via[] = {cluster_.node(0).nics[1]};
     TransferOptions opts;
-    opts.waypoints = {cluster_.node(0).nics[1]};
+    opts.waypoints = via;
     tm_.start(cluster_.gpuByRank(0), cluster_.gpuByRank(4), 1e9,
               nullptr, std::move(opts));
     sim_.run();
@@ -136,8 +140,9 @@ TEST_F(TransferRetryTest, ReroutesAroundDownedNic)
     // Pin the inter-node transfer through n0.nic0, then kill that NIC
     // mid-flight: the manager must cancel the stranded flow and
     // relaunch the remaining bytes through n0.nic1.
+    const ComponentId via[] = {cluster_.node(0).nics[0]};
     TransferOptions opts;
-    opts.waypoints = {cluster_.node(0).nics[0]};
+    opts.waypoints = via;
     bool done = false;
     tm_.start(cluster_.gpuByRank(0), cluster_.gpuByRank(4), 10e9,
               [&] { done = true; }, std::move(opts));
@@ -174,8 +179,9 @@ TEST_F(TransferRetryTest, ParkedTransferResumesOnRestore)
     policy.max_retries = 0;
     tm_.configureRetry(policy);
 
+    const ComponentId via[] = {cluster_.node(0).nics[0]};
     TransferOptions opts;
-    opts.waypoints = {cluster_.node(0).nics[0]};
+    opts.waypoints = via;
     bool done = false;
     tm_.start(cluster_.gpuByRank(0), cluster_.gpuByRank(4), 10e9,
               [&] { done = true; }, std::move(opts));
@@ -252,6 +258,120 @@ TEST_F(TransferManagerTest, AbortAllInvalidatesDelayedLaunches)
     EXPECT_EQ(tm_.stats().aborted, 1u);
     EXPECT_NEAR(tm_.stats().bytes_aborted, 1e9, 1.0);
     tm_.verifyConservation();
+}
+
+TEST(TransferLaunchTest, LaunchAfterRouteFlushUsesItsOriginalRoute)
+{
+    // A fault-free transfer resolves its route at start() and holds
+    // it by reference until its latency-delayed launch. Cut a link of
+    // that route and flush the router in between: fresh lookups now
+    // avoid the cut, but the launch must still use the original route
+    // (and so park on the dead link), which has to have survived the
+    // flush (ASan checks the reads).
+    ClusterSpec spec;
+    spec.nodes = 4;
+    spec.fabric.kind = FabricKind::SpineLeaf;
+    spec.fabric.leaves = 2;
+    spec.fabric.spines = 4;
+    Simulation sim;
+    Cluster cluster(spec);
+    cluster.router().setAvoidDeadLinks(true);
+    FlowScheduler flows(sim, cluster.topology());
+    TransferManager tm(sim, cluster, flows);
+    const ComponentId src = cluster.gpuByRank(0);
+    const ComponentId dst = cluster.gpuByRank(12);  // other leaf
+    const Route &route = cluster.router().routeForFlow(src, dst, 0);
+
+    bool done = false;
+    tm.start(src, dst, 1e9, [&] { done = true; });
+    // Cut the route's leaf-to-spine hop (the first switch-to-switch
+    // hop) before the launch fires.
+    ResourceId cut = -1;
+    for (HalfLinkId hid : route.hops) {
+        const HalfLink &hl = cluster.topology().halfLink(hid);
+        if (cluster.topology().component(hl.from).kind ==
+                ComponentKind::Switch &&
+            cluster.topology().component(hl.to).kind ==
+                ComponentKind::Switch) {
+            cut = hl.resource;
+            break;
+        }
+    }
+    ASSERT_GE(cut, 0);
+    const Bps nominal = cluster.topology().resource(cut).nominal_capacity;
+    flows.setCapacity(cut, 0.0);
+    cluster.router().invalidateRouteCaches();
+    const Route &fresh = cluster.router().routeForFlow(src, dst, 0);
+    ASSERT_NE(fresh.hops, route.hops);
+
+    sim.runUntil(2.0 * route.latency);
+    EXPECT_EQ(flows.activeCount(), 1u);
+    EXPECT_EQ(flows.stalledCount(), 1u);  // parked on the cut link
+    EXPECT_FALSE(done);
+    flows.setCapacity(cut, nominal);
+    sim.run();
+    EXPECT_TRUE(done);
+    tm.verifyConservation();
+}
+
+TEST_F(TransferManagerTest, ScopeGroupsSameTimeLaunchesInCallOrder)
+{
+    // Inside a LaunchScope, launches with bitwise-equal times share
+    // one event and start in call order, all before an event queued
+    // later for that same time. Zero-byte transfers complete through
+    // zero-delay events queued in launch order, so the completion log
+    // shows the launch order.
+    const ComponentId g0 = cluster_.gpuByRank(0);
+    const ComponentId g1 = cluster_.gpuByRank(1);
+    const ComponentId g4 = cluster_.gpuByRank(4);
+    const SimTime nvlink = cluster_.router().route(g0, g1).latency;
+    const SimTime roce = cluster_.router().route(g0, g4).latency;
+    ASSERT_NE(nvlink, roce);
+    std::vector<std::string> log;
+    {
+        TransferManager::LaunchScope scope(tm_);
+        tm_.start(g0, g1, 0.0, [&] { log.push_back("a"); });
+        tm_.start(g0, g4, 0.0, [&] { log.push_back("b"); });
+        tm_.start(g1, g0, 0.0, [&] { log.push_back("c"); });
+        tm_.start(g0, g4, 0.0, [&] { log.push_back("d"); });
+    }
+    // One event per distinct launch time, not one per transfer.
+    EXPECT_EQ(sim_.events().size(), 2u);
+    sim_.events().schedule(nvlink, [&] { log.push_back("x"); });
+    sim_.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"x", "a", "c", "b", "d"}));
+
+    // With bytes, the grouped launches are already flowing when the
+    // later same-time event runs.
+    std::size_t active_at_x = 0;
+    const SimTime t0 = sim_.now();
+    {
+        TransferManager::LaunchScope scope(tm_);
+        tm_.start(g0, g1, 1e9, nullptr);
+        tm_.start(g1, g0, 1e9, nullptr);
+    }
+    sim_.events().schedule(t0 + nvlink,
+                           [&] { active_at_x = flows_.activeCount(); });
+    sim_.run();
+    EXPECT_EQ(active_at_x, 2u);
+    EXPECT_EQ(tm_.completedCount(), 6u);
+}
+
+TEST_F(TransferManagerTest, DeathOnEventQueuedInsideALaunchScope)
+{
+    // Grouping is FIFO-exact only while nothing else is queued inside
+    // the scope; the manager checks the event queue's sequence
+    // counter instead of assuming it.
+    const ComponentId g0 = cluster_.gpuByRank(0);
+    const ComponentId g1 = cluster_.gpuByRank(1);
+    EXPECT_DEATH(
+        {
+            TransferManager::LaunchScope scope(tm_);
+            tm_.start(g0, g1, 1e9, nullptr);
+            sim_.events().scheduleAfter(1.0, [] {});
+            tm_.start(g1, g0, 1e9, nullptr);
+        },
+        "queued inside a launch scope");
 }
 
 TEST_F(TransferManagerTest, DeathOnSelfTransfer)

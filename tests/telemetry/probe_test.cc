@@ -29,7 +29,7 @@ TEST(ProbeTest, AggregatesBothDirections)
     // Opposite-direction flows on the same NVLink pair.
     for (int dir = 0; dir < 2; ++dir) {
         FlowSpec spec;
-        spec.route = cluster.router().route(
+        spec.route = &cluster.router().route(
             cluster.gpuByRank(dir), cluster.gpuByRank(1 - dir));
         spec.bytes = 80e9;
         flows.start(std::move(spec));
@@ -53,7 +53,7 @@ TEST(ProbeTest, PerNodeDivisionForMultiNode)
     // Symmetric flows: one NVLink flow in each node.
     for (int node = 0; node < 2; ++node) {
         FlowSpec fs;
-        fs.route = cluster.router().route(
+        fs.route = &cluster.router().route(
             cluster.gpuByRank(node * 4), cluster.gpuByRank(node * 4 + 1));
         fs.bytes = 8e9;
         flows.start(std::move(fs));
@@ -78,8 +78,8 @@ TEST(ProbeTest, QuietClassesReadZero)
     cluster.topology().armStreams(0.0, kDefaultTelemetryBucket);
     FlowScheduler flows(sim, cluster.topology());
     FlowSpec fs;
-    fs.route = cluster.router().route(cluster.gpuByRank(0),
-                                      cluster.gpuByRank(1));
+    fs.route = &cluster.router().route(cluster.gpuByRank(0),
+                                       cluster.gpuByRank(1));
     fs.bytes = 1e9;
     flows.start(std::move(fs));
     sim.run();
@@ -99,14 +99,14 @@ TEST(ProbeTest, ProbeAllClassesMatchesPerClassProbes)
     // NVLink and host traffic, so several classes carry bytes.
     for (int dir = 0; dir < 2; ++dir) {
         FlowSpec spec;
-        spec.route = cluster.router().route(
+        spec.route = &cluster.router().route(
             cluster.gpuByRank(dir), cluster.gpuByRank(1 - dir));
         spec.bytes = 80e9;
         flows.start(std::move(spec));
     }
     FlowSpec h2d;
-    h2d.route = cluster.router().route(cluster.node(0).drams[0],
-                                       cluster.gpuByRank(0));
+    h2d.route = &cluster.router().route(cluster.node(0).drams[0],
+                                        cluster.gpuByRank(0));
     h2d.bytes = 8e9;
     flows.start(std::move(h2d));
     sim.run();
@@ -137,8 +137,8 @@ TEST(ProbeDeathTest, ProbeOffTheArmedGridPanics)
     cluster.topology().armStreams(0.0, 0.1);
     FlowScheduler flows(sim, cluster.topology());
     FlowSpec fs;
-    fs.route = cluster.router().route(cluster.gpuByRank(0),
-                                      cluster.gpuByRank(1));
+    fs.route = &cluster.router().route(cluster.gpuByRank(0),
+                                       cluster.gpuByRank(1));
     fs.bytes = 8e9;
     flows.start(std::move(fs));
     sim.run();

@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Fail CI when the flow-scheduler micro-bench regresses.
+"""Fail CI when a micro-bench regresses.
 
-Compares one or more fresh micro_flow_scheduler JSONL runs against the
-committed baseline and exits non-zero when any guarded scenario's
-events/sec falls more than --threshold (default 30%) below baseline.
+Compares one or more fresh micro-bench JSONL runs against the
+committed baseline and exits non-zero when any guarded scenario's rate
+falls more than --threshold (default 30%) below baseline. The guarded
+field is chosen from the baseline's records: collectives_per_sec when
+they carry it (micro_collectives, whose events per collective fall
+whenever the hop path gets cheaper), else events_per_sec
+(micro_flow_scheduler).
 
 CI runners (and the capture machine) are single-vCPU boxes that other
 tenants time-share, so raw wall-clock is bimodal: the same binary can
@@ -28,10 +32,11 @@ import argparse
 import json
 import sys
 
-# Scenario -> JSON field guarded. event_queue_churn is the canary and
+# JSON fields a scenario may be guarded on, in order of preference;
+# the baseline's records pick one. event_queue_churn is the canary and
 # the sweep comparison measures thread scaling, not solver speed, so
 # neither is guarded directly.
-GUARDED_METRIC = "events_per_sec"
+GUARDED_METRICS = ("collectives_per_sec", "events_per_sec")
 CANARY_SCENARIO = "event_queue_churn"
 CANARY_METRIC = "ops_per_sec"
 SKIPPED_SCENARIOS = {CANARY_SCENARIO, "sweep_jobs"}
@@ -47,24 +52,35 @@ def scenario_key(rec):
     return f"{key}/{solver}" if solver else key
 
 
-def load_jsonl(path):
+def read_records(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def guarded_metric(records):
+    """The first of GUARDED_METRICS any guarded record carries."""
+    for metric in GUARDED_METRICS:
+        for rec in records:
+            if (scenario_key(rec) is not None
+                    and rec.get("scenario") not in SKIPPED_SCENARIOS
+                    and metric in rec):
+                return metric
+    return GUARDED_METRICS[-1]
+
+
+def load_jsonl(path, metric):
     recs = {}
     canary = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            key = scenario_key(rec)
-            if key is None:
-                continue
-            if rec.get("scenario") == CANARY_SCENARIO:
-                canary = rec.get(CANARY_METRIC)
-            elif rec.get("scenario") not in SKIPPED_SCENARIOS:
-                metric = rec.get(GUARDED_METRIC)
-                if metric is not None:
-                    recs[key] = float(metric)
+    for rec in read_records(path):
+        key = scenario_key(rec)
+        if key is None:
+            continue
+        if rec.get("scenario") == CANARY_SCENARIO:
+            canary = rec.get(CANARY_METRIC)
+        elif rec.get("scenario") not in SKIPPED_SCENARIOS:
+            value = rec.get(metric)
+            if value is not None:
+                recs[key] = float(value)
     return recs, canary
 
 
@@ -78,16 +94,18 @@ def main():
                     help="fresh JSONL files (best-of-N per scenario)")
     args = ap.parse_args()
 
-    base, base_canary = load_jsonl(args.baseline)
+    metric = guarded_metric(read_records(args.baseline))
+    base, base_canary = load_jsonl(args.baseline, metric)
     if not base:
         print(f"perf_guard: no guarded scenarios in {args.baseline}",
               file=sys.stderr)
         return 2
+    print(f"guarded field: {metric}")
 
     best = {}
     best_canary = None
     for path in args.runs:
-        recs, canary = load_jsonl(path)
+        recs, canary = load_jsonl(path, metric)
         for key, val in recs.items():
             if key not in best or val > best[key]:
                 best[key] = val
