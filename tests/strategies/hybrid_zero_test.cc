@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "core/presets.hh"
 #include "model/flops.hh"
 #include "memplan/capacity_solver.hh"
 #include "strategies/hybrid_zero.hh"
+#include "util/logging.hh"
 
 namespace dstrain {
 namespace {
@@ -140,6 +144,66 @@ TEST_F(HybridZeroTest, RunsEndToEnd)
     Experiment exp(std::move(cfg));
     const ExperimentReport r = exp.run();
     EXPECT_GT(r.tflops, 10.0);
+}
+
+/**
+ * FNV-1a-64 digest of the numbers a hybrid ZeRO run reports:
+ * iteration ends, TFLOP/s, per-class bandwidth, span count and
+ * collective usage (doubles printed with %a, so bit-exact).
+ */
+std::uint64_t
+reportDigest(int nodes, int stage, int tp)
+{
+    ExperimentConfig cfg =
+        paperExperiment(nodes, StrategyConfig::hybridZero(stage, tp), 1.4);
+    cfg.iterations = 3;
+    cfg.warmup = 1;
+    Experiment exp(std::move(cfg));
+    const ExperimentReport r = exp.run();
+    std::string out = csprintf("tflops=%a|ends=", r.tflops);
+    for (SimTime t : r.execution.iteration_ends)
+        out += csprintf("%a;", t);
+    out += "|bw=";
+    for (const BandwidthSummary &s : r.bandwidth.per_class)
+        out += csprintf("%a/%a/%a;", s.avg, s.p90, s.peak);
+    out += csprintf("|spans=%zu|coll=", r.execution.spans.size());
+    for (const CollectiveUsage &u : r.collectives)
+        out += csprintf("%d/%d/%llu/%a/%a;", static_cast<int>(u.op),
+                        static_cast<int>(u.algo),
+                        static_cast<unsigned long long>(u.invocations),
+                        u.payload_bytes, u.fabric_bytes);
+    std::uint64_t h = 1469598103934665603ull;
+    for (const unsigned char c : out) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(HybridZeroNumbers, ReportedNumbersArePinned)
+{
+    struct Pinned {
+        int nodes;
+        int stage;
+        int tp;
+        std::uint64_t digest;
+    };
+    const Pinned pinned[] = {
+        {1, 1, 2, 0x0fc1179157522078ull},
+        {1, 1, 4, 0x2293b69d13642b72ull},
+        {1, 2, 2, 0xd157aee3c2d40e99ull},
+        {1, 2, 4, 0x2293b69d13642b72ull},
+        {2, 1, 2, 0x098228b68c4057a9ull},
+        {2, 1, 4, 0x36bd55059f8e633dull},
+        {2, 2, 2, 0x2fa5f07272fa0433ull},
+        {2, 2, 4, 0x17bdd3e7b961b7b1ull},
+    };
+    for (const Pinned &p : pinned) {
+        const std::uint64_t got = reportDigest(p.nodes, p.stage, p.tp);
+        EXPECT_EQ(got, p.digest)
+            << "ZeRO-" << p.stage << " TP " << p.tp << " on " << p.nodes
+            << " node(s): 0x" << std::hex << got;
+    }
 }
 
 } // namespace
