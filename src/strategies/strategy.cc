@@ -8,15 +8,9 @@
 #include <algorithm>
 
 #include "model/flops.hh"
-#include "strategies/ddp.hh"
-#include "strategies/fsdp.hh"
-#include "strategies/hybrid3d.hh"
-#include "strategies/hybrid_zero.hh"
-#include "strategies/megatron.hh"
+#include "strategies/model_parallel.hh"
 #include "strategies/moe.hh"
-#include "strategies/zero.hh"
-#include "strategies/zero_infinity.hh"
-#include "strategies/zero_offload.hh"
+#include "strategies/sharded_dp.hh"
 #include "util/logging.hh"
 
 namespace dstrain {
@@ -51,6 +45,15 @@ makeStrategy(const StrategyConfig &cfg)
     return std::make_unique<S>(cfg);
 }
 
+/** An instantiate() for a sharded data-parallel entry. */
+std::function<std::unique_ptr<Strategy>(const StrategyConfig &)>
+sharded(const char *label, ShardedGathers gathers = {})
+{
+    return [label, gathers](const StrategyConfig &c) {
+        return std::make_unique<ShardedDpStrategy>(c, label, gathers);
+    };
+}
+
 /**
  * The built-in entries, in `--strategy` help order. zero1/zero2
  * promote to the hybrid TP+ZeRO mode when a TP degree is given, so
@@ -60,6 +63,7 @@ void
 registerBuiltins(std::vector<StrategyFactory> &reg)
 {
     auto zeroEntry = [&](int stage, StrategyKind kind) {
+        const auto flat = sharded(stage < 3 ? "zero" : "z3");
         reg.push_back(
             {csprintf("zero%d", stage),
              csprintf("DeepSpeed ZeRO stage %d%s", stage,
@@ -73,10 +77,10 @@ registerBuiltins(std::vector<StrategyFactory> &reg)
              [kind](const StrategyConfig &c) {
                  return c.kind == kind && c.offload == OffloadTarget::None;
              },
-             [](const StrategyConfig &c) -> std::unique_ptr<Strategy> {
+             [flat](const StrategyConfig &c) -> std::unique_ptr<Strategy> {
                  if (c.isHybridZero())
-                     return std::make_unique<HybridZeroStrategy>(c);
-                 return std::make_unique<ZeroStrategy>(c);
+                     return std::make_unique<ModelParallelStrategy>(c);
+                 return flat(c);
              },
              /*takes_tp=*/stage < 3, /*takes_pp=*/false});
     };
@@ -91,7 +95,7 @@ registerBuiltins(std::vector<StrategyFactory> &reg)
              [kind](const StrategyConfig &c) {
                  return c.kind == kind && c.offload == OffloadTarget::Cpu;
              },
-             makeStrategy<ZeroOffloadStrategy>});
+             sharded(stage < 3 ? "zoff" : "z3off")});
     };
 
     reg.push_back({"ddp",
@@ -100,7 +104,7 @@ registerBuiltins(std::vector<StrategyFactory> &reg)
                    [](const StrategyConfig &c) {
                        return c.kind == StrategyKind::Ddp;
                    },
-                   makeStrategy<DdpStrategy>});
+                   sharded("ddp")});
     reg.push_back({"megatron",
                    "Megatron-LM TP x PP (defaults TP=4, PP=1)",
                    [](int tp, int pp) {
@@ -110,7 +114,7 @@ registerBuiltins(std::vector<StrategyFactory> &reg)
                    [](const StrategyConfig &c) {
                        return c.kind == StrategyKind::Megatron;
                    },
-                   makeStrategy<MegatronStrategy>, /*takes_tp=*/true,
+                   makeStrategy<ModelParallelStrategy>, /*takes_tp=*/true,
                    /*takes_pp=*/true});
     zeroEntry(1, StrategyKind::Zero1);
     zeroEntry(2, StrategyKind::Zero2);
@@ -128,7 +132,7 @@ registerBuiltins(std::vector<StrategyFactory> &reg)
                               c.offload == OffloadTarget::Nvme &&
                               !c.offload_params;
                    },
-                   makeStrategy<ZeroInfinityStrategy>});
+                   sharded("zinf")});
     reg.push_back({"zero3-nvme-params",
                    "ZeRO-Infinity (NVMe optimizer + parameter offload)",
                    [](int, int) {
@@ -139,14 +143,20 @@ registerBuiltins(std::vector<StrategyFactory> &reg)
                               c.offload == OffloadTarget::Nvme &&
                               c.offload_params;
                    },
-                   makeStrategy<ZeroInfinityStrategy>});
+                   sharded("zinf")});
+    // ZeRO-3 with flat per-block parameters: gathers inside the
+    // prefetch window, not chained behind the last forward block, with
+    // no fetch overhead and at full bandwidth.
     reg.push_back({"fsdp",
                    "PyTorch FSDP (flat-param shards, prefetched gathers)",
                    [](int, int) { return StrategyConfig::fsdp(); },
                    [](const StrategyConfig &c) {
                        return c.kind == StrategyKind::Fsdp;
                    },
-                   makeStrategy<FsdpStrategy>});
+                   sharded("fsdp", {.prefetch_window = true,
+                                    .first_bwd_waits_fwd = false,
+                                    .fetch_overhead = 0.0,
+                                    .bw_factor = 1.0})});
     reg.push_back({"moe",
                    "Expert parallelism (all-to-all dispatch; --experts)",
                    [](int, int) { return StrategyConfig::moe(); },
@@ -164,7 +174,7 @@ registerBuiltins(std::vector<StrategyFactory> &reg)
                    [](const StrategyConfig &c) {
                        return c.kind == StrategyKind::Hybrid3d;
                    },
-                   makeStrategy<Hybrid3dStrategy>, /*takes_tp=*/true,
+                   makeStrategy<ModelParallelStrategy>, /*takes_tp=*/true,
                    /*takes_pp=*/true});
 }
 
@@ -236,40 +246,6 @@ dpForwardFlopsPerRank(const PlanContext &ctx)
     const std::int64_t tokens_per_rank =
         static_cast<std::int64_t>(ctx.batch_per_gpu) * ctx.model.seq_len;
     return forwardFlops(ctx.model, tokens_per_rank);
-}
-
-void
-buildDataParallelCompute(IterationPlan &plan, const PlanContext &ctx,
-                         std::vector<std::vector<int>> &fwd_blocks,
-                         std::vector<std::vector<int>> &bwd_blocks)
-{
-    const int n = ctx.cluster.spec().totalGpus();
-    const int blocks = planBlocks(ctx.model, ctx.tuning);
-    const Flops fwd_rank = dpForwardFlopsPerRank(ctx);
-    const Flops fwd_block = fwd_rank / blocks;
-    const Flops bwd_block = 3.0 * fwd_block;  // recompute + backward
-
-    fwd_blocks.assign(static_cast<std::size_t>(n), {});
-    bwd_blocks.assign(static_cast<std::size_t>(n), {});
-    for (int r = 0; r < n; ++r) {
-        int prev = -1;
-        for (int b = 0; b < blocks; ++b) {
-            std::vector<int> deps;
-            if (prev >= 0)
-                deps.push_back(prev);
-            prev = plan.gpuCompute(r, fwd_block, ComputePhase::Forward,
-                                   std::move(deps),
-                                   csprintf("fwd r%d b%d", r, b));
-            fwd_blocks[static_cast<std::size_t>(r)].push_back(prev);
-        }
-        for (int b = 0; b < blocks; ++b) {
-            std::vector<int> deps = {prev};
-            prev = plan.gpuCompute(r, bwd_block, ComputePhase::Backward,
-                                   std::move(deps),
-                                   csprintf("bwd r%d b%d", r, b));
-            bwd_blocks[static_cast<std::size_t>(r)].push_back(prev);
-        }
-    }
 }
 
 } // namespace dstrain

@@ -98,9 +98,10 @@ struct StrategyFactory {
 };
 
 /**
- * Abstract strategy. Concrete classes: DdpStrategy,
- * MegatronStrategy, ZeroStrategy (stages 1-3), ZeroOffloadStrategy,
- * ZeroInfinityStrategy, FsdpStrategy, MoeStrategy, Hybrid3dStrategy.
+ * Abstract strategy. Three builders realize every registered
+ * configuration: ShardedDpStrategy (DDP, ZeRO-1/2/3, FSDP,
+ * ZeRO-Offload, ZeRO-Infinity), ModelParallelStrategy (Megatron-LM,
+ * the 3D hybrid, hybrid ZeRO) and MoeStrategy.
  */
 class Strategy
 {
@@ -149,25 +150,6 @@ class Strategy
  */
 inline constexpr double kGpuOptimizerFlopsPerParam = 1400.0;
 
-/**
- * Fixed software latency of each ZeRO-3 just-in-time parameter
- * gather (DeepSpeed's fetch/partition coordination, Python-side
- * hooks and small-tensor fragmentation). Calibrated so ZeRO-3 lands
- * below ZeRO-1/2 in single-node throughput as in paper Fig. 7-a
- * (381 vs 391/524 TFLOP/s) and its 1.4 B timeline stretches to
- * ~0.7 s as in Fig. 5.
- */
-inline constexpr SimTime kZero3FetchOverhead = 4e-3;
-
-/**
- * Achievable fraction of ring bandwidth for ZeRO-3's just-in-time
- * parameter gathers: per-parameter granularity issues many small
- * NCCL calls that cannot saturate the links. Calibrated with
- * kZero3FetchOverhead against Fig. 5 (ZeRO-3 @ 1.4 B: ~0.7 s/iter)
- * and Fig. 7-a (ZeRO-3 @ 6.6 B: 381 TFLOP/s).
- */
-inline constexpr double kZero3GatherBandwidthFactor = 0.30;
-
 /** Effective block count for a model (min(layers, max_blocks)). */
 int planBlocks(const TransformerConfig &model, const PlanTuning &tuning);
 
@@ -176,20 +158,6 @@ int planBlocks(const TransformerConfig &model, const PlanTuning &tuning);
  * (each DP rank processes batch_per_gpu sequences).
  */
 Flops dpForwardFlopsPerRank(const PlanContext &ctx);
-
-/**
- * Append the plain data-parallel forward+backward compute chains for
- * every rank.
- *
- * @param[out] fwd_blocks  fwd_blocks[rank][block] = task id.
- * @param[out] bwd_blocks  bwd_blocks[rank][block] = task id, in
- *                         *reverse layer order* (block 0 runs first
- *                         in the backward pass = last layer block).
- */
-void buildDataParallelCompute(
-    IterationPlan &plan, const PlanContext &ctx,
-    std::vector<std::vector<int>> &fwd_blocks,
-    std::vector<std::vector<int>> &bwd_blocks);
 
 } // namespace dstrain
 

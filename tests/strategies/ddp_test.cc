@@ -9,7 +9,7 @@
 #include <algorithm>
 
 #include "model/flops.hh"
-#include "strategies/ddp.hh"
+#include "strategies/sharded_dp.hh"
 
 namespace dstrain {
 namespace {

@@ -11,7 +11,7 @@
 #include <algorithm>
 
 #include "core/presets.hh"
-#include "strategies/fsdp.hh"
+#include "strategies/sharded_dp.hh"
 #include "util/logging.hh"
 
 namespace dstrain {

@@ -10,7 +10,7 @@
 
 #include <algorithm>
 
-#include "strategies/hybrid3d.hh"
+#include "strategies/model_parallel.hh"
 
 namespace dstrain {
 namespace {

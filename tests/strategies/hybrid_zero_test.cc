@@ -11,7 +11,7 @@
 #include "core/presets.hh"
 #include "model/flops.hh"
 #include "memplan/capacity_solver.hh"
-#include "strategies/hybrid_zero.hh"
+#include "strategies/model_parallel.hh"
 #include "util/logging.hh"
 
 namespace dstrain {

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "model/flops.hh"
-#include "strategies/megatron.hh"
+#include "strategies/model_parallel.hh"
 
 namespace dstrain {
 namespace {

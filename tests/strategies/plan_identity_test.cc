@@ -159,10 +159,12 @@ TEST(PlanIdentity, EveryStrategyEmitsThePinnedPlans)
         {"fsdp", 0, 0, 0x7daf6ba0fe4a67e7ull},
         {"moe", 0, 0, 0x6516a0d302bebe8full},
         {"hybrid3d", 0, 0, 0xc79c21cab96eb6b1ull},
-        {"zero1", 2, 0, 0xeb590f0c070195e7ull},
-        {"zero1", 4, 0, 0x0e2fa5b34ca5daffull},
-        {"zero2", 2, 0, 0xdb918e39d018e4a7ull},
-        {"zero2", 4, 0, 0x94ef36c35e9a543full},
+        // Hybrid ZeRO-2 is the 3D hybrid at pp = 1: same plans, same
+        // hashes.
+        {"zero1", 2, 0, 0x48cde97c9b87f4b3ull},
+        {"zero1", 4, 0, 0xab49cfee71a623d9ull},
+        {"zero2", 2, 0, 0xe7bd4c2277c8c95dull},
+        {"zero2", 4, 0, 0xd7e76521c7e31c75ull},
         {"megatron", 1, 1, 0x366cf9713c170393ull},
         {"megatron", 2, 1, 0xcb7203d8e2cf3bafull},
         {"megatron", 4, 1, 0xa2a765f5973f87e9ull},

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "strategies/zero_offload.hh"
+#include "strategies/sharded_dp.hh"
 
 namespace dstrain {
 namespace {

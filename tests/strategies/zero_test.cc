@@ -8,7 +8,7 @@
 
 #include <algorithm>
 
-#include "strategies/zero.hh"
+#include "strategies/sharded_dp.hh"
 
 namespace dstrain {
 namespace {
