@@ -101,7 +101,9 @@ constexpr SimTime kFlowNeverFinishes =
  * crossing-flow list, live as a span of the scheduler's route arena.
  */
 struct Flow {
-    FlowId id = 0;
+    /** Start sequence (from 1; 0 = free slot). Ascending sequence is
+     * start order, the canonical flow order of the scheduler. */
+    std::uint64_t seq = 0;
     /**
      * Bytes left as of `anchor`. The scheduler keeps (anchor,
      * remaining) exact and settles a flow — one multiply-subtract

@@ -128,6 +128,7 @@ FlowScheduler::registerFlow(Flow f, const Route &route,
         route_begin_.push_back(0);
         route_len_.push_back(0);
         cap_slot_.push_back(0.0);
+        slot_gen_.push_back(0);
     } else {
         slot = free_slots_.back();
         free_slots_.pop_back();
@@ -157,11 +158,9 @@ FlowScheduler::registerFlow(Flow f, const Route &route,
     route_begin_[slot] = static_cast<std::uint32_t>(begin);
     route_len_[slot] = static_cast<std::uint32_t>(len);
     arena_live_ += len;
-    slot_of_id_[static_cast<std::size_t>(g.id - 1)] =
-        static_cast<std::int32_t>(slot);
 
-    // Append at the tail: ids are issued monotonically, so the active
-    // list stays in ascending-id order.
+    // Append at the tail: sequences are issued monotonically, so the
+    // active list stays in start order.
     next_slot_[slot] = -1;
     prev_slot_[slot] = tail_slot_;
     if (tail_slot_ >= 0)
@@ -194,7 +193,7 @@ FlowScheduler::detachFlow(std::uint32_t slot)
         route_pos_[route_begin_[back.slot] + back.idx] = pos;
         lst.pop_back();
     }
-    slot_of_id_[static_cast<std::size_t>(slots_[slot].id - 1)] = -1;
+    ++slot_gen_[slot];
     arena_live_ -= route_len_[slot];
 
     const std::int32_t prev = prev_slot_[slot];
@@ -657,20 +656,19 @@ FlowScheduler::start(FlowSpec spec)
     DSTRAIN_ASSERT(spec.bytes >= 0.0, "flow '%s' has negative size",
                    tags_.label(spec.tag).c_str());
 
-    FlowId id = next_id_++;
-    slot_of_id_.push_back(-1);
     if (spec.bytes <= kByteEpsilon) {
         // Degenerate transfer: complete via a zero-delay event so the
         // caller's state machine always advances asynchronously. The
-        // flow is never registered: isActive(id) is false and
-        // currentRate(id) is 0, the same as any finished flow.
+        // flow is never registered; its id names an out-of-range slot,
+        // so isActive() is false and currentRate() is 0 for it, the
+        // same as for any finished flow.
         if (spec.on_complete)
             sim_.events().scheduleAfter(0.0, std::move(spec.on_complete));
-        return id;
+        return encodeId(0, 0xFFFFFFFFu);
     }
 
     Flow f;
-    f.id = id;
+    f.seq = next_seq_++;
     f.remaining = spec.bytes;
     f.anchor = sim_.now();
     f.on_complete = std::move(spec.on_complete);
@@ -684,6 +682,7 @@ FlowScheduler::start(FlowSpec spec)
     ensureResourceArrays();
     const std::uint32_t slot =
         registerFlow(std::move(f), *spec.route, spec.extra_resources);
+    const FlowId id = encodeId(slot_gen_[slot], slot);
     Flow &g = slots_[slot];
     if (batch_depth_ > 0) {
         // Deferred admission: the flow sits rate-less (not stalled,
@@ -1079,7 +1078,7 @@ FlowScheduler::onCompletionEvent()
     const SimTime now = sim_.now();
 
     // Collect finishers: flows whose predicted finish time has
-    // arrived, sorted to ascending-id order — the canonical
+    // arrived, sorted to start order — the canonical
     // completion-callback order.
     finisher_slots_.clear();
     while (!index_.empty() && index_.top().key <= now) {
@@ -1092,7 +1091,7 @@ FlowScheduler::onCompletionEvent()
     }
     std::sort(finisher_slots_.begin(), finisher_slots_.end(),
               [this](std::uint32_t a, std::uint32_t b) {
-                  return slots_[a].id < slots_[b].id;
+                  return slots_[a].seq < slots_[b].seq;
               });
 
     // Reuse the member buffers but operate on moved-out locals so a
@@ -1303,34 +1302,34 @@ FlowScheduler::maybeVerify()
         if (f.stalled) {
             ++nstalled;
             if (f.rate != 0.0 || !stalledByFault(slot))
-                fatal("verify-fair-share: flow '%s' (id %llu) parked "
+                fatal("verify-fair-share: flow '%s' (seq %llu) parked "
                       "while not fault-stalled at t=%g",
                       tags_.label(f.tag).c_str(),
-                      static_cast<unsigned long long>(f.id), sim_.now());
+                      static_cast<unsigned long long>(f.seq), sim_.now());
             continue;
         }
         if (oracle_rate_[slot] != f.rate) {
-            fatal("verify-fair-share: flow '%s' (id %llu) rate %a "
+            fatal("verify-fair-share: flow '%s' (seq %llu) rate %a "
                   "diverged from the oracle's %a at t=%g",
                   tags_.label(f.tag).c_str(),
-                  static_cast<unsigned long long>(f.id), f.rate,
+                  static_cast<unsigned long long>(f.seq), f.rate,
                   oracle_rate_[slot], sim_.now());
         }
         // The stored finish time must be the exact function of the
         // stored (anchor, remaining, rate) triple...
         const SimTime expect = f.anchor + f.remaining / f.rate;
         if (f.finish_at != expect) {
-            fatal("verify-fair-share: flow '%s' (id %llu) finish %a "
+            fatal("verify-fair-share: flow '%s' (seq %llu) finish %a "
                   "!= anchor+remaining/rate %a at t=%g",
                   tags_.label(f.tag).c_str(),
-                  static_cast<unsigned long long>(f.id), f.finish_at,
+                  static_cast<unsigned long long>(f.seq), f.finish_at,
                   expect, sim_.now());
         }
         if (index_seq_[slot] == 0)
-            fatal("verify-fair-share: flow '%s' (id %llu) missing "
+            fatal("verify-fair-share: flow '%s' (seq %llu) missing "
                   "from the completion index at t=%g",
                   tags_.label(f.tag).c_str(),
-                  static_cast<unsigned long long>(f.id), sim_.now());
+                  static_cast<unsigned long long>(f.seq), sim_.now());
         if (f.finish_at < best)
             best = f.finish_at;
     }

@@ -36,7 +36,7 @@
  * Per-resource state lives in flat arrays indexed by ResourceId and
  * fills run on reusable component-local scratch (no hashing, no
  * per-solve allocation once warm); flows live in a dense slot map with an
- * intrusive active list in ascending-id order; and flow
+ * intrusive active list in start order; and flow
  * arrivals/departures that touch only unsaturated resources take an
  * O(route length) incremental path that skips any solve entirely.
  */
@@ -367,12 +367,27 @@ class FlowScheduler
 
     // --- dense slot map ---------------------------------------------------
 
+    /**
+     * Flow ids encode (generation, slot) as EventQueue ids do, biased
+     * by +1 so that 0 is never issued. A slot's generation is bumped
+     * when its flow detaches, so every id issued for it before reads
+     * inactive, and the id map is the slots themselves: O(live flows),
+     * not O(flows ever started).
+     */
+    static constexpr FlowId encodeId(std::uint32_t gen, std::uint32_t slot)
+    {
+        return ((static_cast<FlowId>(gen) << 32) | slot) + 1;
+    }
+
     /** Slot of an active flow id, or -1. */
     std::int32_t slotOf(FlowId id) const
     {
-        if (id == 0 || id >= next_id_)
+        const std::uint32_t slot = static_cast<std::uint32_t>(id - 1);
+        const std::uint32_t gen = static_cast<std::uint32_t>((id - 1) >> 32);
+        if (id == 0 || slot >= slot_gen_.size() || slot_gen_[slot] != gen ||
+            slots_[slot].seq == 0)
             return -1;
-        return slot_of_id_[static_cast<std::size_t>(id - 1)];
+        return static_cast<std::int32_t>(slot);
     }
 
     /** Place @p f in a slot, append its resources — @p route's,
@@ -382,8 +397,8 @@ class FlowScheduler
     std::uint32_t registerFlow(Flow f, const Route &route,
                                std::span<const ResourceId> extra);
 
-    /** Detach slot @p slot from the active list, the per-resource
-     * lists and the id map (the Flow itself stays readable). */
+    /** Detach slot @p slot from the active list and the per-resource
+     * lists, and retire its id (the Flow itself stays readable). */
     void detachFlow(std::uint32_t slot);
 
     /** Reset a detached slot's Flow and return it to the free list. */
@@ -457,7 +472,7 @@ class FlowScheduler
     Topology &topo_;
     const bool verify_;
     TagTable tags_;
-    FlowId next_id_ = 1;
+    std::uint64_t next_seq_ = 1;
     EventId completion_event_ = 0;
     SimTime completion_time_ = 0.0;  ///< when completion_event_ fires
     Stats stats_;
@@ -465,12 +480,12 @@ class FlowScheduler
     // --- dense flow storage ----------------------------------------------
     std::vector<Flow> slots_;               ///< flow storage (slot-indexed)
     std::vector<std::uint32_t> free_slots_; ///< reusable slots (LIFO)
-    std::vector<std::int32_t> slot_of_id_;  ///< id-1 -> slot, -1 inactive
-    /** Intrusive doubly-linked active list. Ids are issued
-     * monotonically and always appended at the tail, so iteration
-     * from head_slot_ is in ascending-id order — the canonical,
-     * deterministic flow order of every solver loop and of
-     * simultaneous-finisher callbacks. */
+    std::vector<std::uint32_t> slot_gen_;   ///< per-slot id generation
+    /** Intrusive doubly-linked active list. Flows are appended at the
+     * tail as they start, so iteration from head_slot_ is in ascending
+     * start sequence (Flow::seq) — the canonical, deterministic flow
+     * order of every solver loop and of simultaneous-finisher
+     * callbacks. */
     std::vector<std::int32_t> next_slot_;
     std::vector<std::int32_t> prev_slot_;
     std::int32_t head_slot_ = -1;

@@ -7,15 +7,35 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "hw/cluster.hh"
 #include "net/flow_scheduler.hh"
 #include "util/rng.hh"
 
+#if defined(__SANITIZE_ADDRESS__)
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+#endif
+
 namespace dstrain {
 namespace {
+
+/** Heap bytes in use: arena chunks plus mmap()ed large blocks (the
+ * sanitizer allocator's count under ASan, which bypasses malloc). */
+std::size_t
+heapInUse()
+{
+#if defined(__SANITIZE_ADDRESS__)
+    return __sanitizer_get_current_allocated_bytes();
+#else
+    const struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+#endif
+}
 
 /** Fixture: a single-node cluster and a scheduler. */
 class FlowSchedulerTest : public testing::Test
@@ -192,6 +212,51 @@ TEST_F(FlowSchedulerTest, ZeroByteFlowIsNeverActive)
     sim_.run();
     EXPECT_TRUE(done);
     EXPECT_FALSE(flows_.isActive(id));
+}
+
+TEST_F(FlowSchedulerTest, MemoryFollowsLiveFlowsNotFlowsStarted)
+{
+    // A million start/finish cycles of one flow: the scheduler's
+    // memory must stay that of one live flow, not grow per id issued.
+    const auto cycle = [&] {
+        FlowSpec spec;
+        spec.route = gpuRoute(0, 1);
+        spec.bytes = 1e6;
+        flows_.start(std::move(spec));
+        sim_.run();
+    };
+    for (int i = 0; i < 1000; ++i)  // warm every reusable buffer
+        cycle();
+    const std::size_t before = heapInUse();
+    for (int i = 0; i < 1000000; ++i)
+        cycle();
+    EXPECT_LE(heapInUse(), before + 64 * 1024);
+    EXPECT_EQ(flows_.activeCount(), 0u);
+}
+
+TEST_F(FlowSchedulerTest, StaleIdReadsInactiveAfterSlotReuse)
+{
+    // The second flow reuses the first one's slot; the first id must
+    // still read finished, and cancelling it must not touch the
+    // second flow.
+    FlowSpec a;
+    a.route = gpuRoute(0, 1);
+    a.bytes = 8e9;
+    const FlowId first = flows_.start(std::move(a));
+    sim_.run();
+    FlowSpec b;
+    b.route = gpuRoute(0, 1);
+    b.bytes = 80e9;
+    const FlowId second = flows_.start(std::move(b));
+    ASSERT_NE(first, second);
+    EXPECT_FALSE(flows_.isActive(first));
+    EXPECT_DOUBLE_EQ(flows_.currentRate(first), 0.0);
+    EXPECT_FALSE(flows_.cancel(first));
+    EXPECT_TRUE(flows_.isActive(second));
+    EXPECT_GT(flows_.currentRate(second), 0.0);
+    EXPECT_EQ(flows_.activeCount(), 1u);
+    sim_.run();
+    EXPECT_FALSE(flows_.isActive(second));
 }
 
 TEST_F(FlowSchedulerTest, UncontendedStartsTakeTheFastPath)
