@@ -92,7 +92,7 @@ struct PlanTask {
     /**
      * Extra fixed software latency charged before the task starts
      * (Collective only): models DeepSpeed's parameter-fetch
-     * coordination in ZeRO-3 (see zero.cc).
+     * coordination in ZeRO-3 (see kZero3FetchOverhead in sharded_dp.hh).
      */
     SimTime extra_latency = 0.0;
 };

@@ -168,8 +168,7 @@ ShardedDpStrategy::buildBlocks(IterationPlan &plan, const PlanContext &ctx,
     const int window =
         gathers_.prefetch_window ? std::max(1, ctx.tuning.fsdp_prefetch) : 0;
     const double params = static_cast<double>(ctx.model.parameterCount());
-    const Bytes param_block = 2.0 * params / blocks;
-    const Bytes grad_block = 2.0 * params / blocks;
+    const Bytes block_bytes = 2.0 * params / blocks;  // fp16 params/grads
     const Flops fwd_flops = dpForwardFlopsPerRank(ctx) / blocks;
 
     // fwd / bwd compute task of (rank, block).
@@ -181,7 +180,6 @@ ShardedDpStrategy::buildBlocks(IterationPlan &plan, const PlanContext &ctx,
 
     // The gather of one block: with offloaded parameters each rank
     // first pages its shard in from NVMe and stages it to the GPU.
-    int prev_ag = -1;
     const auto gather = [&](std::vector<int> deps, int b, bool backward) {
         const char *dir = backward ? "bwd " : "";
         if (cfg_.offload_params) {
@@ -190,16 +188,16 @@ ShardedDpStrategy::buildBlocks(IterationPlan &plan, const PlanContext &ctx,
                 const int vol =
                     ctx.placement.volumeForRank(cl.localOfRank(r));
                 const int rd = plan.nvmeIo(
-                    r, vol, param_block / n, /*write=*/false, deps,
+                    r, vol, block_bytes / n, /*write=*/false, deps,
                     csprintf("param pg-in %sr%d b%d", dir, r, b));
                 staged.push_back(plan.hostTransfer(
-                    r, param_block / n, /*to_host=*/false, {rd},
+                    r, block_bytes / n, /*to_host=*/false, {rd},
                     csprintf("param h2d %sr%d b%d", dir, r, b)));
             }
             deps = std::move(staged);
         }
-        prev_ag = plan.collective(
-            CollectiveOp::AllGather, CommGroup::worldOf(n), param_block,
+        return plan.collective(
+            CollectiveOp::AllGather, CommGroup::worldOf(n), block_bytes,
             std::move(deps),
             csprintf("%s %s ag b%d", label_.c_str(),
                      backward ? "bwd" : "fwd", b),
@@ -210,6 +208,7 @@ ShardedDpStrategy::buildBlocks(IterationPlan &plan, const PlanContext &ctx,
     // Forward: the gather of block b chains on the previous gather and
     // waits for block b-1-window's compute, bounding how many
     // gathered-but-unconsumed blocks are live.
+    int prev_ag = -1;
     for (int b = 0; b < blocks; ++b) {
         std::vector<int> deps;
         if (prev_ag >= 0)
@@ -217,7 +216,7 @@ ShardedDpStrategy::buildBlocks(IterationPlan &plan, const PlanContext &ctx,
         if (b - 1 - window >= 0)
             for (int r = 0; r < n; ++r)
                 deps.push_back(at(fwd, r, b - 1 - window));
-        gather(std::move(deps), b, /*backward=*/false);
+        prev_ag = gather(std::move(deps), b, /*backward=*/false);
         for (int r = 0; r < n; ++r) {
             std::vector<int> cdeps = {prev_ag};
             if (b > 0)
@@ -241,7 +240,7 @@ ShardedDpStrategy::buildBlocks(IterationPlan &plan, const PlanContext &ctx,
             else if (b == blocks - 1 && gathers_.first_bwd_waits_fwd)
                 deps.push_back(at(fwd, r, blocks - 1));
         }
-        gather(std::move(deps), b, /*backward=*/true);
+        prev_ag = gather(std::move(deps), b, /*backward=*/true);
         std::vector<int> block_tasks;
         for (int r = 0; r < n; ++r) {
             const int last =
@@ -254,13 +253,13 @@ ShardedDpStrategy::buildBlocks(IterationPlan &plan, const PlanContext &ctx,
         if (prev_rs >= 0)
             block_tasks.push_back(prev_rs);
         prev_rs = plan.collective(CollectiveOp::ReduceScatter,
-                                  CommGroup::worldOf(n), grad_block,
+                                  CommGroup::worldOf(n), block_bytes,
                                   std::move(block_tasks),
                                   csprintf("%s rs b%d", label_.c_str(), b));
         if (cfg_.offload != OffloadTarget::None) {
             for (int r = 0; r < n; ++r)
                 drains[static_cast<std::size_t>(r)].push_back(
-                    plan.hostTransfer(r, grad_block / n, /*to_host=*/true,
+                    plan.hostTransfer(r, block_bytes / n, /*to_host=*/true,
                                       {prev_rs},
                                       csprintf("grad dl r%d b%d", r, b)));
         }
