@@ -63,8 +63,6 @@ ModelParallelStrategy::buildIteration(const PlanContext &ctx) const
     // Per-rank compute per (stage, micro-batch, sub-block).
     const Flops fwd_rank_sb = fwd_mb / mp / sub_blocks;
 
-    // Rank layout: replica g occupies ranks [g*mp, (g+1)*mp); pipeline
-    // stage s within the replica owns tp consecutive ranks.
     const auto idx = [&](int s, int m) {
         return static_cast<std::size_t>(s) *
                    static_cast<std::size_t>(microbatches) +
@@ -74,7 +72,9 @@ ModelParallelStrategy::buildIteration(const PlanContext &ctx) const
     // One (stage, micro-batch) cell of replica g: sub_blocks rounds in
     // which the stage's tp ranks compute in lockstep and all-reduce
     // the activations. Recompute re-runs the forward all-reduces, so a
-    // backward cell carries 2x the volume. @return its last task.
+    // backward cell carries 2x the volume. Replica g occupies ranks
+    // [g*mp, (g+1)*mp); its stage s owns tp consecutive ranks.
+    // @return the cell's last task.
     const auto cell = [&](int g, int s, int m, bool bwd,
                           const std::vector<int> &cell_deps) {
         const char *dir = bwd ? "bwd" : "fwd";
