@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <set>
 
 #include "collectives/algorithms.hh"
@@ -144,6 +145,22 @@ struct GridCase {
     /** Supported (algorithm, op) cells the shape contributes. */
     int cells;
 };
+
+/**
+ * gtest prints the parameter in test listings (and so in the ctest
+ * names gtest_discover_tests derives) and in failure messages. Without
+ * this, it dumps the raw object bytes, whose name and vector pointers
+ * move with ASLR and the binary layout, so the test names changed
+ * build to build. Prints the group's ranks, e.g. {0,4,8,12}.
+ */
+void
+PrintTo(const GridCase &grid, std::ostream *os)
+{
+    *os << '{';
+    for (std::size_t i = 0; i < grid.ranks.size(); ++i)
+        *os << (i ? "," : "") << grid.ranks[i];
+    *os << '}';
+}
 
 class ClosedFormTest : public testing::TestWithParam<GridCase>
 {
