@@ -684,24 +684,27 @@ FlowScheduler::start(FlowSpec spec)
         registerFlow(std::move(f), *spec.route, spec.extra_resources);
     const FlowId id = encodeId(slot_gen_[slot], slot);
     Flow &g = slots_[slot];
-    if (batch_depth_ > 0) {
-        // Deferred admission: the flow sits rate-less (not stalled,
-        // no finish time) until the batch flush solves its region.
-        ++stats_.batched_events;
-        batch_start_slots_.push_back(slot);
-        batch_need_solve_ = true;
-        return id;
-    }
     // Verify mode forces the full solve: the oracle is a from-scratch
     // component fill, and a fast-path rate — assigned directly rather
     // than summed through fill increments — matches it mathematically
     // but not always in the last bit. Disabling the fast paths keeps
     // the invariant "stored rate == fresh fill of its component"
     // exact, so the oracle flags real closure bugs, not float dust.
+    // Inside a batch the admission reads totals that a deferred op may
+    // still change; a flow admitted on such totals crosses a resource
+    // of the flush's closure, so the flush re-solves it (DESIGN §6.5).
     if (!verify_ && tryFastStart(slot)) {
         ++stats_.fast_starts;
         indexUpdate(slot, g.finish_at);
         maybeVerify();
+        return id;
+    }
+    if (batch_depth_ > 0) {
+        // Deferred admission: the flow sits rate-less (not stalled,
+        // no finish time) until the batch flush solves its region.
+        ++stats_.batched_events;
+        batch_start_slots_.push_back(slot);
+        batch_need_solve_ = true;
         return id;
     }
     beginRegion();

@@ -177,20 +177,27 @@ class FlowScheduler
     void setCapacities(const std::vector<std::pair<ResourceId, Bps>> &updates);
 
     /**
-     * Open an event-storm batch: until the matching endBatch(),
-     * setCapacity()/setCapacities() update capacities (and the
-     * topology) immediately but defer their solves, and start()/
-     * cancel() defer theirs too; endBatch() closes the union region
-     * once and runs a single solve. Nestable; only the outermost
-     * endBatch() flushes.
+     * Open a batch: until the matching endBatch(), setCapacity()/
+     * setCapacities() update capacities (and the topology) immediately
+     * but defer their solves, and cancel() defers its solve too.
+     * start() first tries the same fast-start admission an unbatched
+     * start does; only a start that fails it is deferred, sitting at
+     * rate zero until the flush. endBatch() closes the union region of
+     * the deferred ops once and runs a single solve. Nestable; only
+     * the outermost endBatch() flushes.
      *
      * Capacity-only batches are state-equivalent to the unbatched
      * call sequence (water-filling is a pure function of the final
      * capacities, and a capacity change that leaves a resource
      * unsaturated never moves the fill's binding minimum — see
-     * DESIGN.md §6.5). Batches containing start()/cancel() trade that
-     * equivalence for one solve (fast-start admission is skipped);
-     * the fault injector only batches capacity storms.
+     * DESIGN.md §6.5). A batch of starts ends in max-min fair rates:
+     * a flow admitted against totals that a deferred op changes
+     * crosses a resource of the flush's closure and is re-solved
+     * there, and a flow outside that closure read exact totals. The
+     * rates can differ from the unbatched sequence's in the last bit,
+     * since the flush fills merged components in one pass. Verify
+     * mode defers every batched start, so the oracle checks every
+     * closure. TransferManager batches each launch group this way.
      */
     void beginBatch();
 

@@ -181,12 +181,19 @@ TransferManager::runLaunchGroup(std::uint32_t gi)
     launching_.swap(g.members);
     g.event = 0;
     free_groups_.push_back(gi);
-    for (const Member &m : launching_) {
-        if (m.retry)
-            launchPending(m.id);
-        else
-            launchRecord(static_cast<std::uint32_t>(m.id));
+    {
+        FlowScheduler::ScopedBatch batch(flows_);
+        for (const Member &m : launching_) {
+            if (m.retry)
+                launchPending(m.id);
+            else
+                launchRecord(static_cast<std::uint32_t>(m.id));
+        }
     }
+    // Only now do the deferred starts read their solved rates.
+    for (const Member &m : launching_)
+        if (m.retry)
+            armIfStranded(m.id);
     launching_.clear();
 }
 
@@ -251,11 +258,15 @@ TransferManager::launchPending(std::uint64_t xid)
     spec.tag = p.tag;
     spec.on_complete = [this, xid] { finishPending(xid); };
     p.flow = flows_.start(std::move(spec));
+}
 
+void
+TransferManager::armIfStranded(std::uint64_t xid)
+{
     // Launched straight into a fault (e.g. the alternate NIC is down
     // too): arm another stranded-flow scan so the bounded retry loop
     // keeps making progress without further capacity changes.
-    if (flows_.isActive(p.flow) && flows_.currentRate(p.flow) <= 0.0)
+    if (transferStalled(xid))
         notifyCapacityChange();
 }
 
@@ -380,8 +391,10 @@ TransferManager::checkStranded()
             retry_.backoff *
             static_cast<double>(1u << (p.attempts - 1));
         const std::uint64_t id = xid;
-        sim_.events().scheduleAfter(
-            delay, [this, id] { launchPending(id); });
+        sim_.events().scheduleAfter(delay, [this, id] {
+            launchPending(id);
+            armIfStranded(id);
+        });
     }
 }
 

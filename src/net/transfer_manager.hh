@@ -173,7 +173,9 @@ class TransferManager
      * order. That is exactly the FIFO order their separate events
      * would have run in, provided nothing else is queued inside the
      * scope; the manager asserts that from the event queue's
-     * sequence counter. Scopes do not nest.
+     * sequence counter. Scopes do not nest. A launch event starts
+     * its members inside one FlowScheduler batch, so a collective
+     * round of k hops costs one region solve, not k.
      */
     class LaunchScope
     {
@@ -357,11 +359,23 @@ class TransferManager
      */
     void queueLaunch(SimTime latency, Member m);
 
-    /** The launch event of group @p g: start its members in order. */
+    /**
+     * The launch event of group @p g: start its members in order
+     * inside one FlowScheduler batch, so a round's k hops cost one
+     * solve instead of k growing ones. Hops that pass fast-start
+     * admission run at once; the rest share the flush's solve.
+     */
     void runLaunchGroup(std::uint32_t g);
 
     /** Resolve the route and start the flow for transfer @p xid. */
     void launchPending(std::uint64_t xid);
+
+    /**
+     * Arm a stranded-flow scan if transfer @p xid launched straight
+     * into a fault. Runs once the launch's solve is done: a start
+     * still deferred in a batch reads rate zero.
+     */
+    void armIfStranded(std::uint64_t xid);
 
     /** Flow completion of retryable transfer @p xid. */
     void finishPending(std::uint64_t xid);

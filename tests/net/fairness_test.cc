@@ -78,15 +78,14 @@ TEST(FairnessTest, MultiHopFlowLimitedByItsBottleneck)
  * Randomized max-min property: on a single shared resource, the
  * water-filling outcome is: caps sorted ascending are granted until
  * the fair share drops below the next cap; everyone else gets the
- * equal residual share.
+ * equal residual share. The seed's starts arrive one by one or, when
+ * @p batched, all inside one batch (where the starts that fit are
+ * fast-admitted and the rest share the flush's solve).
  */
-class MaxMinProperty : public testing::TestWithParam<int>
+void
+expectWaterFilling(std::uint64_t seed, bool batched)
 {
-};
-
-TEST_P(MaxMinProperty, SingleResourceWaterFilling)
-{
-    Rng rng(static_cast<std::uint64_t>(GetParam()));
+    Rng rng(seed);
     Simulation sim;
     Cluster cluster{ClusterSpec{}};
     FlowScheduler flows(sim, cluster.topology());
@@ -97,6 +96,8 @@ TEST_P(MaxMinProperty, SingleResourceWaterFilling)
     const int n = 2 + static_cast<int>(rng.below(6));
     std::vector<double> caps;
     std::vector<FlowId> ids;
+    if (batched)
+        flows.beginBatch();
     for (int i = 0; i < n; ++i) {
         const double cap = rng.uniform(2e9, 60e9);
         caps.push_back(cap);
@@ -106,6 +107,8 @@ TEST_P(MaxMinProperty, SingleResourceWaterFilling)
         spec.rate_cap = cap;
         ids.push_back(flows.start(std::move(spec)));
     }
+    if (batched)
+        flows.endBatch();
 
     // Reference water-filling.
     std::vector<double> expect(caps.size(), 0.0);
@@ -137,6 +140,19 @@ TEST_P(MaxMinProperty, SingleResourceWaterFilling)
         EXPECT_LE(total, capacity * (1.0 + 1e-9));
     });
     sim.runUntil(2e-3);
+}
+
+class MaxMinProperty : public testing::TestWithParam<int>
+{
+};
+
+TEST_P(MaxMinProperty, SingleResourceWaterFilling)
+{
+    for (const bool batched : {false, true}) {
+        SCOPED_TRACE(batched ? "starts in one batch" : "starts one by one");
+        expectWaterFilling(static_cast<std::uint64_t>(GetParam()),
+                           batched);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxMinProperty, testing::Range(1, 16));

@@ -630,6 +630,68 @@ TEST(FlowSchedulerBatchTest, CapacityStormMatchesUnbatchedCalls)
     EXPECT_EQ(plain.sim.run(), batched.sim.run());
 }
 
+TEST_F(FlowSchedulerTest, BatchedStartOnAnIdleRouteRunsBeforeTheFlush)
+{
+    // A start inside a batch tries fast-start admission first: on an
+    // idle route it runs at its cap at once, without waiting for the
+    // flush, and counts as a fast start, not a deferred op.
+    const Route *route = gpuRoute(0, 1);
+    FlowId id = 0;
+    {
+        FlowScheduler::ScopedBatch batch(flows_);
+        FlowSpec spec;
+        spec.route = route;
+        spec.bytes = 80e9;
+        id = flows_.start(std::move(spec));
+        EXPECT_EQ(flows_.currentRate(id), route->rate_cap);
+        EXPECT_EQ(flows_.stats().fast_starts, 1u);
+        EXPECT_EQ(flows_.stats().batched_events, 0u);
+    }
+    EXPECT_EQ(flows_.currentRate(id), route->rate_cap);
+    EXPECT_EQ(flows_.stats().recomputes, 0u);
+    sim_.run();
+    EXPECT_NEAR(sim_.now(), 1.0, 1e-6);
+}
+
+TEST(FlowSchedulerBatchTest, OversubscribedBurstSolvesOnceLikeUnbatched)
+{
+    // Four 30 GBps-capped starts on one 80 GBps link: two fit and are
+    // admitted at their caps, the other two defer. The flush re-solves
+    // all four in one pass (they share the link), and the rates equal
+    // those of the same starts made one by one, bitwise.
+    constexpr int kStarts = 4;
+    Twin plain;
+    Twin batched;
+    std::vector<FlowId> ids;
+    auto burst = [&](Twin &tw) {
+        for (int i = 0; i < kStarts; ++i) {
+            FlowSpec spec;
+            spec.route = tw.gpuRoute(0, 1);
+            spec.bytes = 40e9;
+            spec.rate_cap = 30e9;
+            const FlowId id = tw.flows.start(std::move(spec));
+            if (&tw == &plain)
+                ids.push_back(id);
+        }
+    };
+    burst(plain);
+    {
+        FlowScheduler::ScopedBatch batch(batched.flows);
+        burst(batched);
+    }
+    EXPECT_EQ(batched.flows.stats().recomputes, 1u);
+    EXPECT_EQ(batched.flows.stats().fast_starts, 2u);
+    EXPECT_EQ(batched.flows.stats().batched_events, 2u);
+    EXPECT_EQ(plain.flows.stats().recomputes, 2u);
+    for (FlowId id : ids) {
+        ASSERT_EQ(plain.flows.currentRate(id),
+                  batched.flows.currentRate(id))
+            << "rate diverged for flow " << id;
+        EXPECT_NEAR(batched.flows.currentRate(id), 20e9, 1.0);
+    }
+    EXPECT_EQ(plain.sim.run(), batched.sim.run());
+}
+
 TEST_F(FlowSchedulerTest, CancelReturnsRemainingBytes)
 {
     FlowSpec spec;

@@ -1,20 +1,23 @@
 /**
  * @file
  * Solver fuzz: on randomized interleavings of start / finish /
- * setCapacity / setCapacities / cancel over generated fabrics, the
- * region-scoped incremental solver must match the from-scratch
- * fair-share oracle bitwise, and the scheduler's event-storm batching
- * must match the unbatched call sequence.
+ * setCapacity / setCapacities / cancel and bursts of same-instant
+ * starts in one batch over generated fabrics, the region-scoped
+ * incremental solver must match the from-scratch fair-share oracle
+ * bitwise, and the scheduler's event-storm batching must match the
+ * unbatched call sequence.
  *
- * RegionSolverFuzz runs one scheduler with verify_fair_share: after
- * every event it re-runs the from-scratch per-component oracle and
- * fatal()s on any divergence of rates, the completion index or the
- * stalled list, which also covers the events that fire inside
- * runUntil() between the test's own ops. (Verify mode disables the
- * start/finish fast paths — an incrementally assigned rate equals a
- * fresh fill mathematically but not always in the last bit — so the
- * oracle checks region-closure correctness, not float dust; see
- * DESIGN.md §6.1.)
+ * RegionSolverFuzz's *BitIdenticalToOracle cases run one scheduler
+ * with verify_fair_share: after every event it re-runs the
+ * from-scratch per-component oracle and fatal()s on any divergence of
+ * rates, the completion index or the stalled list, which also covers
+ * the events that fire inside runUntil() between the test's own ops.
+ * (Verify mode disables the start/finish fast paths — an
+ * incrementally assigned rate equals a fresh fill mathematically but
+ * not always in the last bit — so the oracle checks region-closure
+ * correctness, not float dust; see DESIGN.md §6.1.) The
+ * *MaxMinWithFastPaths cases replay the same op sequences with the
+ * fast paths on and check the max-min conditions after every op.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "hw/cluster.hh"
+#include "hw/link.hh"
 #include "net/flow_scheduler.hh"
 #include "util/rng.hh"
 
@@ -57,11 +61,71 @@ roceLinks(const Rig &rig, std::vector<ResourceId> &roce,
     }
 }
 
-/** Fuzz a verify-on scheduler through one seeded op sequence. */
+/** A flow the fuzz started, with the route that fixes its cap. */
+struct Started {
+    FlowId id;
+    const Route *route;
+};
+
+/**
+ * The max-min conditions on @p rig's current rates, read through the
+ * public API only: no resource carries more than its effective
+ * capacity (1e-9 relative), every active flow at rate zero crosses a
+ * link faulted to zero, and every other active flow runs at its cap
+ * or crosses a saturated resource. The only oracle for flows that a
+ * batch fast-admits, a path verify mode never takes.
+ */
 void
-fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
+expectMaxMin(const Rig &rig, const std::vector<Started> &flows)
 {
-    Rig rig(spec, FlowSchedulerOptions{true});
+    constexpr double kTol = 1e-9;
+    const Topology &topo = rig.cluster.topology();
+    std::vector<double> total(topo.resourceCount(), 0.0);
+    for (const Started &f : flows)
+        if (rig.flows.isActive(f.id))
+            for (ResourceId rid : f.route->resources)
+                total[rid] += rig.flows.currentRate(f.id);
+    auto effCap = [&](ResourceId rid) {
+        const Resource &r = topo.resource(rid);
+        return r.capacity * linkClassEfficiency(r.cls);
+    };
+    for (std::size_t rid = 0; rid < total.size(); ++rid) {
+        const double cap = effCap(static_cast<ResourceId>(rid));
+        ASSERT_LE(total[rid], cap * (1.0 + kTol))
+            << "resource " << rid << " oversubscribed";
+    }
+    for (const Started &f : flows) {
+        if (!rig.flows.isActive(f.id))
+            continue;
+        const double rate = rig.flows.currentRate(f.id);
+        bool faulted = false;
+        bool bottlenecked = rate >= f.route->rate_cap * (1.0 - kTol);
+        for (ResourceId rid : f.route->resources) {
+            const double cap = effCap(rid);
+            faulted = faulted || cap <= 0.0;
+            bottlenecked =
+                bottlenecked || total[rid] >= cap * (1.0 - kTol);
+        }
+        if (rate <= 0.0) {
+            ASSERT_TRUE(faulted) << "flow " << f.id << " idles unfaulted";
+        } else {
+            ASSERT_TRUE(bottlenecked)
+                << "flow " << f.id << " at " << rate
+                << " is below its cap with no saturated resource";
+        }
+    }
+}
+
+/**
+ * Fuzz a scheduler through one seeded op sequence. With @p verify the
+ * oracle checks every event bitwise; without it, the fast paths run
+ * (inside bursts too) and expectMaxMin() checks every op.
+ */
+void
+fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops,
+           bool verify)
+{
+    Rig rig(spec, FlowSchedulerOptions{verify});
     Rng rng(seed);
 
     std::vector<ResourceId> roce;
@@ -71,35 +135,51 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
 
     const int gpus = rig.cluster.spec().totalGpus();
     std::size_t cancelled = 0;
-    std::vector<FlowId> ids;
+    std::vector<Started> flows;
 
+    auto start = [&] {
+        // A cross-GPU transfer on an ECMP route.
+        const int a = static_cast<int>(rng.below(
+            static_cast<std::uint64_t>(gpus)));
+        int b = static_cast<int>(
+            rng.below(static_cast<std::uint64_t>(gpus)));
+        if (b == a)
+            b = (a + 1) % gpus;
+        const std::uint64_t key = rng.below(1u << 20);
+        FlowSpec fs;
+        fs.route = &rig.cluster.router().routeForFlow(
+            rig.cluster.gpuByRank(a), rig.cluster.gpuByRank(b), key);
+        fs.bytes = static_cast<double>(1 + rng.below(64)) * 1e8;
+        fs.on_complete = [&rig] { ++rig.done; };
+        const Route *route = fs.route;
+        flows.push_back({rig.flows.start(std::move(fs)), route});
+    };
     const double fractions[] = {0.0, 0.25, 0.5, 1.0};
+    auto setCapacity = [&] {
+        const std::size_t i = rng.below(roce.size());
+        rig.flows.setCapacity(roce[i],
+                              nominal[i] * fractions[rng.below(4)]);
+    };
+    auto cancel = [&] {
+        // A no-op once the flow has finished.
+        if (!flows.empty() &&
+            rig.flows.cancel(flows[rng.below(flows.size())].id))
+            ++cancelled;
+    };
+
     SimTime t = 0.0;
     for (int op = 0; op < ops; ++op) {
         t += rng.uniform(1e-4, 5e-3);
         rig.sim.runUntil(t);
+        if (!verify) {
+            ASSERT_NO_FATAL_FAILURE(expectMaxMin(rig, flows));
+        }
 
-        const std::uint64_t kind = rng.below(10);
+        const std::uint64_t kind = rng.below(12);
         if (kind < 5) {
-            // Start: a cross-GPU transfer on an ECMP route.
-            const int a = static_cast<int>(rng.below(
-                static_cast<std::uint64_t>(gpus)));
-            int b = static_cast<int>(
-                rng.below(static_cast<std::uint64_t>(gpus)));
-            if (b == a)
-                b = (a + 1) % gpus;
-            const std::uint64_t key = rng.below(1u << 20);
-            FlowSpec fs;
-            fs.route = &rig.cluster.router().routeForFlow(
-                rig.cluster.gpuByRank(a), rig.cluster.gpuByRank(b), key);
-            fs.bytes = static_cast<double>(1 + rng.below(64)) * 1e8;
-            fs.on_complete = [&rig] { ++rig.done; };
-            ids.push_back(rig.flows.start(std::move(fs)));
+            start();
         } else if (kind < 7) {
-            // Single-link capacity change.
-            const std::size_t i = rng.below(roce.size());
-            rig.flows.setCapacity(roce[i],
-                                  nominal[i] * fractions[rng.below(4)]);
+            setCapacity();
         } else if (kind == 7) {
             // Batched multi-link change (the fault-domain path).
             std::vector<std::pair<ResourceId, Bps>> batch;
@@ -110,10 +190,25 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
                                    nominal[i] * fractions[rng.below(4)]);
             }
             rig.flows.setCapacities(batch);
-        } else if (!ids.empty()) {
-            // Cancel a random flow (a no-op once it has finished).
-            if (rig.flows.cancel(ids[rng.below(ids.size())]))
-                ++cancelled;
+        } else if (kind < 10) {
+            cancel();
+        } else {
+            // Burst: a collective round's same-instant starts in one
+            // batch, now and then preceded by a capacity change or a
+            // cancel inside the same batch.
+            FlowScheduler::ScopedBatch batch(rig.flows);
+            const std::uint64_t n = 2 + rng.below(7);
+            for (std::uint64_t k = 0; k < n; ++k) {
+                const std::uint64_t extra = rng.below(8);
+                if (extra == 0)
+                    setCapacity();
+                else if (extra == 1)
+                    cancel();
+                start();
+            }
+        }
+        if (!verify) {
+            ASSERT_NO_FATAL_FAILURE(expectMaxMin(rig, flows));
         }
     }
 
@@ -123,11 +218,16 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops)
     rig.sim.run();
     ASSERT_EQ(rig.flows.activeCount(), 0u);
     ASSERT_EQ(rig.flows.stalledCount(), 0u);
-    ASSERT_EQ(static_cast<std::size_t>(rig.done) + cancelled, ids.size());
+    ASSERT_EQ(static_cast<std::size_t>(rig.done) + cancelled, flows.size());
 
-    // The oracle really ran, and the solver really ran scoped solves.
-    EXPECT_GT(rig.flows.stats().verified_solves, 0u);
+    // The solver really ran scoped solves, bursts really deferred
+    // starts, and the oracle (or, without it, the fast paths) ran.
     EXPECT_GT(rig.flows.stats().region_solves, 0u);
+    EXPECT_GT(rig.flows.stats().batched_events, 0u);
+    if (verify)
+        EXPECT_GT(rig.flows.stats().verified_solves, 0u);
+    else
+        EXPECT_GT(rig.flows.stats().fast_starts, 0u);
 }
 
 ClusterSpec
@@ -158,13 +258,25 @@ class RegionSolverFuzz : public testing::TestWithParam<int>
 TEST_P(RegionSolverFuzz, FatTreeBitIdenticalToOracle)
 {
     fuzzFabric(fatTreeSpec(),
-               static_cast<std::uint64_t>(GetParam()), 160);
+               static_cast<std::uint64_t>(GetParam()), 160, true);
 }
 
 TEST_P(RegionSolverFuzz, SpineLeafBitIdenticalToOracle)
 {
     fuzzFabric(spineLeafSpec(),
-               static_cast<std::uint64_t>(GetParam()) + 1000, 160);
+               static_cast<std::uint64_t>(GetParam()) + 1000, 160, true);
+}
+
+TEST_P(RegionSolverFuzz, FatTreeMaxMinWithFastPaths)
+{
+    fuzzFabric(fatTreeSpec(),
+               static_cast<std::uint64_t>(GetParam()), 160, false);
+}
+
+TEST_P(RegionSolverFuzz, SpineLeafMaxMinWithFastPaths)
+{
+    fuzzFabric(spineLeafSpec(),
+               static_cast<std::uint64_t>(GetParam()) + 1000, 160, false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegionSolverFuzz, testing::Range(1, 7));

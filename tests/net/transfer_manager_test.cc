@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the transfer manager: latency handling, via-pinning,
- * rate factors and accounting.
+ * rate factors, accounting and one-solve launch groups.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +29,32 @@ class TransferManagerTest : public testing::Test
         ClusterSpec spec;
         spec.nodes = 2;
         return spec;
+    }
+
+    /** One inter-node hop, pinned through node 0's NIC @p nic. */
+    struct Hop {
+        int src;
+        int dst;
+        int nic;
+    };
+
+    /** Start @p hops (10 GB each) in one LaunchScope, counting
+     * completions in @p done; the hops share one launch event. */
+    void
+    launchGroup(std::initializer_list<Hop> hops, int *done)
+    {
+        {
+            TransferManager::LaunchScope scope(tm_);
+            for (const Hop &h : hops) {
+                const ComponentId via[] = {cluster_.node(0).nics[h.nic]};
+                TransferOptions opts;
+                opts.waypoints = via;
+                tm_.start(cluster_.gpuByRank(h.src),
+                          cluster_.gpuByRank(h.dst), 10e9,
+                          [done] { ++*done; }, std::move(opts));
+            }
+        }
+        ASSERT_EQ(sim_.events().size(), 1u);
     }
 
     Simulation sim_;
@@ -200,6 +226,50 @@ TEST_F(TransferRetryTest, ParkedTransferResumesOnRestore)
     EXPECT_EQ(tm_.inFlight(), 0u);
 }
 
+TEST_F(TransferRetryTest, GroupWithADownedHopArmsOneScanAndReroutesIt)
+{
+    RetryPolicy policy;
+    policy.enabled = true;
+    tm_.configureRetry(policy);
+
+    // Four hops contend for nic0's uplink (three fit at their route
+    // caps); the fifth launches through nic1, which is down. The
+    // group's one solve shares nic0 and parks the fifth hop; only
+    // then is the stranded launch seen, arming one scan.
+    setNicCapacityFactor(0, 1, 0.0);
+    int done = 0;
+    launchGroup({{0, 4, 0}, {1, 5, 0}, {0, 5, 0}, {1, 4, 0}, {2, 6, 1}},
+                &done);
+    ASSERT_TRUE(sim_.events().step());  // the launch event
+    EXPECT_EQ(flows_.stats().region_solves, 1u);
+    EXPECT_EQ(flows_.stalledCount(), 1u);
+    // Pending: the scheduler's completion event and one scan.
+    EXPECT_EQ(sim_.events().size(), 2u);
+    sim_.run();
+    EXPECT_EQ(done, 5);
+    EXPECT_EQ(tm_.rerouteCount(), 1u);
+    EXPECT_EQ(tm_.inFlight(), 0u);
+}
+
+TEST_F(TransferRetryTest, HealthyGroupArmsNoScan)
+{
+    // A start deferred to the group's solve reads rate zero until the
+    // batch flushes; the stranded-launch check must not mistake it
+    // for a flow launched into a fault.
+    RetryPolicy policy;
+    policy.enabled = true;
+    tm_.configureRetry(policy);
+    int done = 0;
+    launchGroup({{0, 4, 0}, {1, 5, 0}, {0, 5, 0}, {1, 4, 0}, {0, 6, 0}},
+                &done);
+    ASSERT_TRUE(sim_.events().step());
+    EXPECT_EQ(flows_.stats().region_solves, 1u);
+    EXPECT_EQ(sim_.events().size(), 1u);  // the completion event only
+    sim_.run();
+    EXPECT_EQ(done, 5);
+    EXPECT_EQ(tm_.rerouteCount(), 0u);
+}
+
 TEST_F(TransferRetryTest, RetryDisabledKeepsZeroPendingState)
 {
     // The default (no faults) configuration must not grow
@@ -355,6 +425,24 @@ TEST_F(TransferManagerTest, ScopeGroupsSameTimeLaunchesInCallOrder)
     sim_.run();
     EXPECT_EQ(active_at_x, 2u);
     EXPECT_EQ(tm_.completedCount(), 6u);
+}
+
+TEST_F(TransferManagerTest, LaunchGroupOnASharedUplinkSolvesOnce)
+{
+    // Six hops through node 0's nic0 contend for its uplink, which
+    // fits three at their route caps. Those three are admitted at
+    // once; the other three defer to the group's one solve instead
+    // of solving 4, 5, then 6 flows.
+    int done = 0;
+    launchGroup({{0, 4, 0}, {1, 5, 0}, {0, 5, 0}, {1, 4, 0}, {0, 6, 0},
+                 {1, 7, 0}},
+                &done);
+    ASSERT_TRUE(sim_.events().step());
+    EXPECT_EQ(flows_.activeCount(), 6u);
+    EXPECT_EQ(flows_.stats().fast_starts, 3u);
+    EXPECT_EQ(flows_.stats().region_solves, 1u);
+    sim_.run();
+    EXPECT_EQ(done, 6);
 }
 
 TEST_F(TransferManagerTest, DeathOnEventQueuedInsideALaunchScope)
