@@ -16,6 +16,7 @@
 
 #include "core/presets.hh"
 #include "core/report.hh"
+#include "sim/event_queue.hh"
 #include "util/logging.hh"
 
 namespace dstrain::bench {
@@ -97,6 +98,45 @@ class JsonObject
   private:
     std::string body_;
 };
+
+/**
+ * Machine-speed canary of the JSON benches: pure event-queue churn
+ * (schedule bursts, cancel half, pop the rest) with no simulator code
+ * under test in the loop. tools/perf_guard.py divides its ops/sec
+ * ratio to the baseline out of every guarded rate, so a slower (or
+ * busier) host slows the canary and the scenarios together.
+ */
+inline JsonObject
+eventQueueChurn()
+{
+    constexpr int kRounds = 200;
+    constexpr int kBurst = 2000;
+    Stopwatch watch;
+    EventQueue q;
+    std::uint64_t ops = 0;
+    int fired = 0;
+    for (int r = 0; r < kRounds; ++r) {
+        EventId ids[kBurst];
+        const SimTime base = q.now();
+        for (int i = 0; i < kBurst; ++i) {
+            ids[i] = q.schedule(base + 1e-6 * (i % 97 + 1),
+                                [&fired] { ++fired; });
+        }
+        for (int i = 0; i < kBurst; i += 2)
+            q.cancel(ids[i]);
+        q.run();
+        ops += 2 * kBurst + kBurst / 2;  // schedule + pop + cancel
+    }
+    const double secs = watch.seconds();
+
+    JsonObject json;
+    json.add("scenario", std::string("event_queue_churn"))
+        .add("ops", ops)
+        .add("executed", q.executedCount())
+        .add("wall_seconds", secs)
+        .add("ops_per_sec", ops / secs);
+    return json;
+}
 
 /** Standard iteration settings for the reproduction runs. */
 inline void

@@ -278,39 +278,6 @@ fatTree100kScenario(int waves, int per_wave)
     return json;
 }
 
-/** Event-queue churn: schedule bursts, cancel half, pop the rest. */
-bench::JsonObject
-eventQueueChurn()
-{
-    constexpr int kRounds = 200;
-    constexpr int kBurst = 2000;
-    bench::Stopwatch watch;
-    EventQueue q;
-    std::uint64_t ops = 0;
-    int fired = 0;
-    for (int r = 0; r < kRounds; ++r) {
-        EventId ids[kBurst];
-        const SimTime base = q.now();
-        for (int i = 0; i < kBurst; ++i) {
-            ids[i] = q.schedule(base + 1e-6 * (i % 97 + 1),
-                                [&fired] { ++fired; });
-        }
-        for (int i = 0; i < kBurst; i += 2)
-            q.cancel(ids[i]);
-        q.run();
-        ops += 2 * kBurst + kBurst / 2;  // schedule + pop + cancel
-    }
-    const double secs = watch.seconds();
-
-    bench::JsonObject json;
-    json.add("scenario", std::string("event_queue_churn"))
-        .add("ops", ops)
-        .add("executed", q.executedCount())
-        .add("wall_seconds", secs)
-        .add("ops_per_sec", ops / secs);
-    return json;
-}
-
 /** The sweep used for the jobs=1 vs jobs=N comparison. */
 std::vector<ExperimentConfig>
 sweepPoints()
@@ -395,7 +362,7 @@ main(int argc, char **argv)
                          .str()
                   << "\n";
     }
-    std::cout << eventQueueChurn().str() << "\n";
+    std::cout << bench::eventQueueChurn().str() << "\n";
     if (!args.getFlag("skip-sweep")) {
         std::cout << sweepComparison(
                          SweepRunner(args.getInt("jobs")).jobs())

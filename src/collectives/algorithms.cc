@@ -34,31 +34,33 @@ rotatedFromRoot(const CommGroup &group, int root, int extra)
     return order;
 }
 
+using Pattern = CollectiveSchedule::Pattern;
+
+/** Slices of the pipelined ring (rooted ops). */
+constexpr int kPipelineSlices = 8;
+
+/** Levels of a binomial tree over @p n ranks: ceil(log2 n). */
+int
+binomialLevels(int n)
+{
+    int levels = 0;
+    while ((1 << levels) < n)
+        ++levels;
+    return levels;
+}
+
 /**
  * The N-1 neighbor-ring rounds of reduce-scatter / all-gather;
  * all-reduce runs two phases of them. Chunk arithmetic matches the
  * pre-library engine exactly (share / n once, reused per hop).
  */
-std::vector<CollectiveRound>
+CollectiveSchedule
 ringUnrooted(const CommGroup &group, Bytes share, int phases)
 {
     const int n = group.size();
-    std::vector<CollectiveRound> rounds;
-    const Bytes chunk = share / n;
-    for (int phase = 0; phase < phases; ++phase) {
-        for (int r = 0; r < n - 1; ++r) {
-            CollectiveRound round;
-            for (int i = 0; i < n; ++i) {
-                round.push_back(
-                    CollectiveHop{group.ranks[static_cast<std::size_t>(i)],
-                                  group.ranks[static_cast<std::size_t>(
-                                      (i + 1) % n)],
-                                  chunk});
-            }
-            rounds.push_back(std::move(round));
-        }
-    }
-    return rounds;
+    CollectiveSchedule s(group.ranks);
+    s.addPhase(Pattern::Ring, phases * (n - 1), share / n);
+    return s;
 }
 
 /**
@@ -67,29 +69,14 @@ ringUnrooted(const CommGroup &group, Bytes share, int phases)
  * (1 + (n-2)/k) * bytes / bw. Rounds model the pipeline steps: at
  * step t, link i (i -> i+1) carries slice (t - i).
  */
-std::vector<CollectiveRound>
-ringPipeline(const std::vector<int> &order, Bytes share)
+CollectiveSchedule
+ringPipeline(std::vector<int> order, Bytes share)
 {
     const int n = static_cast<int>(order.size());
-    const int slices = 8;
-    std::vector<CollectiveRound> rounds;
-    const Bytes slice = share / slices;
-    const int steps = slices + n - 2;
-    for (int t = 0; t < steps; ++t) {
-        CollectiveRound round;
-        for (int i = 0; i < n - 1; ++i) {
-            const int s = t - i;
-            if (s < 0 || s >= slices)
-                continue;
-            round.push_back(
-                CollectiveHop{order[static_cast<std::size_t>(i)],
-                              order[static_cast<std::size_t>(i + 1)],
-                              slice});
-        }
-        if (!round.empty())
-            rounds.push_back(std::move(round));
-    }
-    return rounds;
+    CollectiveSchedule s(std::move(order));
+    s.addPhase(Pattern::Pipeline, kPipelineSlices + n - 2,
+               share / kPipelineSlices);
+    return s;
 }
 
 /**
@@ -97,121 +84,20 @@ ringPipeline(const std::vector<int> &order, Bytes share)
  * straight to rank (i + r + 1) mod n. One phase is reduce-scatter,
  * all-gather or all-to-all; all-reduce runs two.
  */
-std::vector<CollectiveRound>
+CollectiveSchedule
 pairwiseExchange(const CommGroup &group, Bytes share, int phases)
 {
     const int n = group.size();
-    std::vector<CollectiveRound> rounds;
-    const Bytes chunk = share / n;
-    for (int phase = 0; phase < phases; ++phase) {
-        for (int r = 0; r < n - 1; ++r) {
-            CollectiveRound round;
-            for (int i = 0; i < n; ++i) {
-                round.push_back(
-                    CollectiveHop{group.ranks[static_cast<std::size_t>(i)],
-                                  group.ranks[static_cast<std::size_t>(
-                                      (i + r + 1) % n)],
-                                  chunk});
-            }
-            rounds.push_back(std::move(round));
-        }
-    }
-    return rounds;
+    CollectiveSchedule s(group.ranks);
+    for (int phase = 0; phase < phases; ++phase)
+        s.addPhase(Pattern::Shift, n - 1, share / n);
+    return s;
 }
 
 bool
 isPowerOfTwo(int n)
 {
     return n >= 1 && (n & (n - 1)) == 0;
-}
-
-/** Binomial broadcast from order[0]: round k doubles the frontier. */
-std::vector<CollectiveRound>
-binomialBroadcast(const std::vector<int> &order, Bytes share)
-{
-    const int n = static_cast<int>(order.size());
-    std::vector<CollectiveRound> rounds;
-    for (int k = 0; (1 << k) < n; ++k) {
-        CollectiveRound round;
-        for (int p = 0; p < (1 << k); ++p) {
-            const int q = p + (1 << k);
-            if (q >= n)
-                break;
-            round.push_back(
-                CollectiveHop{order[static_cast<std::size_t>(p)],
-                              order[static_cast<std::size_t>(q)], share});
-        }
-        rounds.push_back(std::move(round));
-    }
-    return rounds;
-}
-
-/** Binomial reduce toward order[0]: the broadcast mirrored. */
-std::vector<CollectiveRound>
-binomialReduce(const std::vector<int> &order, Bytes share)
-{
-    const int n = static_cast<int>(order.size());
-    int levels = 0;
-    while ((1 << levels) < n)
-        ++levels;
-    std::vector<CollectiveRound> rounds;
-    for (int k = levels - 1; k >= 0; --k) {
-        CollectiveRound round;
-        for (int p = 0; p < (1 << k); ++p) {
-            const int q = p + (1 << k);
-            if (q >= n)
-                break;
-            round.push_back(
-                CollectiveHop{order[static_cast<std::size_t>(q)],
-                              order[static_cast<std::size_t>(p)], share});
-        }
-        if (!round.empty())
-            rounds.push_back(std::move(round));
-    }
-    return rounds;
-}
-
-/** Recursive-doubling all-gather (power-of-two groups only). */
-std::vector<CollectiveRound>
-recursiveDoubling(const CommGroup &group, Bytes share)
-{
-    const int n = group.size();
-    std::vector<CollectiveRound> rounds;
-    for (int dist = 1; dist < n; dist *= 2) {
-        CollectiveRound round;
-        const Bytes bytes = share * dist / n;
-        for (int i = 0; i < n; ++i) {
-            round.push_back(
-                CollectiveHop{group.ranks[static_cast<std::size_t>(i)],
-                              group.ranks[static_cast<std::size_t>(
-                                  i ^ dist)],
-                              bytes});
-        }
-        rounds.push_back(std::move(round));
-    }
-    return rounds;
-}
-
-/** Recursive-halving reduce-scatter (power-of-two groups only). */
-std::vector<CollectiveRound>
-recursiveHalving(const CommGroup &group, Bytes share)
-{
-    const int n = group.size();
-    std::vector<CollectiveRound> rounds;
-    Bytes bytes = share / 2;
-    for (int dist = n / 2; dist >= 1; dist /= 2) {
-        CollectiveRound round;
-        for (int i = 0; i < n; ++i) {
-            round.push_back(
-                CollectiveHop{group.ranks[static_cast<std::size_t>(i)],
-                              group.ranks[static_cast<std::size_t>(
-                                  i ^ dist)],
-                              bytes});
-        }
-        rounds.push_back(std::move(round));
-        bytes /= 2;
-    }
-    return rounds;
 }
 
 // ---------------------------------------------------------------- Ring
@@ -228,9 +114,9 @@ class RingAlgorithm final : public CollectiveAlgorithm
         return group.size() >= 2 && op != CollectiveOp::AllToAll;
     }
 
-    std::vector<CollectiveRound>
-    rounds(CollectiveOp op, const CommGroup &group, Bytes share,
-           int root, const TopologyView &) const override
+    CollectiveSchedule
+    schedule(CollectiveOp op, const CommGroup &group, Bytes share,
+             int root, const TopologyView &) const override
     {
         switch (op) {
           case CollectiveOp::ReduceScatter:
@@ -275,9 +161,9 @@ class PairwiseAlgorithm final : public CollectiveAlgorithm
         return false;
     }
 
-    std::vector<CollectiveRound>
-    rounds(CollectiveOp op, const CommGroup &group, Bytes share, int,
-           const TopologyView &) const override
+    CollectiveSchedule
+    schedule(CollectiveOp op, const CommGroup &group, Bytes share, int,
+             const TopologyView &) const override
     {
         switch (op) {
           case CollectiveOp::ReduceScatter:
@@ -323,30 +209,44 @@ class TreeAlgorithm final : public CollectiveAlgorithm
         return false;
     }
 
-    std::vector<CollectiveRound>
-    rounds(CollectiveOp op, const CommGroup &group, Bytes share,
-           int root, const TopologyView &) const override
+    CollectiveSchedule
+    schedule(CollectiveOp op, const CommGroup &group, Bytes share,
+             int root, const TopologyView &) const override
     {
+        const int levels = binomialLevels(group.size());
         switch (op) {
-          case CollectiveOp::Broadcast:
-            return binomialBroadcast(rotatedFromRoot(group, root, 0),
-                                     share);
-          case CollectiveOp::Reduce:
-            return binomialReduce(rotatedFromRoot(group, root, 0),
-                                  share);
+          case CollectiveOp::Broadcast: {
+            // Binomial broadcast from order[0]: each round doubles
+            // the frontier.
+            CollectiveSchedule s(rotatedFromRoot(group, root, 0));
+            s.addPhase(Pattern::BinomialBcast, levels, share);
+            return s;
+          }
+          case CollectiveOp::Reduce: {
+            // Binomial reduce toward order[0]: the broadcast mirrored.
+            CollectiveSchedule s(rotatedFromRoot(group, root, 0));
+            s.addPhase(Pattern::BinomialReduce, levels, share);
+            return s;
+          }
           case CollectiveOp::AllReduce: {
             // Reduce to rank 0 of the group, then fan back out.
-            auto rounds = binomialReduce(group.ranks, share);
-            auto bcast = binomialBroadcast(group.ranks, share);
-            rounds.insert(rounds.end(),
-                          std::make_move_iterator(bcast.begin()),
-                          std::make_move_iterator(bcast.end()));
-            return rounds;
+            CollectiveSchedule s(group.ranks);
+            s.addPhase(Pattern::BinomialReduce, levels, share);
+            s.addPhase(Pattern::BinomialBcast, levels, share);
+            return s;
           }
-          case CollectiveOp::AllGather:
-            return recursiveDoubling(group, share);
-          case CollectiveOp::ReduceScatter:
-            return recursiveHalving(group, share);
+          case CollectiveOp::AllGather: {
+            // Recursive doubling (power-of-two groups only).
+            CollectiveSchedule s(group.ranks);
+            s.addPhase(Pattern::XorDoubling, levels, share);
+            return s;
+          }
+          case CollectiveOp::ReduceScatter: {
+            // Recursive halving (power-of-two groups only).
+            CollectiveSchedule s(group.ranks);
+            s.addPhase(Pattern::XorHalving, levels, share);
+            return s;
+          }
           case CollectiveOp::AllToAll:
             break;
         }
@@ -380,52 +280,22 @@ class HierarchicalAlgorithm final : public CollectiveAlgorithm
                view.uniformRanksPerNode(group);
     }
 
-    std::vector<CollectiveRound>
-    rounds(CollectiveOp op, const CommGroup &group, Bytes share, int,
-           const TopologyView &view) const override
+    CollectiveSchedule
+    schedule(CollectiveOp op, const CommGroup &group, Bytes share, int,
+             const TopologyView &view) const override
     {
         // Node-major layout: g.ranks[node * gpn + j] is node
         // `node`'s j-th member; rail j strings the j-th member of
-        // every node into one inter-node ring.
-        const CommGroup g = view.orderNodeMajor(group);
+        // every node into one inter-node ring. IntraNode rounds run
+        // one neighbor-ring round inside every node concurrently,
+        // Rail rounds one ring round along every rail.
+        CommGroup g = view.orderNodeMajor(group);
         const int n = g.size();
         const int m = static_cast<int>(view.nodesOf(g).size());
         DSTRAIN_ASSERT(m >= 2 && n % m == 0,
                        "hierarchical needs a uniform multi-node group");
         const int gpn = n / m;
-
-        std::vector<CollectiveRound> rounds;
-
-        // One neighbor-ring round inside every node concurrently.
-        auto intra_rounds = [&](Bytes chunk, int count) {
-            for (int r = 0; r < count; ++r) {
-                CollectiveRound round;
-                for (int node = 0; node < m; ++node) {
-                    for (int j = 0; j < gpn; ++j) {
-                        round.push_back(CollectiveHop{
-                            railRank(g, node, j, gpn),
-                            railRank(g, node, (j + 1) % gpn, gpn),
-                            chunk});
-                    }
-                }
-                rounds.push_back(std::move(round));
-            }
-        };
-        // One ring round along every rail concurrently.
-        auto inter_rounds = [&](Bytes chunk, int count) {
-            for (int r = 0; r < count; ++r) {
-                CollectiveRound round;
-                for (int j = 0; j < gpn; ++j) {
-                    for (int node = 0; node < m; ++node) {
-                        round.push_back(CollectiveHop{
-                            railRank(g, node, j, gpn),
-                            railRank(g, (node + 1) % m, j, gpn),
-                            chunk});
-                    }
-                }
-                rounds.push_back(std::move(round));
-            }
-        };
+        CollectiveSchedule s(std::move(g.ranks), gpn);
 
         const Bytes node_chunk = share / gpn;
         const Bytes rail_chunk = node_chunk / m;
@@ -435,30 +305,23 @@ class HierarchicalAlgorithm final : public CollectiveAlgorithm
             // all-gather: each payload byte crosses the inter-node
             // fabric 2(m-1)/n times instead of the flat ring's
             // 2(n-1) m / n.
-            intra_rounds(node_chunk, gpn - 1);
-            inter_rounds(rail_chunk, 2 * (m - 1));
-            intra_rounds(node_chunk, gpn - 1);
+            s.addPhase(Pattern::IntraNode, gpn - 1, node_chunk);
+            s.addPhase(Pattern::Rail, 2 * (m - 1), rail_chunk);
+            s.addPhase(Pattern::IntraNode, gpn - 1, node_chunk);
             break;
           case CollectiveOp::ReduceScatter:
-            intra_rounds(node_chunk, gpn - 1);
-            inter_rounds(rail_chunk, m - 1);
+            s.addPhase(Pattern::IntraNode, gpn - 1, node_chunk);
+            s.addPhase(Pattern::Rail, m - 1, rail_chunk);
             break;
           case CollectiveOp::AllGather:
-            inter_rounds(rail_chunk, m - 1);
-            intra_rounds(node_chunk, gpn - 1);
+            s.addPhase(Pattern::Rail, m - 1, rail_chunk);
+            s.addPhase(Pattern::IntraNode, gpn - 1, node_chunk);
             break;
           default:
             panic("hierarchical cannot schedule %s",
                   collectiveOpName(op));
         }
-        return rounds;
-    }
-
-  private:
-    static int
-    railRank(const CommGroup &g, int node, int j, int gpn)
-    {
-        return g.ranks[static_cast<std::size_t>(node * gpn + j)];
+        return s;
     }
 };
 
@@ -468,6 +331,94 @@ const TreeAlgorithm kTree;
 const HierarchicalAlgorithm kHierarchical;
 
 } // namespace
+
+void
+CollectiveSchedule::addPhase(Pattern pattern, int steps, Bytes bytes)
+{
+    if (steps <= 0)
+        return;
+    phases_.push_back(Phase{pattern, steps, bytes});
+    rounds_ += static_cast<std::size_t>(steps);
+}
+
+void
+CollectiveSchedule::round(std::size_t r, CollectiveRound &out) const
+{
+    DSTRAIN_ASSERT(r < rounds_, "round %zu of a %zu-round schedule", r,
+                   rounds_);
+    std::size_t ph = 0;
+    while (r >= static_cast<std::size_t>(phases_[ph].steps))
+        r -= static_cast<std::size_t>(phases_[ph++].steps);
+    const Phase &phase = phases_[ph];
+    const int s = static_cast<int>(r);
+    const int n = static_cast<int>(order_.size());
+    auto rank = [this](int i) {
+        return order_[static_cast<std::size_t>(i)];
+    };
+    out.clear();
+    switch (phase.pattern) {
+      case Pattern::Ring:
+        for (int i = 0; i < n; ++i)
+            out.push_back({rank(i), rank((i + 1) % n), phase.bytes});
+        break;
+      case Pattern::Shift:
+        for (int i = 0; i < n; ++i)
+            out.push_back({rank(i), rank((i + s + 1) % n), phase.bytes});
+        break;
+      case Pattern::Pipeline:
+        for (int i = 0; i < n - 1; ++i) {
+            const int slice = s - i;
+            if (slice >= 0 && slice < kPipelineSlices)
+                out.push_back({rank(i), rank(i + 1), phase.bytes});
+        }
+        break;
+      case Pattern::BinomialBcast:
+        for (int p = 0; p < (1 << s) && p + (1 << s) < n; ++p)
+            out.push_back({rank(p), rank(p + (1 << s)), phase.bytes});
+        break;
+      case Pattern::BinomialReduce: {
+        const int k = phase.steps - 1 - s;
+        for (int p = 0; p < (1 << k) && p + (1 << k) < n; ++p)
+            out.push_back({rank(p + (1 << k)), rank(p), phase.bytes});
+        break;
+      }
+      case Pattern::XorDoubling: {
+        const int dist = 1 << s;
+        const Bytes bytes = phase.bytes * dist / n;
+        for (int i = 0; i < n; ++i)
+            out.push_back({rank(i), rank(i ^ dist), bytes});
+        break;
+      }
+      case Pattern::XorHalving: {
+        Bytes bytes = phase.bytes / 2;
+        for (int k = 0; k < s; ++k)
+            bytes /= 2;
+        const int dist = (n / 2) >> s;
+        for (int i = 0; i < n; ++i)
+            out.push_back({rank(i), rank(i ^ dist), bytes});
+        break;
+      }
+      case Pattern::IntraNode: {
+        const int m = n / gpn_;
+        for (int node = 0; node < m; ++node)
+            for (int j = 0; j < gpn_; ++j)
+                out.push_back({rank(node * gpn_ + j),
+                               rank(node * gpn_ + (j + 1) % gpn_),
+                               phase.bytes});
+        break;
+      }
+      case Pattern::Rail: {
+        const int m = n / gpn_;
+        for (int j = 0; j < gpn_; ++j)
+            for (int node = 0; node < m; ++node)
+                out.push_back({rank(node * gpn_ + j),
+                               rank(((node + 1) % m) * gpn_ + j),
+                               phase.bytes});
+        break;
+      }
+    }
+    DSTRAIN_ASSERT(!out.empty(), "empty collective round");
+}
 
 const CollectiveAlgorithm &
 collectiveAlgorithm(CollectiveAlgo algo)

@@ -92,16 +92,30 @@ CollectiveEngine::viaNics(int src_rank, int dst_rank,
 
 /**
  * One collective invocation in flight. Every channel walks the same
- * schedule (rounds() is pure and takes no channel) with its own
- * cursor: round i launches when all of round i-1's hops on that
- * channel land, and the caller's callback fires when the last
- * channel finishes its last round.
+ * schedule (it is pure and takes no channel) with its own cursor:
+ * round i is produced on demand and launches when all of round i-1's
+ * hops on that channel land, and the caller's callback fires when the
+ * last channel finishes its last round.
  *
- * With resilience attached, a per-round progress watchdog (the
- * NCCL-watchdog model) additionally rescues rounds stranded on a
- * dead route: stalled hops are cancelled byte-conservingly and
+ * A ring reuses the same n edges in every round, so each channel
+ * remembers per hop index the edge and its pinned route (the edge
+ * table): a ring's edge resolves once per invocation, and again after
+ * the router flushes its route caches.
+ *
+ * On the fault-free path a round's hops go to the TransferManager as
+ * hop sets: the hops with one launch time and equal bytes, in round
+ * order. The scheduler runs the equal, resource-disjoint ones as one
+ * hop class, so a set costs one record, one launch member and, when it
+ * stays a class, one completion; hopDone(c, k) takes the k hops that
+ * landed at once.
+ *
+ * With retries enabled (the fault path), every hop is its own
+ * retryable transfer, and with resilience attached a per-round
+ * progress watchdog (the NCCL-watchdog model) rescues rounds stranded
+ * on a dead route: stalled hops are cancelled byte-conservingly and
  * relaunched with the undelivered remainder once routing has
- * reconverged — completed rounds never re-run.
+ * reconverged — completed rounds never re-run. Without retries no hop
+ * has a transfer id to rescue, so no watchdog is armed.
  *
  * A round's hops launch inside one TransferManager::LaunchScope, so
  * hops with equal route latency share one launch event. A hop's
@@ -119,10 +133,10 @@ class CollectiveEngine::RoundRunner
     : public std::enable_shared_from_this<RoundRunner>
 {
   public:
-    RoundRunner(CollectiveEngine &eng, std::vector<CollectiveRound> rounds,
+    RoundRunner(CollectiveEngine &eng, CollectiveSchedule schedule,
                 int channels, bool pin, double bw_factor, TagId tag,
                 Callback on_done)
-        : eng_(eng), rounds_(std::move(rounds)),
+        : eng_(eng), schedule_(std::move(schedule)),
           cursors_(static_cast<std::size_t>(channels)), pin_(pin),
           bw_factor_(bw_factor), tag_(tag),
           on_done_(std::move(on_done)), channels_left_(channels)
@@ -144,10 +158,24 @@ class CollectiveEngine::RoundRunner
     }
 
   private:
+    /** A resolved edge, remembered per hop index. */
+    struct EdgeMemo {
+        int src;
+        int dst;
+        const Route *route;
+    };
+
     /** One channel's position in the shared schedule. */
     struct Cursor {
         std::size_t next_round = 0;
         int outstanding = 0;
+        /** The round in flight (produced on demand). */
+        CollectiveRound hops;
+        /** The edge table: per hop index, the edge and pinned route
+         * it had last round. A ring repeats its round, so every edge
+         * resolves once per invocation; a schedule whose edges move
+         * (pairwise) resolves through the router's route cache. */
+        std::vector<EdgeMemo> memo;
         /** Current round's hop bytes; shrink on rescue relaunch. */
         std::vector<Bytes> bytes;
         /** Transfer ids of the current round (0 = untracked). */
@@ -163,7 +191,7 @@ class CollectiveEngine::RoundRunner
     startRound(std::size_t c)
     {
         Cursor &cur = cursors_[c];
-        if (cur.next_round >= rounds_.size()) {
+        if (cur.next_round >= schedule_.size()) {
             if (--channels_left_ == 0) {
                 ++eng_.completed_;
                 if (on_done_)
@@ -171,34 +199,116 @@ class CollectiveEngine::RoundRunner
             }
             return;
         }
-        const CollectiveRound &round = rounds_[cur.next_round++];
-        DSTRAIN_ASSERT(!round.empty(), "empty collective round");
-        cur.bytes.clear();
-        for (const CollectiveHop &hop : round)
-            cur.bytes.push_back(hop.bytes);
-        cur.xids.assign(round.size(), 0);
-        cur.outstanding = static_cast<int>(round.size());
+        schedule_.round(cur.next_round++, cur.hops);
+        cur.outstanding = static_cast<int>(cur.hops.size());
         ++cur.round_gen;
+        TransferManager &tm = eng_.tm_;
+        if (!tm.retryPolicy().enabled) {
+            TransferManager::LaunchScope scope(tm);
+            startHopSets(c);
+            return;
+        }
+        cur.bytes.clear();
+        for (const CollectiveHop &hop : cur.hops)
+            cur.bytes.push_back(hop.bytes);
+        cur.xids.assign(cur.hops.size(), 0);
         {
-            TransferManager::LaunchScope scope(eng_.tm_);
-            for (std::size_t i = 0; i < round.size(); ++i)
+            TransferManager::LaunchScope scope(tm);
+            for (std::size_t i = 0; i < cur.hops.size(); ++i)
                 startHop(c, i);
         }
         if (rc_ != nullptr)
             armWatchdog(c);
     }
 
+    /** The pinned route of edge (@p src, @p dst) on channel @p c
+     * (the router caches it per (src, pins, dst, channel)). */
+    const Route &
+    edgeRoute(int src, int dst, std::size_t c)
+    {
+        Cluster &cl = eng_.tm_.cluster();
+        const NicPins pins = eng_.viaNics(src, dst, c, pin_);
+        return cl.router().routeThrough(cl.gpuByRank(src), pins.span(),
+                                        cl.gpuByRank(dst), c);
+    }
+
     /**
-     * Launch hop @p i of channel @p c's current round (the initial
-     * launch and a watchdog relaunch share it, so both attempts are
-     * identical apart from the bytes).
+     * Start channel @p c's round as hop sets: the hops of one launch
+     * time (the time TransferManager groups a launch by) and equal
+     * bytes, as maximal runs in round order. Sets start in the order
+     * of their first hop, so every launch group is created, and filled,
+     * in the order per-hop starts would give it.
+     */
+    void
+    startHopSets(std::size_t c)
+    {
+        TransferManager &tm = eng_.tm_;
+        Cursor &cur = cursors_[c];
+        const SimTime now = tm.sim().now();
+        // A route-cache flush may move any edge: resolve afresh.
+        const std::uint64_t flushes =
+            tm.cluster().router().cacheInvalidations();
+        if (flushes != edge_flushes_) {
+            for (Cursor &other : cursors_)
+                other.memo.clear();
+            edge_flushes_ = flushes;
+        }
+        sets_.clear();
+        hop_set_.clear();
+        hop_route_.clear();
+        if (cur.memo.size() < cur.hops.size())
+            cur.memo.resize(cur.hops.size(), EdgeMemo{-1, -1, nullptr});
+        for (std::size_t i = 0; i < cur.hops.size(); ++i) {
+            const CollectiveHop &hop = cur.hops[i];
+            EdgeMemo &memo = cur.memo[i];
+            if (memo.src != hop.src_rank || memo.dst != hop.dst_rank) {
+                memo = EdgeMemo{hop.src_rank, hop.dst_rank,
+                                &edgeRoute(hop.src_rank, hop.dst_rank, c)};
+            }
+            const Route &route = *memo.route;
+            const SimTime when = now + route.latency;
+            std::size_t set = sets_.size();
+            for (std::size_t s = 0; s < sets_.size(); ++s) {
+                if (sets_[s].open && sets_[s].when == when) {
+                    set = s;
+                    break;
+                }
+            }
+            if (set < sets_.size() && sets_[set].bytes != hop.bytes) {
+                sets_[set].open = false;
+                set = sets_.size();
+            }
+            if (set == sets_.size())
+                sets_.push_back(HopSet{when, hop.bytes, true});
+            hop_set_.push_back(static_cast<std::uint32_t>(set));
+            hop_route_.push_back(&route);
+        }
+        for (std::size_t s = 0; s < sets_.size(); ++s) {
+            set_routes_.clear();
+            for (std::size_t i = 0; i < hop_set_.size(); ++i)
+                if (hop_set_[i] == s)
+                    set_routes_.push_back(hop_route_[i]);
+            TransferOptions opts;
+            opts.rate_factor = bw_factor_;
+            opts.tag = tag_;
+            opts.keepalive = shared_from_this();
+            tm.startHops(set_routes_, sets_[s].bytes,
+                         [this, c](std::uint32_t n) { hopDone(c, n); },
+                         std::move(opts));
+        }
+    }
+
+    /**
+     * Launch hop @p i of channel @p c's current round as a retryable
+     * transfer (the initial launch and a watchdog relaunch share it,
+     * so both attempts are identical apart from the bytes).
      */
     void
     startHop(std::size_t c, std::size_t i)
     {
         TransferManager &tm = eng_.tm_;
         Cursor &cur = cursors_[c];
-        const CollectiveHop &hop = rounds_[cur.next_round - 1][i];
+        const CollectiveHop &hop = cur.hops[i];
         const NicPins pins =
             eng_.viaNics(hop.src_rank, hop.dst_rank, c, pin_);
         TransferOptions opts;
@@ -211,15 +321,16 @@ class CollectiveEngine::RoundRunner
         opts.keepalive = shared_from_this();
         cur.xids[i] = tm.start(tm.cluster().gpuByRank(hop.src_rank),
                                tm.cluster().gpuByRank(hop.dst_rank),
-                               cur.bytes[i], [this, c] { hopDone(c); },
+                               cur.bytes[i], [this, c] { hopDone(c, 1); },
                                std::move(opts));
     }
 
-    /** One hop of channel @p c's current round landed. */
+    /** @p n hops of channel @p c's current round landed. */
     void
-    hopDone(std::size_t c)
+    hopDone(std::size_t c, std::uint32_t n)
     {
-        if (--cursors_[c].outstanding == 0)
+        cursors_[c].outstanding -= static_cast<int>(n);
+        if (cursors_[c].outstanding == 0)
             startRound(c);
     }
 
@@ -266,7 +377,7 @@ class CollectiveEngine::RoundRunner
                     // next round while hops are still under review).
                     tm.sim().events().scheduleAfter(
                         0.0, [self = shared_from_this(), c] {
-                            self->hopDone(c);
+                            self->hopDone(c, 1);
                         });
                     continue;
                 }
@@ -288,9 +399,16 @@ class CollectiveEngine::RoundRunner
             armWatchdog(c);
     }
 
+    /** startHopSets() scratch: one run of a round's hops. */
+    struct HopSet {
+        SimTime when;
+        Bytes bytes;
+        bool open;  ///< later hops of this launch time may join
+    };
+
     CollectiveEngine &eng_;
-    /** The invocation's schedule, emitted once for all channels. */
-    const std::vector<CollectiveRound> rounds_;
+    /** The invocation's schedule, shared by every channel. */
+    const CollectiveSchedule schedule_;
     std::vector<Cursor> cursors_;
     bool pin_;
     double bw_factor_;
@@ -299,6 +417,13 @@ class CollectiveEngine::RoundRunner
     int channels_left_;
     /** Watchdog coordinator; nullptr while the watchdog is off. */
     ResilienceCoordinator *rc_ = nullptr;
+    /** Router cache flushes the edge memos were resolved under. */
+    std::uint64_t edge_flushes_ = 0;
+    // startHopSets() scratch, reused across rounds.
+    std::vector<HopSet> sets_;
+    std::vector<std::uint32_t> hop_set_;  ///< per hop: its set
+    std::vector<const Route *> hop_route_;  ///< per hop: its route
+    std::vector<const Route *> set_routes_;
 };
 
 void
@@ -437,7 +562,7 @@ CollectiveEngine::runOp(CollectiveOp op, const CommGroup &group,
     recordUsage(op, algo, live.size(), bytes);
 
     std::make_shared<RoundRunner>(
-        *this, impl.rounds(op, live, bytes / channels, root, view),
+        *this, impl.schedule(op, live, bytes / channels, root, view),
         channels, opts.pin_channels_to_nics, opts.bandwidth_factor,
         tm_.internTag(opts.tag.empty() ? kind : opts.tag + "/" + kind),
         std::move(on_done))

@@ -32,7 +32,8 @@ summarizeTelemetry(const TelemetryStats &stats)
 }
 
 std::string
-summarizeScheduler(const FlowScheduler::Stats &stats)
+summarizeScheduler(const FlowScheduler::Stats &stats,
+                   std::uint64_t transfers)
 {
     std::string out = csprintf(
         "scheduler: %llu solves (%llu region, peak %llu flows), "
@@ -54,6 +55,18 @@ summarizeScheduler(const FlowScheduler::Stats &stats)
         static_cast<unsigned long long>(stats.completion_scans_avoided),
         static_cast<unsigned long long>(stats.batched_events),
         static_cast<unsigned long long>(stats.rate_updates));
+    out += csprintf(
+        "\nscheduler: %llu hop classes carried %llu of %llu hops "
+        "(%.1f%% hit rate), %llu class-level solves, %llu "
+        "materializations",
+        static_cast<unsigned long long>(stats.class_starts),
+        static_cast<unsigned long long>(stats.class_hops),
+        static_cast<unsigned long long>(transfers),
+        transfers > 0 ? 100.0 * static_cast<double>(stats.class_hops) /
+                            static_cast<double>(transfers)
+                      : 0.0,
+        static_cast<unsigned long long>(stats.class_solves),
+        static_cast<unsigned long long>(stats.materializations));
     return out;
 }
 

@@ -24,11 +24,14 @@ std::string summarizeReport(const ExperimentReport &report);
 std::string summarizeTelemetry(const TelemetryStats &stats);
 
 /**
- * Two-line summary of the flow-scheduler work counters: solves and
+ * Three-line summary of the flow-scheduler work counters: solves and
  * incremental fast paths on the first line, completion-index /
- * batching / parallel-fill counters on the second.
+ * batching counters on the second, and hop classes on the third: the
+ * hit rate is the share of the run's @p transfers (hops) that started
+ * inside a class.
  */
-std::string summarizeScheduler(const FlowScheduler::Stats &stats);
+std::string summarizeScheduler(const FlowScheduler::Stats &stats,
+                               std::uint64_t transfers);
 
 /**
  * A comparison table over several reports: model size, throughput,

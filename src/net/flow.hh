@@ -91,6 +91,35 @@ struct FlowSpec {
     TagId tag = kNoTag;
 };
 
+/**
+ * Parameters for starting a set of equal hops at one instant (the
+ * fault-free collective path, FlowScheduler::startHops()).
+ */
+struct HopSetSpec {
+    /** One route per hop (non-owning; valid for the call). */
+    std::span<const Route *const> routes;
+
+    /** Per-hop extra rate caps, parallel to routes; see
+     * FlowSpec::rate_cap. */
+    std::span<const Bps> rate_caps;
+
+    /** Every hop's payload. */
+    Bytes bytes = 0.0;
+
+    /**
+     * Invoked with the number of hops that landed, once per landing
+     * (a hop class lands all of its hops at once); the counts sum to
+     * routes.size().
+     */
+    std::function<void(std::uint32_t)> on_complete;
+
+    /** Debugging label (FlowScheduler::tags()). */
+    TagId tag = kNoTag;
+};
+
+/** Remaining bytes at or below this count as delivered. */
+constexpr Bytes kFlowByteEpsilon = 1.0;
+
 /** finish_at value for flows that are not progressing. */
 constexpr SimTime kFlowNeverFinishes =
     std::numeric_limits<SimTime>::infinity();
@@ -124,6 +153,11 @@ struct Flow {
     bool stalled = false;  ///< parked: every crossed link at zero capacity
     std::function<void()> on_complete;
     TagId tag = kNoTag;
+    /** Hops this entry carries: k for a hop class, else 1. */
+    std::uint32_t hops = 1;
+    /** The startHops() set it belongs to, plus one; 0 = a plain
+     * flow, which completes through on_complete instead. */
+    std::uint32_t hop_set = 0;
 };
 
 } // namespace dstrain

@@ -53,9 +53,6 @@ namespace dstrain {
 
 namespace {
 
-/** Completion slack: remaining bytes below this count as done. */
-constexpr Bytes kByteEpsilon = 1.0;
-
 /** Residual capacity below this fraction counts as saturated. */
 constexpr double kSaturationFraction = 1e-9;
 
@@ -94,6 +91,8 @@ FlowScheduler::ensureResourceArrays()
     res_comp_mark_.resize(n, 0);
     res_saturated_.resize(n, 0);
     res_local_.resize(n, 0);
+    res_hop_mark_.resize(n, 0);
+    nclass_.resize(n, 0);
     for (std::size_t i = old; i < n; ++i) {
         const Resource &r = topo_.resource(static_cast<ResourceId>(i));
         eff_cap_[i] = r.capacity * linkClassEfficiency(r.cls);
@@ -110,8 +109,7 @@ FlowScheduler::saturated(ResourceId rid) const
 // --- dense slot map ------------------------------------------------------
 
 std::uint32_t
-FlowScheduler::registerFlow(Flow f, const Route &route,
-                            std::span<const ResourceId> extra)
+FlowScheduler::allocSlot(Flow f)
 {
     std::uint32_t slot;
     if (free_slots_.empty()) {
@@ -129,6 +127,7 @@ FlowScheduler::registerFlow(Flow f, const Route &route,
         route_len_.push_back(0);
         cap_slot_.push_back(0.0);
         slot_gen_.push_back(0);
+        class_of_.push_back(0);
     } else {
         slot = free_slots_.back();
         free_slots_.pop_back();
@@ -136,17 +135,47 @@ FlowScheduler::registerFlow(Flow f, const Route &route,
         rate_slot_[slot] = 0.0;
         stalled_slot_[slot] = 0;
     }
-    Flow &g = slots_[slot];
-    cap_slot_[slot] = g.cap;
-    if (route_arena_.size() + route.resources.size() + extra.size() >
-        2 * arena_live_ + 64) {
+    cap_slot_[slot] = slots_[slot].cap;
+    return slot;
+}
+
+void
+FlowScheduler::linkAfter(std::int32_t after, std::uint32_t slot)
+{
+    const std::int32_t next =
+        after >= 0 ? next_slot_[static_cast<std::size_t>(after)]
+                   : head_slot_;
+    prev_slot_[slot] = after;
+    next_slot_[slot] = next;
+    if (after >= 0)
+        next_slot_[static_cast<std::size_t>(after)] =
+            static_cast<std::int32_t>(slot);
+    else
+        head_slot_ = static_cast<std::int32_t>(slot);
+    if (next >= 0)
+        prev_slot_[static_cast<std::size_t>(next)] =
+            static_cast<std::int32_t>(slot);
+    else
+        tail_slot_ = static_cast<std::int32_t>(slot);
+}
+
+std::uint32_t
+FlowScheduler::registerFlow(Flow f, std::span<const Route *const> routes,
+                            std::span<const ResourceId> extra)
+{
+    const std::uint32_t slot = allocSlot(std::move(f));
+    std::size_t total = extra.size();
+    for (const Route *r : routes)
+        total += r->resources.size();
+    if (route_arena_.size() + total > 2 * arena_live_ + 64)
         compactRouteArena();
-    }
-    // The route's resources are already deduplicated; an extra joins
-    // only if the route does not cross it.
+    // Each route's resources are already deduplicated (and a class's
+    // member routes are pairwise disjoint); an extra joins only if
+    // the route does not cross it.
     const std::size_t begin = route_arena_.size();
-    route_arena_.insert(route_arena_.end(), route.resources.begin(),
-                        route.resources.end());
+    for (const Route *r : routes)
+        route_arena_.insert(route_arena_.end(), r->resources.begin(),
+                            r->resources.end());
     for (ResourceId rid : extra) {
         if (std::find(route_arena_.begin() +
                           static_cast<std::ptrdiff_t>(begin),
@@ -161,14 +190,7 @@ FlowScheduler::registerFlow(Flow f, const Route &route,
 
     // Append at the tail: sequences are issued monotonically, so the
     // active list stays in start order.
-    next_slot_[slot] = -1;
-    prev_slot_[slot] = tail_slot_;
-    if (tail_slot_ >= 0)
-        next_slot_[static_cast<std::size_t>(tail_slot_)] =
-            static_cast<std::int32_t>(slot);
-    else
-        head_slot_ = static_cast<std::int32_t>(slot);
-    tail_slot_ = static_cast<std::int32_t>(slot);
+    linkAfter(tail_slot_, slot);
 
     for (std::size_t k = 0; k < len; ++k) {
         const ResourceId rid = route_arena_[begin + k];
@@ -177,7 +199,37 @@ FlowScheduler::registerFlow(Flow f, const Route &route,
         route_pos_[begin + k] = static_cast<std::uint32_t>(lst.size());
         lst.push_back({slot, static_cast<std::uint32_t>(k)});
     }
-    ++active_count_;
+    active_count_ += routes.size();
+    return slot;
+}
+
+std::uint32_t
+FlowScheduler::registerClass(Flow f, std::span<const Route *const> routes)
+{
+    std::uint32_t ci;
+    if (free_classes_.empty()) {
+        ci = static_cast<std::uint32_t>(classes_.size());
+        classes_.emplace_back();
+    } else {
+        ci = free_classes_.back();
+        free_classes_.pop_back();
+    }
+    // Member m's resources follow its predecessors' in the span.
+    HopClass &hc = classes_[ci];
+    hc.off.assign(1, 0);
+    hc.seed_epoch = 0;
+    hc.len = static_cast<std::uint32_t>(routes.front()->resources.size());
+    for (const Route *r : routes) {
+        hc.off.push_back(hc.off.back() +
+                         static_cast<std::uint32_t>(r->resources.size()));
+        if (r->resources.size() != hc.len)
+            hc.len = 0;
+    }
+    const std::uint32_t slot = registerFlow(std::move(f), routes, {});
+    for (ResourceId rid : resourcesOf(slot))
+        nclass_[rid] += 1;
+    class_of_[slot] = ci + 1;
+    ++live_classes_;
     return slot;
 }
 
@@ -185,7 +237,9 @@ void
 FlowScheduler::detachFlow(std::uint32_t slot)
 {
     const std::uint32_t begin = route_begin_[slot];
+    const int cls = class_of_[slot] != 0 ? 1 : 0;
     for (std::uint32_t k = 0; k < route_len_[slot]; ++k) {
+        nclass_[route_arena_[begin + k]] -= cls;
         auto &lst = res_flows_[route_arena_[begin + k]];
         const std::uint32_t pos = route_pos_[begin + k];
         const ResFlow back = lst.back();
@@ -195,6 +249,7 @@ FlowScheduler::detachFlow(std::uint32_t slot)
     }
     ++slot_gen_[slot];
     arena_live_ -= route_len_[slot];
+    active_count_ -= slots_[slot].hops;
 
     const std::int32_t prev = prev_slot_[slot];
     const std::int32_t next = next_slot_[slot];
@@ -206,12 +261,16 @@ FlowScheduler::detachFlow(std::uint32_t slot)
         prev_slot_[static_cast<std::size_t>(next)] = prev;
     else
         tail_slot_ = prev;
-    --active_count_;
 }
 
 void
 FlowScheduler::releaseSlot(std::uint32_t slot)
 {
+    if (class_of_[slot] != 0) {
+        free_classes_.push_back(class_of_[slot] - 1);
+        class_of_[slot] = 0;
+        --live_classes_;
+    }
     slots_[slot] = Flow();
     free_slots_.push_back(slot);
 }
@@ -334,7 +393,7 @@ FlowScheduler::beginRegion()
 }
 
 void
-FlowScheduler::seedRegionFlow(std::uint32_t slot)
+FlowScheduler::pushSeed(std::uint32_t slot)
 {
     if (slots_[slot].stalled)
         return;
@@ -345,10 +404,22 @@ FlowScheduler::seedRegionFlow(std::uint32_t slot)
 }
 
 void
+FlowScheduler::seedRegionFlow(std::uint32_t slot)
+{
+    if (class_of_[slot] != 0)
+        markClassSeed(slot, kWholeClass);
+    pushSeed(slot);
+}
+
+void
 FlowScheduler::seedRegionResource(ResourceId rid)
 {
-    for (const ResFlow &rf : res_flows_[rid])
-        seedRegionFlow(rf.slot);
+    for (const ResFlow &rf : res_flows_[rid]) {
+        // Per hop, only the member crossing rid would be seeded.
+        if (class_of_[rf.slot] != 0)
+            markClassSeed(rf.slot, memberOf(rf.slot, rf.idx));
+        pushSeed(rf.slot);
+    }
 }
 
 void
@@ -452,30 +523,37 @@ FlowScheduler::fillComponent(std::size_t c)
     // fill in the last bit, which would make incremental region
     // solves irreproducible. Both the region solve and the verify
     // oracle fill per component.
-    //
-    // The rounds run on dense component-local arrays (see
-    // FillScratch) seeded from the partition CSR, so the round scans
-    // hit a few KB of contiguous scratch instead of striding over
-    // O(cluster) global arrays — that cache footprint, not the
-    // operation count, dominated the fill at 10^4+ links. The
-    // sequence of arithmetic operations is unchanged, so rates are
-    // bit-identical to the global-array fill.
     const std::size_t begin = comp_ranges_[c];
-    const std::size_t end = (c + 1 < comp_ranges_.size())
-                                ? comp_ranges_[c + 1]
-                                : components_.size();
+    const std::size_t end = compEnd(c);
     const std::size_t rbegin = comp_rid_ranges_[c];
-    const std::size_t rend = (c + 1 < comp_rid_ranges_.size())
-                                 ? comp_rid_ranges_[c + 1]
-                                 : comp_rids_.size();
-    const std::size_t nf = end - begin;
-    const std::size_t nr = rend - rbegin;
+    const std::size_t rend = compRidEnd(c);
+    fillKernel(end - begin, rend - rbegin, comp_fcap_.data() + begin,
+               comp_flow_begin_.data() + begin, comp_flow_res_.data(),
+               comp_rcap_.data() + rbegin, comp_crossing_.data() + rbegin);
+    commitRates(begin, end);
+    active_resources_.insert(active_resources_.end(),
+                             comp_rids_.begin() + rbegin,
+                             comp_rids_.begin() + rend);
+}
 
+void
+FlowScheduler::fillKernel(std::size_t nf, std::size_t nr,
+                          const double *fcap, const std::uint32_t *fbegin,
+                          const std::uint32_t *fres, const double *rcap,
+                          const int *crossing)
+{
+    // The rounds run on dense component-local arrays (see
+    // FillScratch) seeded from a CSR, so the round scans hit a few KB
+    // of contiguous scratch instead of striding over O(cluster) global
+    // arrays — that cache footprint, not the operation count,
+    // dominated the fill at 10^4+ links. The arithmetic is
+    // order-insensitive (min-reductions plus a uniform increment per
+    // flow and per resource), so two components with the same
+    // structure — flows, caps, capacities and incidence, in any
+    // numbering — fill to bitwise-equal rates.
     FillScratch &ws = fill_;
-    ws.residual.assign(comp_rcap_.begin() + rbegin,
-                       comp_rcap_.begin() + rend);
-    ws.crossing.assign(comp_crossing_.begin() + rbegin,
-                       comp_crossing_.begin() + rend);
+    ws.residual.assign(rcap, rcap + nr);
+    ws.crossing.assign(crossing, crossing + nr);
     ws.sat.assign(nr, 0);
     ws.live.resize(nr);
     for (std::uint32_t l = 0; l < nr; ++l)
@@ -484,13 +562,6 @@ FlowScheduler::fillComponent(std::size_t c)
     ws.unfrozen.resize(nf);
     for (std::uint32_t fi = 0; fi < nf; ++fi)
         ws.unfrozen[fi] = fi;
-    // Shared read-only views of the component's CSR slice: flow fi's
-    // local resource ids and its rate cap.
-    const double *fcap = comp_fcap_.data() + begin;
-    const std::uint32_t *fbegin = comp_flow_begin_.data() + begin;
-    const std::uint32_t *fres = comp_flow_res_.data();
-    const double *rcap = comp_rcap_.data() + rbegin;
-
     while (!ws.unfrozen.empty()) {
         // The inc scan doubles as the live-list compaction: resources
         // whose crossing count dropped to zero in the previous round's
@@ -552,7 +623,11 @@ FlowScheduler::fillComponent(std::size_t c)
         // Resources the freeze pass just orphaned (crossing now zero)
         // are squeezed out by the next round's inc scan above.
     }
+}
 
+void
+FlowScheduler::commitRates(std::size_t begin, std::size_t end)
+{
     // Commit: settle flows whose rate changed (at the old rate, over
     // the whole constant-rate span — flows whose rate is unchanged
     // are deliberately left alone, see the file comment), refresh
@@ -562,7 +637,7 @@ FlowScheduler::fillComponent(std::size_t c)
     for (std::size_t i = begin; i < end; ++i) {
         const std::uint32_t slot = components_[i];
         Flow &f = slots_[slot];
-        const double rate = ws.frate[i - begin];
+        const double rate = fill_.frate[i - begin];
         if (rate != f.rate) {
             settleFlow(f, now);
             f.rate = rate;
@@ -582,9 +657,6 @@ FlowScheduler::fillComponent(std::size_t c)
             parkStalled(slot);
         }
     }
-    active_resources_.insert(active_resources_.end(),
-                             comp_rids_.begin() + rbegin,
-                             comp_rids_.begin() + rend);
 }
 
 void
@@ -612,26 +684,336 @@ void
 FlowScheduler::solveRegion()
 {
     partitionComponents();
+    const bool classes = live_classes_ > 0 && materializeUnfillable();
     if (components_.empty()) {
         scheduleNextCompletion();
         return;
     }
 
+    // Region sizes count hops, as the per-hop solve would see them.
+    std::size_t hops = components_.size();
+    if (classes)
+        for (std::uint32_t slot : components_)
+            hops += slots_[slot].hops - 1;
     ++stats_.recomputes;
     ++stats_.region_solves;
-    stats_.region_flows += components_.size();
-    stats_.region_peak =
-        std::max<std::uint64_t>(stats_.region_peak, components_.size());
+    stats_.region_flows += hops;
+    stats_.region_peak = std::max<std::uint64_t>(stats_.region_peak, hops);
     std::size_t bucket = 0;
-    for (std::size_t n = components_.size(); n > 1; n >>= 1)
+    for (std::size_t n = hops; n > 1; n >>= 1)
         ++bucket;
     stats_.region_hist[std::min(bucket, kRegionHistBuckets - 1)] += 1;
 
     active_resources_.clear();
-    for (std::size_t c = 0; c < comp_ranges_.size(); ++c)
-        fillComponent(c);
+    for (std::size_t c = 0; c < comp_ranges_.size(); ++c) {
+        if (classes && comp_class_[c])
+            classFill(c);
+        else
+            fillComponent(c);
+    }
     writeRegionTotals();
     scheduleNextCompletion();
+}
+
+// --- hop classes ---------------------------------------------------------
+
+std::uint32_t
+FlowScheduler::memberOf(std::uint32_t slot, std::uint32_t idx) const
+{
+    const HopClass &hc = classes_[class_of_[slot] - 1];
+    if (hc.len != 0)
+        return idx / hc.len;
+    return static_cast<std::uint32_t>(
+        std::upper_bound(hc.off.begin(), hc.off.end(), idx) -
+        hc.off.begin() - 1);
+}
+
+void
+FlowScheduler::markClassSeed(std::uint32_t slot, std::uint32_t member)
+{
+    HopClass &hc = classes_[class_of_[slot] - 1];
+    if (hc.seed_epoch != mark_epoch_) {
+        hc.seed_epoch = mark_epoch_;
+        hc.seed_whole = false;
+        hc.seed_members.clear();
+    }
+    if (member == kWholeClass)
+        hc.seed_whole = true;
+    else if (!hc.seed_whole)
+        hc.seed_members.push_back(member);
+}
+
+void
+FlowScheduler::materialize(std::uint32_t slot)
+{
+    const std::uint32_t ci = class_of_[slot] - 1;
+    // Copies: allocSlot() below may grow slots_.
+    Flow proto = slots_[slot];
+    const std::vector<std::uint32_t> &off = classes_[ci].off;
+    const std::uint32_t k = static_cast<std::uint32_t>(off.size() - 1);
+    const std::uint32_t begin = route_begin_[slot];
+    for (ResourceId rid : resourcesOf(slot))
+        nclass_[rid] -= 1;
+    const bool indexed = index_seq_[slot] != 0;
+    const bool deferred =
+        batch_depth_ > 0 &&
+        std::find(batch_start_slots_.begin(), batch_start_slots_.end(),
+                  slot) != batch_start_slots_.end();
+    proto.hops = 1;
+    mat_slots_.clear();
+    mat_slots_.push_back(slot);
+    std::int32_t after = static_cast<std::int32_t>(slot);
+    for (std::uint32_t m = 1; m < k; ++m) {
+        Flow g = proto;
+        g.seq = proto.seq + m;
+        const std::uint32_t ms = allocSlot(std::move(g));
+        rate_slot_[ms] = proto.rate;
+        const std::uint32_t from = begin + off[m];
+        route_begin_[ms] = from;
+        route_len_[ms] = off[m + 1] - off[m];
+        // The member takes over the class's crossing-list entries
+        // in place, so every list keeps its order.
+        for (std::uint32_t p = 0; p < route_len_[ms]; ++p)
+            res_flows_[route_arena_[from + p]][route_pos_[from + p]] =
+                ResFlow{ms, p};
+        linkAfter(after, ms);
+        after = static_cast<std::int32_t>(ms);
+        if (indexed)
+            indexUpdate(ms, proto.finish_at);
+        if (deferred)
+            batch_start_slots_.push_back(ms);
+        mat_slots_.push_back(ms);
+    }
+    slots_[slot].hops = 1;
+    route_len_[slot] = off[1];
+    free_classes_.push_back(ci);
+    class_of_[slot] = 0;
+    --live_classes_;
+    ++stats_.materializations;
+}
+
+void
+FlowScheduler::materializeCrossers(ResourceId rid)
+{
+    if (live_classes_ == 0)
+        return;
+    // materialize() rewrites entries in place, never the list shape.
+    for (const ResFlow &rf : res_flows_[rid])
+        if (class_of_[rf.slot] != 0)
+            materialize(rf.slot);
+}
+
+bool
+FlowScheduler::markClassComponents()
+{
+    const std::size_t ncomp = comp_ranges_.size();
+    comp_class_.assign(ncomp, 0);
+    bool any = false;
+    for (std::size_t c = 0; c < ncomp; ++c) {
+        for (std::size_t i = comp_ranges_[c]; i < compEnd(c); ++i) {
+            if (class_of_[components_[i]] != 0) {
+                comp_class_[c] = 1;
+                any = true;
+                break;
+            }
+        }
+    }
+    return any;
+}
+
+bool
+FlowScheduler::classFillable(std::size_t c)
+{
+    const std::size_t begin = comp_ranges_[c];
+    const std::size_t end = compEnd(c);
+    const std::size_t rbegin = comp_rid_ranges_[c];
+    const std::size_t rend = compRidEnd(c);
+    const std::size_t nr = rend - rbegin;
+
+    std::uint32_t k = 0;
+    bool whole = false;
+    for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t cls = class_of_[components_[i]];
+        if (cls == 0)
+            return false;
+        const HopClass &hc = classes_[cls - 1];
+        const std::uint32_t members =
+            static_cast<std::uint32_t>(hc.off.size() - 1);
+        if (hc.len == 0 || (k != 0 && members != k))
+            return false;
+        k = members;
+        whole = whole || (hc.seed_epoch == mark_epoch_ && hc.seed_whole);
+    }
+    // Every slice must be in the region, as the per-hop solve would
+    // have re-solved only the slices its seeds reach.
+    if (!whole) {
+        cover_.assign(k, 0);
+        std::uint32_t covered = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+            const HopClass &hc = classes_[class_of_[components_[i]] - 1];
+            if (hc.seed_epoch != mark_epoch_)
+                continue;
+            for (const std::uint32_t m : hc.seed_members) {
+                if (!cover_[m]) {
+                    cover_[m] = 1;
+                    ++covered;
+                }
+            }
+        }
+        if (covered != k)
+            return false;
+    }
+
+    // Slice 0 alone must account for every crosser of its resources.
+    const std::uint32_t *fres = comp_flow_res_.data();
+    const int *crossing = comp_crossing_.data() + rbegin;
+    const double *rcap = comp_rcap_.data() + rbegin;
+    slice_cnt_.assign(nr, 0);
+    for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t len = classes_[class_of_[components_[i]] - 1].len;
+        const std::uint32_t fb = comp_flow_begin_[i];
+        for (std::uint32_t p = 0; p < len; ++p)
+            ++slice_cnt_[fres[fb + p]];
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t len = classes_[class_of_[components_[i]] - 1].len;
+        const std::uint32_t fb = comp_flow_begin_[i];
+        for (std::uint32_t p = 0; p < len; ++p)
+            if (slice_cnt_[fres[fb + p]] != crossing[fres[fb + p]])
+                return false;
+    }
+    // Every other slice must map onto slice 0 bijectively, position by
+    // position, with equal capacities and crossing counts.
+    constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+    slice_map_.assign(nr, kNone);
+    slice_inv_.assign(nr, kNone);
+    for (std::uint32_t sl = 1; sl < k; ++sl) {
+        bool ok = true;
+        for (std::size_t i = begin; ok && i < end; ++i) {
+            const std::uint32_t len =
+                classes_[class_of_[components_[i]] - 1].len;
+            const std::uint32_t fb = comp_flow_begin_[i];
+            for (std::uint32_t p = 0; p < len; ++p) {
+                const std::uint32_t l0 = fres[fb + p];
+                const std::uint32_t li = fres[fb + sl * len + p];
+                if (slice_map_[l0] == kNone) {
+                    if (slice_inv_[li] != kNone || rcap[li] != rcap[l0] ||
+                        crossing[li] != crossing[l0]) {
+                        ok = false;
+                        break;
+                    }
+                    slice_map_[l0] = li;
+                    slice_inv_[li] = l0;
+                    slice_touched_.push_back(l0);
+                } else if (slice_map_[l0] != li) {
+                    ok = false;
+                    break;
+                }
+            }
+        }
+        for (const std::uint32_t l0 : slice_touched_) {
+            slice_inv_[slice_map_[l0]] = kNone;
+            slice_map_[l0] = kNone;
+        }
+        slice_touched_.clear();
+        if (!ok)
+            return false;
+    }
+    return true;
+}
+
+bool
+FlowScheduler::materializeUnfillable()
+{
+    if (!markClassComponents())
+        return false;
+    bool any = false;
+    reseed_.clear();
+    for (std::size_t c = 0; c < comp_ranges_.size(); ++c) {
+        if (!comp_class_[c] || classFillable(c))
+            continue;
+        any = true;
+        const std::size_t end = compEnd(c);
+        for (std::size_t i = comp_ranges_[c]; i < end; ++i) {
+            const std::uint32_t slot = components_[i];
+            if (class_of_[slot] == 0)
+                continue;
+            const HopClass &hc = classes_[class_of_[slot] - 1];
+            const bool seeded = hc.seed_epoch == mark_epoch_;
+            const bool whole = seeded && hc.seed_whole;
+            seed_scratch_.clear();
+            if (seeded && !whole)
+                seed_scratch_ = hc.seed_members;
+            materialize(slot);
+            // Seed exactly the members the per-hop region would hold.
+            flow_mark_[slot] = 0;
+            if (whole) {
+                reseed_.insert(reseed_.end(), mat_slots_.begin(),
+                               mat_slots_.end());
+            } else {
+                for (const std::uint32_t m : seed_scratch_)
+                    reseed_.push_back(mat_slots_[m]);
+            }
+        }
+    }
+    if (!any)
+        return true;
+    std::size_t w = 0;
+    for (const std::uint32_t slot : region_flows_)
+        if (flow_mark_[slot] == mark_epoch_)
+            region_flows_[w++] = slot;
+    region_flows_.resize(w);
+    for (const std::uint32_t slot : reseed_)
+        pushSeed(slot);
+    partitionComponents();
+    return markClassComponents();
+}
+
+void
+FlowScheduler::classFill(std::size_t c)
+{
+    // Every slice is an isomorphic copy of slice 0 and of the per-hop
+    // component its members form, and the fill is order-insensitive,
+    // so filling slice 0 — renumbered densely — gives each class the
+    // rate each of its members would get.
+    const std::size_t begin = comp_ranges_[c];
+    const std::size_t end = compEnd(c);
+    const std::size_t rbegin = comp_rid_ranges_[c];
+    const std::size_t rend = compRidEnd(c);
+    constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+    slice_map_.assign(rend - rbegin, kNone);
+    slice_fbegin_.clear();
+    slice_fres_.clear();
+    slice_fcap_.clear();
+    slice_rcap_.clear();
+    slice_cross_.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t slot = components_[i];
+        const std::uint32_t len = classes_[class_of_[slot] - 1].len;
+        const std::uint32_t fb = comp_flow_begin_[i];
+        slice_fbegin_.push_back(
+            static_cast<std::uint32_t>(slice_fres_.size()));
+        slice_fcap_.push_back(cap_slot_[slot]);
+        for (std::uint32_t p = 0; p < len; ++p) {
+            const std::uint32_t l0 = comp_flow_res_[fb + p];
+            if (slice_map_[l0] == kNone) {
+                slice_map_[l0] =
+                    static_cast<std::uint32_t>(slice_rcap_.size());
+                slice_rcap_.push_back(comp_rcap_[rbegin + l0]);
+                slice_cross_.push_back(comp_crossing_[rbegin + l0]);
+            }
+            slice_fres_.push_back(slice_map_[l0]);
+        }
+    }
+    slice_fbegin_.push_back(static_cast<std::uint32_t>(slice_fres_.size()));
+    fillKernel(end - begin, slice_rcap_.size(), slice_fcap_.data(),
+               slice_fbegin_.data(), slice_fres_.data(), slice_rcap_.data(),
+               slice_cross_.data());
+    commitRates(begin, end);
+    active_resources_.insert(active_resources_.end(),
+                             comp_rids_.begin() + rbegin,
+                             comp_rids_.begin() + rend);
+    ++stats_.class_solves;
 }
 
 void
@@ -656,7 +1038,7 @@ FlowScheduler::start(FlowSpec spec)
     DSTRAIN_ASSERT(spec.bytes >= 0.0, "flow '%s' has negative size",
                    tags_.label(spec.tag).c_str());
 
-    if (spec.bytes <= kByteEpsilon) {
+    if (spec.bytes <= kFlowByteEpsilon) {
         // Degenerate transfer: complete via a zero-delay event so the
         // caller's state machine always advances asynchronously. The
         // flow is never registered; its id names an out-of-range slot,
@@ -680,10 +1062,16 @@ FlowScheduler::start(FlowSpec spec)
                    tags_.label(f.tag).c_str());
 
     ensureResourceArrays();
-    const std::uint32_t slot =
-        registerFlow(std::move(f), *spec.route, spec.extra_resources);
+    const std::uint32_t slot = registerFlow(
+        std::move(f), {&spec.route, 1}, spec.extra_resources);
     const FlowId id = encodeId(slot_gen_[slot], slot);
-    Flow &g = slots_[slot];
+    admit(slot);
+    return id;
+}
+
+void
+FlowScheduler::admit(std::uint32_t slot)
+{
     // Verify mode forces the full solve: the oracle is a from-scratch
     // component fill, and a fast-path rate — assigned directly rather
     // than summed through fill increments — matches it mathematically
@@ -695,9 +1083,9 @@ FlowScheduler::start(FlowSpec spec)
     // of the flush's closure, so the flush re-solves it (DESIGN §6.5).
     if (!verify_ && tryFastStart(slot)) {
         ++stats_.fast_starts;
-        indexUpdate(slot, g.finish_at);
+        indexUpdate(slot, slots_[slot].finish_at);
         maybeVerify();
-        return id;
+        return;
     }
     if (batch_depth_ > 0) {
         // Deferred admission: the flow sits rate-less (not stalled,
@@ -705,46 +1093,230 @@ FlowScheduler::start(FlowSpec spec)
         ++stats_.batched_events;
         batch_start_slots_.push_back(slot);
         batch_need_solve_ = true;
-        return id;
+        return;
     }
     beginRegion();
     seedRegionFlow(slot);
     solveRegion();
     maybeVerify();
-    return id;
 }
 
-bool
-FlowScheduler::tryFastStart(std::uint32_t slot)
+void
+FlowScheduler::startHops(HopSetSpec spec)
 {
-    Flow &f = slots_[slot];
-    const std::span<const ResourceId> resources = resourcesOf(slot);
+    const std::size_t k = spec.routes.size();
+    DSTRAIN_ASSERT(k > 0 && spec.rate_caps.size() == k,
+                   "hop set '%s' is malformed",
+                   tags_.label(spec.tag).c_str());
+    DSTRAIN_ASSERT(spec.bytes >= 0.0, "hop set '%s' has negative size",
+                   tags_.label(spec.tag).c_str());
+    std::uint32_t set;
+    if (free_hop_sets_.empty()) {
+        set = static_cast<std::uint32_t>(hop_sets_.size());
+        hop_sets_.emplace_back();
+    } else {
+        set = free_hop_sets_.back();
+        free_hop_sets_.pop_back();
+    }
+    hop_sets_[set].on_complete = std::move(spec.on_complete);
+    hop_sets_[set].live = static_cast<std::uint32_t>(k);
+
+    if (spec.bytes <= kFlowByteEpsilon) {
+        // Degenerate hops complete as start() completes them: one
+        // zero-delay event each.
+        for (std::size_t i = 0; i < k; ++i)
+            sim_.events().scheduleAfter(0.0,
+                                        [this, set] { landHops(set, 1); });
+        return;
+    }
+
+    ensureResourceArrays();
+    hop_caps_.clear();
+    for (std::size_t i = 0; i < k; ++i) {
+        DSTRAIN_ASSERT(spec.routes[i] != nullptr && spec.routes[i]->valid(),
+                       "hop set '%s' has no route",
+                       tags_.label(spec.tag).c_str());
+        double cap = spec.routes[i]->rate_cap;
+        if (spec.rate_caps[i] > 0.0)
+            cap = std::min(cap, spec.rate_caps[i]);
+        DSTRAIN_ASSERT(cap > 0.0, "hop set '%s' has zero rate cap",
+                       tags_.label(spec.tag).c_str());
+        hop_caps_.push_back(cap);
+    }
+    // Class runs: consecutive hops with equal caps, pairwise
+    // disjoint routes and no link at zero capacity. Only inside a
+    // batch, where a deferred start waits for the flush exactly as
+    // a deferred class does. A hop sharing a link with a plain flow
+    // starts plain too: any solve over that link would find the class
+    // beside a plain flow and split it at once.
+    auto classable = [&](std::size_t i) {
+        for (ResourceId rid : spec.routes[i]->resources)
+            if (eff_cap_[rid] <= 0.0 || res_hop_mark_[rid] == hop_epoch_ ||
+                nflows_[rid] != nclass_[rid])
+                return false;
+        return true;
+    };
+    auto mark = [&](std::size_t i) {
+        for (ResourceId rid : spec.routes[i]->resources)
+            res_hop_mark_[rid] = hop_epoch_;
+    };
+    std::size_t i = 0;
+    while (i < k) {
+        std::size_t j = i + 1;
+        if (batch_depth_ > 0) {
+            ++hop_epoch_;
+            if (classable(i)) {
+                mark(i);
+                while (j < k && hop_caps_[j] == hop_caps_[i] &&
+                       classable(j))
+                    mark(j++);
+            }
+        }
+        if (j - i >= 2)
+            startClass(spec, set, i, j);
+        else
+            startHop(spec, set, i);
+        i = j;
+    }
+}
+
+void
+FlowScheduler::startHop(const HopSetSpec &spec, std::uint32_t set,
+                        std::size_t i)
+{
+    Flow f;
+    f.seq = next_seq_++;
+    f.remaining = spec.bytes;
+    f.anchor = sim_.now();
+    f.tag = spec.tag;
+    f.cap = hop_caps_[i];
+    f.hop_set = set + 1;
+    admit(registerFlow(std::move(f), spec.routes.subspan(i, 1), {}));
+}
+
+void
+FlowScheduler::startClass(const HopSetSpec &spec, std::uint32_t set,
+                          std::size_t i, std::size_t j)
+{
+    // Each member's admission as its own start would read it: the
+    // members are disjoint, so no member's start moves the totals
+    // another one reads, and the run before them has started.
+    const double cap = hop_caps_[i];
+    double rate = 0.0;
+    bool all_pass = !verify_;
+    bool all_fail = true;
+    if (!verify_) {
+        for (std::size_t m = i; m < j; ++m) {
+            const double r = fastRate(spec.routes[m]->resources, cap, 0);
+            if (r > 0.0)
+                all_fail = false;
+            if (r <= 0.0 || (m > i && r != rate))
+                all_pass = false;
+            if (m == i)
+                rate = r;
+        }
+    }
+    if (!all_pass && !all_fail) {
+        for (std::size_t m = i; m < j; ++m)
+            startHop(spec, set, m);
+        return;
+    }
+    const std::uint32_t k = static_cast<std::uint32_t>(j - i);
+    Flow f;
+    f.seq = next_seq_;
+    next_seq_ += k;
+    f.remaining = spec.bytes;
+    f.anchor = sim_.now();
+    f.tag = spec.tag;
+    f.cap = cap;
+    f.hops = k;
+    f.hop_set = set + 1;
+    const std::uint32_t slot =
+        registerClass(std::move(f), spec.routes.subspan(i, k));
+    ++stats_.class_starts;
+    stats_.class_hops += k;
+    if (all_pass) {
+        admitFast(slot, rate);
+        stats_.fast_starts += k;
+        indexUpdate(slot, slots_[slot].finish_at);
+        return;
+    }
+    stats_.batched_events += k;
+    batch_start_slots_.push_back(slot);
+    batch_need_solve_ = true;
+}
+
+void
+FlowScheduler::landHops(std::uint32_t set, std::uint32_t n)
+{
+    HopSet &hs = hop_sets_[set];
+    hs.live -= n;
+    std::function<void(std::uint32_t)> done = std::move(hs.on_complete);
+    const std::uint32_t gen = hs.gen;
+    if (hs.live == 0)
+        releaseHopSet(set);
+    done(n);
+    // The set outlives the call while hops remain, unless cancelAll()
+    // released it meanwhile; the callback may also have grown the slab.
+    if (hop_sets_[set].gen == gen)
+        hop_sets_[set].on_complete = std::move(done);
+}
+
+void
+FlowScheduler::releaseHopSet(std::uint32_t set)
+{
+    HopSet &hs = hop_sets_[set];
+    hs.on_complete = nullptr;
+    ++hs.gen;
+    free_hop_sets_.push_back(set);
+}
+
+double
+FlowScheduler::fastRate(std::span<const ResourceId> resources, double cap,
+                        int self) const
+{
     // Pass 1: the admitted rate — the cap, further limited by
     // resources this flow has to itself (which it may saturate).
-    double rate = f.cap;
+    double rate = cap;
     for (ResourceId rid : resources) {
-        if (nflows_[rid] == 1)  // counting this flow
+        if (nflows_[rid] == self)
             rate = std::min(rate, eff_cap_[rid]);
     }
     // A private resource faulted to zero capacity admits nothing:
     // fall through to water-filling, which parks the flow at rate 0.
     if (rate <= 0.0)
-        return false;
+        return 0.0;
     // Pass 2: every shared resource must keep slack for the full
     // admitted rate, i.e. stay strictly unsaturated afterwards.
     for (ResourceId rid : resources) {
-        if (nflows_[rid] == 1)
+        if (nflows_[rid] == self)
             continue;
         const double slack_after =
             eff_cap_[rid] - total_rate_[rid] - rate;
         if (slack_after <= eff_cap_[rid] * kSaturationFraction)
-            return false;
+            return 0.0;
     }
+    return rate;
+}
 
+bool
+FlowScheduler::tryFastStart(std::uint32_t slot)
+{
+    const double rate = fastRate(resourcesOf(slot), slots_[slot].cap, 1);
+    if (rate <= 0.0)
+        return false;
+    admitFast(slot, rate);
+    return true;
+}
+
+void
+FlowScheduler::admitFast(std::uint32_t slot, double rate)
+{
+    Flow &f = slots_[slot];
     const SimTime now = sim_.now();
     f.rate = rate;
     rate_slot_[slot] = rate;
-    for (ResourceId rid : resources) {
+    for (ResourceId rid : resourcesOf(slot)) {
         total_rate_[rid] += rate;
         topo_.resource(rid).log.setRate(now, total_rate_[rid]);
         ++stats_.rate_updates;
@@ -761,7 +1333,6 @@ FlowScheduler::tryFastStart(std::uint32_t slot)
         completion_event_ =
             sim_.events().reschedule(completion_event_, done_at);
     }
-    return true;
 }
 
 Bps
@@ -792,6 +1363,7 @@ FlowScheduler::setCapacity(ResourceId rid, Bps capacity)
     if (new_eff == eff_cap_[rid])
         return;
     ++stats_.capacity_updates;
+    materializeCrossers(rid);
 
     const bool was_zero = eff_cap_[rid] <= 0.0;
     const bool slack_before = !saturated(rid);
@@ -852,6 +1424,7 @@ FlowScheduler::setCapacities(
         if (new_eff == eff_cap_[rid])
             continue;
         any_change = true;
+        materializeCrossers(rid);
         const bool was_zero = eff_cap_[rid] <= 0.0;
         const bool slack_before = !saturated(rid);
         eff_cap_[rid] = new_eff;
@@ -1018,6 +1591,13 @@ FlowScheduler::cancelAll()
             nflows_[rid] -= 1;
         indexRemove(slot);
         detachFlow(slot);
+        const Flow &f = slots_[slot];
+        if (f.hop_set != 0) {
+            HopSet &hs = hop_sets_[f.hop_set - 1];
+            hs.live -= f.hops;
+            if (hs.live == 0)
+                releaseHopSet(f.hop_set - 1);
+        }
         releaseSlot(slot);
         // Every resource the flow crossed logs exactly zero once idle,
         // so the abort instant is bit-reproducible.
@@ -1107,7 +1687,7 @@ FlowScheduler::onCompletionEvent()
     for (std::uint32_t slot : finisher_slots_) {
         Flow &f = slots_[slot];
         settleFlow(f, now);
-        if (f.remaining > kByteEpsilon) {
+        if (f.remaining > kFlowByteEpsilon) {
             // Float dust: the exact settle says the flow is not quite
             // done (predicted finish rounded early). Re-predict and
             // let it fire again; never finish a flow with real bytes
@@ -1168,7 +1748,7 @@ FlowScheduler::onCompletionEvent()
         solveRegion();
     } else {
         for (std::uint32_t slot : finished) {
-            ++stats_.fast_finishes;
+            stats_.fast_finishes += slots_[slot].hops;
             const double rate = slots_[slot].rate;
             for (ResourceId rid : resourcesOf(slot)) {
                 total_rate_[rid] -= rate;
@@ -1182,8 +1762,14 @@ FlowScheduler::onCompletionEvent()
         scheduleNextCompletion();
     }
     for (std::uint32_t slot : finished) {
-        if (slots_[slot].on_complete)
-            callbacks.push_back(std::move(slots_[slot].on_complete));
+        Flow &f = slots_[slot];
+        if (f.hop_set != 0) {
+            callbacks.push_back([this, set = f.hop_set - 1, n = f.hops] {
+                landHops(set, n);
+            });
+        } else if (f.on_complete) {
+            callbacks.push_back(std::move(f.on_complete));
+        }
         releaseSlot(slot);
     }
     maybeVerify();
@@ -1278,6 +1864,12 @@ FlowScheduler::maybeVerify()
         return;
     ++stats_.verified_solves;
 
+    // The oracle is per hop: a class's rates, finish time and index
+    // entry are checked as its members' after materializing it.
+    for (std::int32_t s = head_slot_; s >= 0; s = next_slot_[s])
+        if (class_of_[static_cast<std::size_t>(s)] != 0)
+            materialize(static_cast<std::uint32_t>(s));
+
     // The oracle: a from-scratch per-component fill over every active
     // non-stalled flow — the same definition of fair share the region
     // solve computes — into scratch rates, with its own round loop
@@ -1291,9 +1883,7 @@ FlowScheduler::maybeVerify()
     }
     partitionComponents();
     for (std::size_t c = 0; c < comp_ranges_.size(); ++c) {
-        const std::size_t end = (c + 1 < comp_ranges_.size())
-                                    ? comp_ranges_[c + 1]
-                                    : components_.size();
+        const std::size_t end = compEnd(c);
         oracleFillComponent(comp_ranges_[c], end);
     }
 

@@ -46,6 +46,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <span>
 #include <utility>
@@ -95,6 +96,10 @@ class FlowScheduler
         std::uint64_t completion_scans_avoided = 0;  ///< reschedules served by the index
         std::uint64_t batched_events = 0;  ///< ops whose solve a batch deferred
         std::uint64_t stalled_parks = 0;  ///< flows parked on the stalled list
+        std::uint64_t class_starts = 0;   ///< hop classes started
+        std::uint64_t class_hops = 0;     ///< hops started inside classes
+        std::uint64_t class_solves = 0;   ///< components filled at class level
+        std::uint64_t materializations = 0;  ///< classes split into hops
         /** Region-size histogram: bucket k counts solves with a region
          * of [2^k, 2^(k+1)) flows (last bucket is open-ended). */
         std::array<std::uint64_t, kRegionHistBuckets> region_hist{};
@@ -121,6 +126,32 @@ class FlowScheduler
      * @return the flow id.
      */
     FlowId start(FlowSpec spec);
+
+    /**
+     * Start a set of equal hops now (the fault-free collective path):
+     * every route of @p spec carries spec.bytes, and spec.on_complete
+     * receives hop counts as they land. The result is exactly that of
+     * start() per hop, in order, with each hop completing through
+     * on_complete(1).
+     *
+     * Inside a batch, a maximal run of consecutive hops with equal
+     * caps, pairwise resource-disjoint routes, and no link at zero
+     * capacity or crossed by a plain flow runs as one *hop class*:
+     * one slot, whose arena span
+     * holds the member routes (one crossing-list entry per member
+     * resource), with one completion-index entry and one landing of
+     * all its hops. Its k members reserve k start sequences. A class
+     * is fast-admitted when every member passes fast-start admission
+     * at one rate, and deferred to the batch's solve when every
+     * member fails it; otherwise its hops start one by one. A solve
+     * fills a component made only of classes once, at class level,
+     * when the per-hop components its members form (the slices) are
+     * all in the region and are isomorphic copies of each other.
+     * Any other solve, and any capacity change or oracle check, first
+     * *materializes* the class into per-hop flows at its current
+     * progress (DESIGN.md §6.6).
+     */
+    void startHops(HopSetSpec spec);
 
     /** The labels FlowSpec::tag ids refer to. */
     TagTable &tags() { return tags_; }
@@ -313,6 +344,113 @@ class FlowScheduler
      */
     bool tryFastStart(std::uint32_t slot);
 
+    /**
+     * The fast-start admission rate of a flow with cap @p cap over
+     * @p resources, or 0 when it must be solved. @p self is the number
+     * of crossers the flow itself adds to nflows_ (1 once registered,
+     * 0 before).
+     */
+    double fastRate(std::span<const ResourceId> resources, double cap,
+                    int self) const;
+
+    /** Run the registered entity in @p slot at @p rate: totals, logs
+     * and the completion event (the commit of a fast start). */
+    void admitFast(std::uint32_t slot, double rate);
+
+    /** Admit the just-registered flow in @p slot: fast start, batch
+     * deferral or an immediate region solve. */
+    void admit(std::uint32_t slot);
+
+    // --- hop sets and hop classes (startHops()) ---------------------------
+
+    /** Sentinel member index: the whole class was seeded. */
+    static constexpr std::uint32_t kWholeClass = 0xFFFFFFFFu;
+
+    /** The completion shared by one startHops() call's entities. */
+    struct HopSet {
+        std::function<void(std::uint32_t)> on_complete;
+        std::uint32_t live = 0;  ///< hops not yet landed or cancelled
+        std::uint32_t gen = 0;   ///< bumped at release
+    };
+
+    /** A hop class's member layout inside its arena span, and the
+     * current region's seeds among its members. */
+    struct HopClass {
+        /** Member m's resources are span [off[m], off[m+1]). */
+        std::vector<std::uint32_t> off;
+        /** Common member route length; 0 if the lengths differ. */
+        std::uint32_t len = 0;
+        std::uint64_t seed_epoch = 0;  ///< mark epoch of the seeds below
+        bool seed_whole = false;       ///< seeded as an entity
+        std::vector<std::uint32_t> seed_members;  ///< seeded via resources
+    };
+
+    /** Start hop @p i of @p spec as a plain flow of hop set @p set. */
+    void startHop(const HopSetSpec &spec, std::uint32_t set,
+                  std::size_t i);
+
+    /** Start hops [@p i, @p j) of @p spec (a class run) as a class, or
+     * hop by hop when their admissions differ. */
+    void startClass(const HopSetSpec &spec, std::uint32_t set,
+                    std::size_t i, std::size_t j);
+
+    /** Register a class of @p routes: registerFlow() over the member
+     * routes back to back, plus the member layout. @return the
+     * slot. */
+    std::uint32_t registerClass(Flow f,
+                                std::span<const Route *const> routes);
+
+    /** Land @p n hops of hop set @p set (completion callback). */
+    void landHops(std::uint32_t set, std::uint32_t n);
+
+    /** Return hop set @p set to the free list. */
+    void releaseHopSet(std::uint32_t set);
+
+    /** The member of class slot @p slot owning span index @p idx. */
+    std::uint32_t memberOf(std::uint32_t slot, std::uint32_t idx) const;
+
+    /** Record that the region reached member @p member (or the whole
+     * class) of class slot @p slot. */
+    void markClassSeed(std::uint32_t slot, std::uint32_t member);
+
+    /**
+     * Split class slot @p slot into per-hop flows at its current
+     * progress: member m takes start sequence seq + m, its sub-span of
+     * the class's arena span and the class's crossing-list positions;
+     * member 0 keeps the slot. mat_slots_ receives the member slots.
+     */
+    void materialize(std::uint32_t slot);
+
+    /** Materialize every class crossing @p rid (capacity changes). */
+    void materializeCrossers(ResourceId rid);
+
+    /** Flag the components of the current partition that hold a
+     * class in comp_class_. @return whether any does. */
+    bool markClassComponents();
+
+    /**
+     * Can component @p c be filled at class level? Only classes, of
+     * equal member counts and uniform member route lengths; every
+     * slice (the members of one index) reached by the region's seeds;
+     * and every slice an isomorphic copy of slice 0: the same classes
+     * at the same route positions, with equal effective capacities,
+     * and no other crosser.
+     */
+    bool classFillable(std::size_t c);
+
+    /**
+     * Materialize the classes of every component that cannot be
+     * filled at class level, re-seed the region with exactly the
+     * members the per-hop model would have seeded and re-partition.
+     * @return whether the partition holds class components (all
+     *         fillable; flagged in comp_class_).
+     */
+    bool materializeUnfillable();
+
+    /** Fill class component @p c once, on its slice 0, and commit the
+     * rates to its classes. */
+    void classFill(std::size_t c);
+
     /** Completion event handler. */
     void onCompletionEvent();
 
@@ -397,11 +535,20 @@ class FlowScheduler
         return static_cast<std::int32_t>(slot);
     }
 
-    /** Place @p f in a slot, append its resources — @p route's,
-     * then each of @p extra not already among them — to the route
-     * arena, and link it into the active list and the per-resource
-     * flow lists. @return the slot. */
-    std::uint32_t registerFlow(Flow f, const Route &route,
+    /** Place @p f in a free slot (or grow the per-slot arrays);
+     * the slot is not yet linked or registered anywhere. */
+    std::uint32_t allocSlot(Flow f);
+
+    /** Link @p slot into the active list after @p after (-1 = at the
+     * head). */
+    void linkAfter(std::int32_t after, std::uint32_t slot);
+
+    /** Place @p f in a slot, append the resources of @p routes
+     * (one route, or a class's members), then each of @p extra not
+     * already among them, to the route arena, and link it into the
+     * active list and the per-resource flow lists. @return the
+     * slot. */
+    std::uint32_t registerFlow(Flow f, std::span<const Route *const> routes,
                                std::span<const ResourceId> extra);
 
     /** Detach slot @p slot from the active list and the per-resource
@@ -416,12 +563,17 @@ class FlowScheduler
     /** Start a new region (bumps the BFS mark epoch). */
     void beginRegion();
 
-    /** Seed the region with one active flow (stalled flows are
-     * skipped: they hold no rate and join no fill until unparked). */
+    /** Seed the region with one active flow, a class as a whole
+     * (stalled flows are skipped: they hold no rate and join no fill
+     * until unparked). */
     void seedRegionFlow(std::uint32_t slot);
 
-    /** Seed the region with every flow crossing @p rid. */
+    /** Seed the region with every flow crossing @p rid; a class is
+     * seeded through the member that crosses it. */
     void seedRegionResource(ResourceId rid);
+
+    /** Add @p slot to the seed list once (no class bookkeeping). */
+    void pushSeed(std::uint32_t slot);
 
     /**
      * Close the seeded region over shared resources (BFS), fill each
@@ -442,6 +594,20 @@ class FlowScheduler
      */
     void partitionComponents();
 
+    /** End of component @p c's span of components_. */
+    std::size_t compEnd(std::size_t c) const
+    {
+        return c + 1 < comp_ranges_.size() ? comp_ranges_[c + 1]
+                                           : components_.size();
+    }
+
+    /** End of component @p c's span of comp_rids_. */
+    std::size_t compRidEnd(std::size_t c) const
+    {
+        return c + 1 < comp_rid_ranges_.size() ? comp_rid_ranges_[c + 1]
+                                               : comp_rids_.size();
+    }
+
     /**
      * Progressive filling over component @p c (its flow span of
      * components_ and its resource span of the partition CSR), then
@@ -454,6 +620,21 @@ class FlowScheduler
      * component is re-solved alone or as part of a larger region.
      */
     void fillComponent(std::size_t c);
+
+    /**
+     * The progressive-filling rounds over a component given as a
+     * flow/resource CSR: @p nf flows with caps @p fcap, flow fi's
+     * local resource ids at @p fres[fbegin[fi] .. fbegin[fi+1]), and
+     * @p nr resources with effective capacities @p rcap and crossing
+     * counts @p crossing. Leaves the rates in fill_.frate.
+     */
+    void fillKernel(std::size_t nf, std::size_t nr, const double *fcap,
+                    const std::uint32_t *fbegin, const std::uint32_t *fres,
+                    const double *rcap, const int *crossing);
+
+    /** The commit of components_[@p begin, @p end) from fill_.frate:
+     * settle and re-index changed rates, park zero rates. */
+    void commitRates(std::size_t begin, std::size_t end);
 
     /** fillComponent() into oracle_rate_, leaving flows untouched. */
     void oracleFillComponent(std::size_t begin, std::size_t end);
@@ -575,6 +756,33 @@ class FlowScheduler
     std::vector<int> comp_crossing_;   ///< initial crossing counts, flat
     std::vector<double> comp_rcap_;    ///< effective caps, flat
     std::vector<std::uint32_t> res_local_;  ///< rid -> local id (comp-epoch)
+
+    // --- hop sets and classes ---------------------------------------------
+    std::vector<HopSet> hop_sets_;
+    std::vector<std::uint32_t> free_hop_sets_;
+    std::vector<HopClass> classes_;
+    std::vector<std::uint32_t> free_classes_;
+    std::vector<std::uint32_t> class_of_;  ///< per slot: class + 1, 0 = none
+    std::size_t live_classes_ = 0;
+    std::vector<double> hop_caps_;       ///< startHops() scratch
+    std::vector<std::uint64_t> res_hop_mark_;  ///< disjointness marks
+    std::vector<int> nclass_;  ///< per resource: crossing classes
+    std::uint64_t hop_epoch_ = 0;
+    std::vector<std::uint32_t> mat_slots_;  ///< materialize() output
+    std::vector<std::uint32_t> reseed_;     ///< re-seeded members
+    std::vector<std::uint32_t> seed_scratch_;
+    std::vector<std::uint8_t> comp_class_;  ///< per component: holds a class
+    // classFillable()/classFill() scratch, indexed by local resource id.
+    std::vector<int> slice_cnt_;
+    std::vector<std::uint32_t> slice_map_;
+    std::vector<std::uint32_t> slice_inv_;
+    std::vector<std::uint32_t> slice_touched_;
+    std::vector<std::uint8_t> cover_;
+    std::vector<std::uint32_t> slice_fbegin_;
+    std::vector<std::uint32_t> slice_fres_;
+    std::vector<double> slice_fcap_;
+    std::vector<double> slice_rcap_;
+    std::vector<int> slice_cross_;
 
     // --- reusable scratch buffers ----------------------------------------
     FillScratch fill_;

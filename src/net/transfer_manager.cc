@@ -109,6 +109,40 @@ TransferManager::start(ComponentId src, ComponentId dst, Bytes bytes,
     return 0;
 }
 
+void
+TransferManager::startHops(std::span<const Route *const> routes, Bytes bytes,
+                           std::function<void(std::uint32_t)> on_done,
+                           TransferOptions opts)
+{
+    DSTRAIN_ASSERT(!retry_.enabled,
+                   "hop sets run only on the fault-free path");
+    DSTRAIN_ASSERT(!routes.empty(), "empty hop set");
+    DSTRAIN_ASSERT(opts.rate_factor > 0.0 && opts.rate_factor <= 1.0,
+                   "bad rate factor %g", opts.rate_factor);
+    const SimTime latency = routes.front()->latency;
+    const std::uint32_t idx = allocRecord();
+    Record &r = records_[idx];
+    r.route = routes.front();
+    r.bytes = bytes;
+    r.tag = opts.tag;
+    r.on_hops = std::move(on_done);
+    r.keepalive = std::move(opts.keepalive);
+    r.landed = 0;
+    for (const Route *route : routes) {
+        DSTRAIN_ASSERT(sim_.now() + route->latency ==
+                           sim_.now() + latency,
+                       "hop set spans launch times");
+        // One hop at a time, so the byte ledger sums exactly as the
+        // per-hop starts did.
+        ++stats_.started;
+        stats_.bytes_requested += bytes;
+        r.hop_routes.push_back(route);
+        r.hop_caps.push_back(
+            attemptRateCap(opts.rate_cap, opts.rate_factor, *route));
+    }
+    queueLaunch(latency, Member{idx, false});
+}
+
 std::uint32_t
 TransferManager::allocRecord()
 {
@@ -131,6 +165,9 @@ TransferManager::releaseRecord(std::uint32_t idx)
     r.extra_resources.clear();
     r.on_done = nullptr;
     r.keepalive.reset();
+    r.hop_routes.clear();
+    r.hop_caps.clear();
+    r.on_hops = nullptr;
     ++r.gen;
     free_records_.push_back(idx);
 }
@@ -201,6 +238,18 @@ void
 TransferManager::launchRecord(std::uint32_t idx)
 {
     const Record &r = records_[idx];
+    if (r.on_hops) {
+        HopSetSpec spec;
+        spec.routes = r.hop_routes;
+        spec.rate_caps = r.hop_caps;
+        spec.bytes = r.bytes;
+        spec.tag = r.tag;
+        spec.on_complete = [this, idx, gen = r.gen](std::uint32_t n) {
+            finishHops(idx, gen, n);
+        };
+        flows_.startHops(std::move(spec));
+        return;
+    }
     FlowSpec spec;
     spec.route = r.route;
     spec.bytes = r.bytes;
@@ -225,6 +274,33 @@ TransferManager::finishRecord(std::uint32_t idx, std::uint32_t gen)
     releaseRecord(idx);
     if (done)
         done();
+}
+
+void
+TransferManager::finishHops(std::uint32_t idx, std::uint32_t gen,
+                            std::uint32_t n)
+{
+    Record &r = records_[idx];
+    if (r.gen != gen)
+        return;  // abortAll() accounted this one in aggregate
+    for (std::uint32_t i = 0; i < n; ++i)
+        accountDelivery(r.bytes, 0.0, 0, r.tag);
+    r.landed += n;
+    std::function<void(std::uint32_t)> done = std::move(r.on_hops);
+    if (r.landed == r.hop_routes.size()) {
+        // The last hops: free the slot before the continuation runs
+        // (it may start more transfers); the keepalive outlives the
+        // call.
+        const std::shared_ptr<void> keepalive = std::move(r.keepalive);
+        releaseRecord(idx);
+        done(n);
+        return;
+    }
+    done(n);
+    // The continuation may have grown the slab; the record stays ours
+    // unless an abort released it meanwhile.
+    if (records_[idx].gen == gen)
+        records_[idx].on_hops = std::move(done);
 }
 
 void

@@ -160,6 +160,22 @@ class TransferManager
                         std::function<void()> on_done,
                         TransferOptions opts = {});
 
+    /**
+     * Transfer @p bytes over each of @p routes, as one hop set (the
+     * fault-free collective path): one record and one launch member
+     * for the whole set, started through FlowScheduler::startHops(),
+     * which runs the equal, resource-disjoint hops as hop classes.
+     * Every route must have the same launch time (now + latency), so
+     * the set joins one launch group. @p on_done receives the number
+     * of hops that landed; the counts sum to routes.size(). Only
+     * @p opts' rate_cap, rate_factor, tag and keepalive apply (the
+     * routes are already resolved). Not available while the retry
+     * policy is enabled: a hop set has no per-hop transfer ids.
+     */
+    void startHops(std::span<const Route *const> routes, Bytes bytes,
+                   std::function<void(std::uint32_t)> on_done,
+                   TransferOptions opts = {});
+
     /** The TagId of @p label for TransferOptions::tag. */
     TagId internTag(std::string_view label)
     {
@@ -290,10 +306,12 @@ class TransferManager
     Simulation &sim() { return sim_; }
 
   private:
-    /** One fault-free transfer in flight: a slab record. */
+    /** One fault-free transfer (or hop set) in flight: a slab
+     * record. */
     struct Record {
         /** Resolved at start() (router storage outlives cache
-         * flushes); nullptr marks a free slot. */
+         * flushes); nullptr marks a free slot. A hop set's first
+         * route. */
         const Route *route = nullptr;
         Bytes bytes = 0.0;
         Bps rate_cap = 0.0;           ///< attemptRateCap() of the route
@@ -303,6 +321,12 @@ class TransferManager
         std::uint32_t gen = 0;
         std::function<void()> on_done;
         std::shared_ptr<void> keepalive;
+        // A hop set (startHops()): every hop's route and cap, the
+        // completion taking a hop count, and the hops landed so far.
+        std::vector<const Route *> hop_routes;
+        std::vector<Bps> hop_caps;
+        std::function<void(std::uint32_t)> on_hops;
+        std::uint32_t landed = 0;
     };
 
     /** In-flight bookkeeping for one retryable transfer. */
@@ -352,6 +376,9 @@ class TransferManager
 
     /** Flow completion of record @p idx, issued at generation @p gen. */
     void finishRecord(std::uint32_t idx, std::uint32_t gen);
+
+    /** @p n hops of hop-set record @p idx (generation @p gen) landed. */
+    void finishHops(std::uint32_t idx, std::uint32_t gen, std::uint32_t n);
 
     /**
      * Queue @p m's launch @p latency from now: into the open scope's

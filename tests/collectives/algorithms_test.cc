@@ -24,25 +24,31 @@ dualSpec()
 }
 
 Bytes
-totalHopBytes(const std::vector<CollectiveRound> &rounds)
+totalHopBytes(const CollectiveSchedule &schedule)
 {
     Bytes total = 0.0;
-    for (const CollectiveRound &round : rounds)
+    CollectiveRound round;
+    for (std::size_t r = 0; r < schedule.size(); ++r) {
+        schedule.round(r, round);
         for (const CollectiveHop &hop : round)
             total += hop.bytes;
+    }
     return total;
 }
 
 Bytes
-interNodeHopBytes(const std::vector<CollectiveRound> &rounds,
+interNodeHopBytes(const CollectiveSchedule &schedule,
                   const TopologyView &view)
 {
     Bytes total = 0.0;
-    for (const CollectiveRound &round : rounds)
+    CollectiveRound round;
+    for (std::size_t r = 0; r < schedule.size(); ++r) {
+        schedule.round(r, round);
         for (const CollectiveHop &hop : round)
             if (view.nodeOfRank(hop.src_rank) !=
                 view.nodeOfRank(hop.dst_rank))
                 total += hop.bytes;
+    }
     return total;
 }
 
@@ -153,9 +159,9 @@ TEST(CollectiveAlgorithmTest, RoundsConserveClosedFormVolume)
             for (const CommGroup &g : groups) {
                 if (!impl.supports(op, g, view))
                     continue;
-                const auto rounds =
-                    impl.rounds(op, g, share, g.ranks[0], view);
-                EXPECT_NEAR(totalHopBytes(rounds),
+                const CollectiveSchedule schedule =
+                    impl.schedule(op, g, share, g.ranks[0], view);
+                EXPECT_NEAR(totalHopBytes(schedule),
                             collectiveTotalVolume(op, g.size(), share),
                             share * 1e-9)
                     << impl.name() << " " << collectiveOpName(op)
@@ -187,8 +193,9 @@ TEST(CollectiveAlgorithmTest, HierarchicalCutsInterNodeBytes)
              {CollectiveAlgo::Ring, CollectiveAlgo::Hierarchical}) {
             const CollectiveAlgorithm &impl = collectiveAlgorithm(algo);
             const CommGroup ordered = view.orderNodeMajor(world);
-            const auto rounds = impl.rounds(op, ordered, share, 0, view);
-            EXPECT_NEAR(interNodeHopBytes(rounds, view),
+            const CollectiveSchedule schedule =
+                impl.schedule(op, ordered, share, 0, view);
+            EXPECT_NEAR(interNodeHopBytes(schedule, view),
                         collectiveInterNodeBytes(op, algo, 2, 4, share),
                         share * 1e-9)
                 << impl.name() << " " << collectiveOpName(op);

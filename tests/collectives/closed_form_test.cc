@@ -207,15 +207,17 @@ TEST_P(ClosedFormTest, DesTimeMatchesAlphaBetaForm)
             // no two hops of a round share a resource, no hop is
             // slower than its phase's beta, and every round has a hop
             // at beta (the one that sets the round's length).
-            const std::vector<CollectiveRound> rounds =
-                impl.rounds(op, group, kPayload, group.ranks[0], view);
+            const CollectiveSchedule schedule =
+                impl.schedule(op, group, kPayload, group.ranks[0], view);
             const std::vector<Phase> phases =
                 alphaBetaPhases(algo, op, group, view, kPayload);
             SimTime alpha_min = std::numeric_limits<SimTime>::max();
             SimTime alpha_max = 0.0;
             std::size_t phase = 0;
             int left = phases.empty() ? 0 : phases[0].rounds;
-            for (const CollectiveRound &round : rounds) {
+            CollectiveRound round;
+            for (std::size_t ri = 0; ri < schedule.size(); ++ri) {
+                schedule.round(ri, round);
                 while (left == 0 && phase + 1 < phases.size())
                     left = phases[++phase].rounds;
                 --left;
@@ -270,7 +272,7 @@ TEST_P(ClosedFormTest, DesTimeMatchesAlphaBetaForm)
             int modeled_rounds = 0;
             for (const Phase &p : phases)
                 modeled_rounds += p.rounds;
-            EXPECT_EQ(modeled_rounds, static_cast<int>(rounds.size()))
+            EXPECT_EQ(modeled_rounds, static_cast<int>(schedule.size()))
                 << cell;
             const SimTime lo = alphaBetaTime(phases, alpha_min);
             const SimTime hi = alphaBetaTime(phases, alpha_max);

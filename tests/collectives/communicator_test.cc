@@ -11,6 +11,7 @@
 
 #include "collectives/algorithms.hh"
 #include "collectives/volume.hh"
+#include "net/resilience.hh"
 
 namespace dstrain {
 namespace {
@@ -180,6 +181,74 @@ TEST_F(DualNodeCollectiveTest, RingAllGatherEventCountIsPinned)
     EXPECT_EQ(coll_.completedCount(), 1u);
     EXPECT_EQ(tm_.startedCount(), 112u);
     EXPECT_EQ(sim_.events().executedCount(), 42u);
+}
+
+TEST_F(DualNodeCollectiveTest, FaultFreeResilientRingArmsNoWatchdog)
+{
+    // With resilience attached but no retry policy (no fault plan),
+    // no hop has a transfer id the watchdog could rescue, so no
+    // watchdog is armed: the run is the pinned 42 events, and it ends
+    // exactly where the run without resilience ends.
+    ResilienceConfig cfg;
+    cfg.enabled = true;
+    ASSERT_GT(cfg.collective_timeout, 0.0);
+    ResilienceCoordinator rc(sim_, cluster_.router(), cfg);
+    tm_.setResilience(&rc);
+    coll_.configureResilience(&rc);
+    coll_.allGather(CommGroup::worldOf(8), 1e9, nullptr);
+    sim_.run();
+    EXPECT_EQ(coll_.completedCount(), 1u);
+    EXPECT_EQ(sim_.events().executedCount(), 42u);
+    EXPECT_EQ(rc.stats().collective_timeouts, 0u);
+
+    Simulation sim;
+    Cluster cluster(makeSpec(2));
+    FlowScheduler flows(sim, cluster.topology());
+    TransferManager tm(sim, cluster, flows);
+    CollectiveEngine coll(tm);
+    coll.allGather(CommGroup::worldOf(8), 1e9, nullptr);
+    sim.run();
+    EXPECT_EQ(sim_.now(), sim.now());
+    EXPECT_EQ(fabricBytes(LinkClass::Roce), [&] {
+        flows.finalizeLogs();
+        Bytes total = 0.0;
+        for (const Resource &r : cluster.topology().resources())
+            if (r.cls == LinkClass::Roce)
+                total += r.log.totalBytes();
+        return total;
+    }());
+}
+
+TEST_F(DualNodeCollectiveTest, RouteCacheFlushReResolvesTheNextRoundsEdges)
+{
+    // Rank 0's NVLink to rank 1 dies after round 0's hop over it has
+    // landed, while the round's RoCE hops still run, and the router
+    // flushes its caches. Round 1 must resolve edge 0 -> 1 afresh,
+    // around the dead link (through PCIe): a route kept from round 0
+    // would stall there for good, since nothing retries it.
+    cluster_.router().setAvoidDeadLinks(true);
+    const Route &nvlink = cluster_.router().route(cluster_.gpuByRank(0),
+                                                  cluster_.gpuByRank(1));
+    ASSERT_EQ(nvlink.resources.size(), 1u);
+    const ResourceId dead = nvlink.resources.front();
+    const Bytes chunk = 1e9;
+    CollectiveOptions opts;
+    opts.channels = 1;
+    coll_.allGather(CommGroup::worldOf(8), 8.0 * chunk, nullptr, opts);
+    // The NVLink hop lands after ~12.5 ms, the RoCE hops after ~150 ms.
+    sim_.events().schedule(0.05, [&] {
+        ASSERT_EQ(cluster_.topology().resource(dead).log.currentRate(),
+                  0.0);
+        flows_.setCapacity(dead, 0.0);
+        cluster_.router().invalidateRouteCaches();
+    });
+    sim_.run();
+    EXPECT_EQ(coll_.completedCount(), 1u);
+    EXPECT_EQ(flows_.stalledCount(), 0u);
+    flows_.finalizeLogs();
+    // Only round 0's chunk crossed the dead link.
+    EXPECT_NEAR(cluster_.topology().resource(dead).log.totalBytes(), chunk,
+                1.0);
 }
 
 TEST_F(DualNodeCollectiveTest, PinnedChannelsTouchBothNicsAndXgmi)

@@ -1,13 +1,14 @@
 /**
  * @file
  * Solver fuzz: on randomized interleavings of start / finish /
- * setCapacity / setCapacities / cancel and bursts of same-instant
- * starts in one batch over generated fabrics, the region-scoped
- * incremental solver must match the from-scratch fair-share oracle
- * bitwise, and the scheduler's event-storm batching must match the
+ * setCapacity / setCapacities / cancel, hop sets and bursts of
+ * same-instant starts in one batch over generated fabrics, the
+ * region-scoped incremental solver must match the from-scratch
+ * fair-share oracle bitwise, hop classes must match their per-hop
+ * twin, and the scheduler's event-storm batching must match the
  * unbatched call sequence.
  *
- * RegionSolverFuzz's *BitIdenticalToOracle cases run one scheduler
+ * RegionSolverFuzz's *BitIdenticalToOracle cases run their schedulers
  * with verify_fair_share: after every event it re-runs the
  * from-scratch per-component oracle and fatal()s on any divergence of
  * rates, the completion index or the stalled list, which also covers
@@ -17,7 +18,8 @@
  * not always in the last bit — so the oracle checks region-closure
  * correctness, not float dust; see DESIGN.md §6.1.) The
  * *MaxMinWithFastPaths cases replay the same op sequences with the
- * fast paths on and check the max-min conditions after every op.
+ * fast paths on and check the max-min conditions after every op (on
+ * the per-hop twin, whose every flow has an id).
  */
 
 #include <gtest/gtest.h>
@@ -116,16 +118,40 @@ expectMaxMin(const Rig &rig, const std::vector<Started> &flows)
     }
 }
 
+/** The rate-log state of every resource of @p a equals @p b's. */
+void
+expectSameLogs(const Rig &a, const Rig &b)
+{
+    const auto &ra = a.cluster.topology().resources();
+    const auto &rb = b.cluster.topology().resources();
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+        ASSERT_EQ(ra[i].log.currentRate(), rb[i].log.currentRate())
+            << "rate of resource " << i << " diverged";
+        ASSERT_EQ(ra[i].log.totalBytes(), rb[i].log.totalBytes())
+            << "bytes of resource " << i << " diverged";
+    }
+}
+
 /**
  * Fuzz a scheduler through one seeded op sequence. With @p verify the
  * oracle checks every event bitwise; without it, the fast paths run
  * (inside bursts too) and expectMaxMin() checks every op.
+ *
+ * Hop-set ops run on two rigs: the primary starts them through
+ * startHops(), so runs of equal disjoint hops become hop classes, and
+ * a per-hop twin starts the same hops as plain flows in the same
+ * batches. The twin replays every other op too; after each op both
+ * must hold bitwise-equal rates, bytes and landings. A forced
+ * materialization changes the capacity of a link a hop-set hop
+ * crosses.
  */
 void
 fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops,
            bool verify)
 {
     Rig rig(spec, FlowSchedulerOptions{verify});
+    Rig twin(spec, FlowSchedulerOptions{verify});
+    Rig *const rigs[] = {&rig, &twin};
     Rng rng(seed);
 
     std::vector<ResourceId> roce;
@@ -135,8 +161,19 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops,
 
     const int gpus = rig.cluster.spec().totalGpus();
     std::size_t cancelled = 0;
+    std::size_t hop_total = 0;
+    // Plain flows, per rig (ids differ: a class takes one slot), and
+    // every flow of the twin for its max-min check.
     std::vector<Started> flows;
+    std::vector<FlowId> twin_ids;
+    std::vector<Started> twin_flows;
+    std::vector<const Route *> hop_routes;
 
+    auto routeOf = [&](Rig &r, int a, int b, std::uint64_t key) {
+        return &r.cluster.router().routeForFlow(r.cluster.gpuByRank(a),
+                                                r.cluster.gpuByRank(b),
+                                                key);
+    };
     auto start = [&] {
         // A cross-GPU transfer on an ECMP route.
         const int a = static_cast<int>(rng.below(
@@ -146,36 +183,108 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops,
         if (b == a)
             b = (a + 1) % gpus;
         const std::uint64_t key = rng.below(1u << 20);
-        FlowSpec fs;
-        fs.route = &rig.cluster.router().routeForFlow(
-            rig.cluster.gpuByRank(a), rig.cluster.gpuByRank(b), key);
-        fs.bytes = static_cast<double>(1 + rng.below(64)) * 1e8;
-        fs.on_complete = [&rig] { ++rig.done; };
-        const Route *route = fs.route;
-        flows.push_back({rig.flows.start(std::move(fs)), route});
+        const Bytes bytes = static_cast<double>(1 + rng.below(64)) * 1e8;
+        for (Rig *r : rigs) {
+            FlowSpec fs;
+            fs.route = routeOf(*r, a, b, key);
+            fs.bytes = bytes;
+            fs.on_complete = [r] { ++r->done; };
+            const Route *route = fs.route;
+            const FlowId id = r->flows.start(std::move(fs));
+            if (r == &rig) {
+                flows.push_back({id, route});
+            } else {
+                twin_ids.push_back(id);
+                twin_flows.push_back({id, route});
+            }
+        }
+    };
+    auto startHops = [&] {
+        // A ring segment of equal hops: consecutive ranks from a
+        // random start, on one ECMP key, as a collective round's
+        // launch group.
+        const std::size_t k = 2 + rng.below(7);
+        const int first = static_cast<int>(
+            rng.below(static_cast<std::uint64_t>(gpus)));
+        const std::uint64_t key = rng.below(1u << 20);
+        const Bytes bytes = static_cast<double>(1 + rng.below(64)) * 1e8;
+        std::vector<const Route *> routes;
+        for (std::size_t i = 0; i < k; ++i) {
+            const int a = (first + static_cast<int>(i)) % gpus;
+            routes.push_back(routeOf(rig, a, (a + 1) % gpus, key));
+        }
+        hop_routes.insert(hop_routes.end(), routes.begin(), routes.end());
+        hop_total += k;
+        const std::vector<Bps> caps(k, 0.0);
+        HopSetSpec hs;
+        hs.routes = routes;
+        hs.rate_caps = caps;
+        hs.bytes = bytes;
+        hs.on_complete = [&rig](std::uint32_t n) {
+            rig.done += static_cast<int>(n);
+        };
+        rig.flows.startHops(std::move(hs));
+        for (std::size_t i = 0; i < k; ++i) {
+            const int a = (first + static_cast<int>(i)) % gpus;
+            FlowSpec fs;
+            fs.route = routeOf(twin, a, (a + 1) % gpus, key);
+            fs.bytes = bytes;
+            fs.on_complete = [&twin] { ++twin.done; };
+            const Route *route = fs.route;
+            twin_flows.push_back({twin.flows.start(std::move(fs)), route});
+        }
     };
     const double fractions[] = {0.0, 0.25, 0.5, 1.0};
     auto setCapacity = [&] {
         const std::size_t i = rng.below(roce.size());
-        rig.flows.setCapacity(roce[i],
-                              nominal[i] * fractions[rng.below(4)]);
+        const double f = fractions[rng.below(4)];
+        for (Rig *r : rigs)
+            r->flows.setCapacity(roce[i], nominal[i] * f);
+    };
+    auto materialize = [&] {
+        // Halve or restore a link some hop-set hop crosses; a live
+        // class over it splits into its hops.
+        if (hop_routes.empty())
+            return;
+        const Route *route = hop_routes[rng.below(hop_routes.size())];
+        const ResourceId rid =
+            route->resources[rng.below(route->resources.size())];
+        const double f = rng.below(2) == 0 ? 0.5 : 1.0;
+        for (Rig *r : rigs)
+            r->flows.setCapacity(
+                rid,
+                r->cluster.topology().resource(rid).nominal_capacity * f);
     };
     auto cancel = [&] {
         // A no-op once the flow has finished.
-        if (!flows.empty() &&
-            rig.flows.cancel(flows[rng.below(flows.size())].id))
+        if (flows.empty())
+            return;
+        const std::size_t i = rng.below(flows.size());
+        const bool ok = rig.flows.cancel(flows[i].id);
+        ASSERT_EQ(twin.flows.cancel(twin_ids[i]), ok);
+        if (ok)
             ++cancelled;
+    };
+    auto check = [&] {
+        if (!verify) {
+            ASSERT_NO_FATAL_FAILURE(expectMaxMin(twin, twin_flows));
+        }
+        ASSERT_NO_FATAL_FAILURE(expectSameLogs(rig, twin));
+        ASSERT_EQ(rig.done, twin.done);
+        ASSERT_EQ(rig.flows.activeCount(), twin.flows.activeCount());
+        for (std::size_t i = 0; i < flows.size(); ++i)
+            ASSERT_EQ(rig.flows.currentRate(flows[i].id),
+                      twin.flows.currentRate(twin_ids[i]));
     };
 
     SimTime t = 0.0;
     for (int op = 0; op < ops; ++op) {
         t += rng.uniform(1e-4, 5e-3);
-        rig.sim.runUntil(t);
-        if (!verify) {
-            ASSERT_NO_FATAL_FAILURE(expectMaxMin(rig, flows));
-        }
+        for (Rig *r : rigs)
+            r->sim.runUntil(t);
+        ASSERT_NO_FATAL_FAILURE(check());
 
-        const std::uint64_t kind = rng.below(12);
+        const std::uint64_t kind = rng.below(14);
         if (kind < 5) {
             start();
         } else if (kind < 7) {
@@ -189,41 +298,58 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops,
                 batch.emplace_back(roce[i],
                                    nominal[i] * fractions[rng.below(4)]);
             }
-            rig.flows.setCapacities(batch);
+            for (Rig *r : rigs)
+                r->flows.setCapacities(batch);
         } else if (kind < 10) {
-            cancel();
-        } else {
+            ASSERT_NO_FATAL_FAILURE(cancel());
+        } else if (kind < 12) {
             // Burst: a collective round's same-instant starts in one
             // batch, now and then preceded by a capacity change or a
-            // cancel inside the same batch.
-            FlowScheduler::ScopedBatch batch(rig.flows);
+            // cancel inside the same batch, and mixed with hop sets.
+            FlowScheduler::ScopedBatch b0(rig.flows);
+            FlowScheduler::ScopedBatch b1(twin.flows);
             const std::uint64_t n = 2 + rng.below(7);
             for (std::uint64_t k = 0; k < n; ++k) {
                 const std::uint64_t extra = rng.below(8);
                 if (extra == 0)
                     setCapacity();
                 else if (extra == 1)
-                    cancel();
+                    ASSERT_NO_FATAL_FAILURE(cancel());
+                else if (extra == 2)
+                    startHops();
                 start();
             }
+        } else if (kind == 12) {
+            FlowScheduler::ScopedBatch b0(rig.flows);
+            FlowScheduler::ScopedBatch b1(twin.flows);
+            startHops();
+        } else {
+            materialize();
         }
-        if (!verify) {
-            ASSERT_NO_FATAL_FAILURE(expectMaxMin(rig, flows));
-        }
+        ASSERT_NO_FATAL_FAILURE(check());
     }
 
     // Restore every link and drain: every surviving flow finishes.
-    for (std::size_t i = 0; i < roce.size(); ++i)
-        rig.flows.setCapacity(roce[i], nominal[i]);
-    rig.sim.run();
-    ASSERT_EQ(rig.flows.activeCount(), 0u);
-    ASSERT_EQ(rig.flows.stalledCount(), 0u);
-    ASSERT_EQ(static_cast<std::size_t>(rig.done) + cancelled, flows.size());
+    for (Rig *r : rigs)
+        for (const Resource &res : r->cluster.topology().resources())
+            r->flows.setCapacity(res.id, res.nominal_capacity);
+    for (Rig *r : rigs)
+        r->sim.run();
+    ASSERT_NO_FATAL_FAILURE(check());
+    for (Rig *r : rigs) {
+        ASSERT_EQ(r->flows.activeCount(), 0u);
+        ASSERT_EQ(r->flows.stalledCount(), 0u);
+        ASSERT_EQ(static_cast<std::size_t>(r->done) + cancelled,
+                  flows.size() + hop_total);
+    }
 
     // The solver really ran scoped solves, bursts really deferred
-    // starts, and the oracle (or, without it, the fast paths) ran.
+    // starts, hop sets really formed classes, and the oracle (or,
+    // without it, the fast paths) ran.
     EXPECT_GT(rig.flows.stats().region_solves, 0u);
     EXPECT_GT(rig.flows.stats().batched_events, 0u);
+    EXPECT_GT(rig.flows.stats().class_starts, 0u);
+    EXPECT_EQ(twin.flows.stats().class_starts, 0u);
     if (verify)
         EXPECT_GT(rig.flows.stats().verified_solves, 0u);
     else

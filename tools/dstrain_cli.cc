@@ -441,7 +441,10 @@ runCli(int argc, const char *const *argv)
 
     if (args.getFlag("telemetry-stats")) {
         std::cout << "\n" << summarizeTelemetry(report.telemetry) << "\n"
-                  << summarizeScheduler(report.scheduler) << "\n";
+                  << summarizeScheduler(
+                         report.scheduler,
+                         experiment.transfers().stats().started)
+                  << "\n";
     }
 
     const auto &ends = report.execution.iteration_ends;

@@ -6,7 +6,8 @@ committed baseline and exits non-zero when any guarded scenario's rate
 falls more than --threshold (default 30%) below baseline. The guarded
 field is chosen from the baseline's records: collectives_per_sec when
 they carry it (micro_collectives, whose events per collective fall
-whenever the hop path gets cheaper), else events_per_sec
+whenever the hop path gets cheaper), else runs_per_sec (e2e_scaling,
+the inverse of a whole run's wall time), else events_per_sec
 (micro_flow_scheduler).
 
 CI runners (and the capture machine) are single-vCPU boxes that other
@@ -36,7 +37,7 @@ import sys
 # the baseline's records pick one. event_queue_churn is the canary and
 # the sweep comparison measures thread scaling, not solver speed, so
 # neither is guarded directly.
-GUARDED_METRICS = ("collectives_per_sec", "events_per_sec")
+GUARDED_METRICS = ("collectives_per_sec", "runs_per_sec", "events_per_sec")
 CANARY_SCENARIO = "event_queue_churn"
 CANARY_METRIC = "ops_per_sec"
 SKIPPED_SCENARIOS = {CANARY_SCENARIO, "sweep_jobs"}
