@@ -31,9 +31,7 @@ void
 addSolverStats(bench::JsonObject &json, const FlowScheduler &sched)
 {
     const FlowScheduler::Stats &stats = sched.stats();
-    // "solver" keys the perf_guard.py baseline series.
-    json.add("solver", std::string("region"))
-        .add("recomputes", stats.recomputes)
+    json.add("recomputes", stats.recomputes)
         .add("fast_starts", stats.fast_starts)
         .add("fast_finishes", stats.fast_finishes)
         .add("rate_updates", stats.rate_updates)
@@ -106,23 +104,31 @@ denseFlowScenario(int waves, int per_wave)
     return json;
 }
 
+/** How wave w spreads its flows: flow i starts at rank
+ * (i * src_i + w * src_w) mod world and routes with ECMP key
+ * i * key_i + w * key_w. */
+struct Spread {
+    int src_i;
+    int src_w;
+    int key_i;
+    int key_w;
+};
+
 /**
- * Dense spine-leaf scenario: a 96-node leaf-spine fabric whose
- * topology holds O(10^3) directed links (24x16 trunks plus two host
- * uplinks per node, each duplex), with waves of cross-leaf flows
- * spread over the trunks by per-flow ECMP. Tracks events/sec on a
- * link set two orders of magnitude denser than the dual-node
- * scenario.
+ * Multi-switch fabric scenario: waves of flows over the fabric of
+ * @p spec, each jumping half the world so src and dst land on
+ * different leaves (or pods) and the flow crosses the upper tiers,
+ * spread over the trunks by per-flow ECMP. A full re-fill per event
+ * would cover every flow in flight; the region solver's per-event
+ * cost tracks the region (a few flows around two edge switches), not
+ * the cluster.
  */
 bench::JsonObject
-spineLeafScenario(int waves, int per_wave)
+fabricScenario(const std::string &name, ClusterSpec spec, Spread spread,
+               int waves, int per_wave)
 {
     bench::Stopwatch watch;
     Simulation sim;
-    ClusterSpec spec = xe8545Cluster(96);
-    spec.fabric.kind = FabricKind::SpineLeaf;
-    spec.fabric.leaves = 24;
-    spec.fabric.spines = 16;
     const int world = spec.totalGpus();
     Cluster cluster(std::move(spec));
     FlowScheduler sched(sim, cluster.topology());
@@ -134,19 +140,19 @@ spineLeafScenario(int waves, int per_wave)
             // one region and solves once instead of per_wave times.
             FlowScheduler::ScopedBatch batch(sched);
             for (int i = 0; i < per_wave; ++i) {
-                FlowSpec spec;
-                const int src = (i * 7 + w) % world;
-                // Jump half the world so src and dst land on
-                // different leaves and the flow crosses the spines.
+                FlowSpec fs;
+                const int src = (i * spread.src_i + w * spread.src_w) %
+                                world;
                 int dst = (src + world / 2 + i) % world;
                 if (dst == src)
                     dst = (dst + 1) % world;
-                spec.route = &cluster.router().routeForFlow(
+                fs.route = &cluster.router().routeForFlow(
                     cluster.gpuByRank(src), cluster.gpuByRank(dst),
-                    static_cast<std::uint64_t>(i));
-                spec.bytes = 1e8 + 1e6 * i;
-                spec.on_complete = [&done] { ++done; };
-                sched.start(std::move(spec));
+                    static_cast<std::uint64_t>(i * spread.key_i +
+                                               w * spread.key_w));
+                fs.bytes = 1e8 + 1e6 * i;
+                fs.on_complete = [&done] { ++done; };
+                sched.start(std::move(fs));
             }
         });
     }
@@ -154,7 +160,7 @@ spineLeafScenario(int waves, int per_wave)
     const double secs = watch.seconds();
 
     bench::JsonObject json;
-    json.add("scenario", std::string("spine_leaf_dense"))
+    json.add("scenario", name)
         .add("links", cluster.topology().halfLinkCount())
         .add("switches",
              static_cast<std::uint64_t>(cluster.switches().size()))
@@ -166,116 +172,14 @@ spineLeafScenario(int waves, int per_wave)
     return json;
 }
 
-/**
- * O(10^4)-link fat-tree scenario: 256 XE8545 nodes on a k=16 fat
- * tree (4 pods, 32 edge + 32 agg + 64 core switches, >10^4 directed
- * links), with waves of cross-pod flows ECMP-spread over the core.
- * A full re-fill per event would cover a thousand flows; the region
- * solver's per-event cost tracks the region (a few flows around two
- * edge switches), not the cluster.
- */
-bench::JsonObject
-fatTree10kScenario(int waves, int per_wave)
+/** @p nodes XE8545 nodes on a k-ary fat tree. */
+ClusterSpec
+fatTreeSpec(int nodes, int k)
 {
-    bench::Stopwatch watch;
-    Simulation sim;
-    ClusterSpec spec = xe8545Cluster(256);
+    ClusterSpec spec = xe8545Cluster(nodes);
     spec.fabric.kind = FabricKind::FatTree;
-    spec.fabric.fat_tree_k = 16;
-    const int world = spec.totalGpus();
-    Cluster cluster(std::move(spec));
-    FlowScheduler sched(sim, cluster.topology());
-    int done = 0;
-    for (int w = 0; w < waves; ++w) {
-        sim.events().schedule(w * 0.01, [&, w] {
-            // The wave is one DES event posting per_wave
-            // same-timestamp starts: batch them so the storm closes
-            // one region and solves once instead of per_wave times.
-            FlowScheduler::ScopedBatch batch(sched);
-            for (int i = 0; i < per_wave; ++i) {
-                FlowSpec spec;
-                const int src = (i * 13 + w * 7) % world;
-                // Jump half the world: src and dst land in different
-                // pods, so the flow crosses edge, agg and core tiers.
-                int dst = (src + world / 2 + i) % world;
-                if (dst == src)
-                    dst = (dst + 1) % world;
-                spec.route = &cluster.router().routeForFlow(
-                    cluster.gpuByRank(src), cluster.gpuByRank(dst),
-                    static_cast<std::uint64_t>(i * 31 + w));
-                spec.bytes = 1e8 + 1e6 * i;
-                spec.on_complete = [&done] { ++done; };
-                sched.start(std::move(spec));
-            }
-        });
-    }
-    sim.run();
-    const double secs = watch.seconds();
-
-    bench::JsonObject json;
-    json.add("scenario", std::string("fat_tree_10k"))
-        .add("links", cluster.topology().halfLinkCount())
-        .add("switches",
-             static_cast<std::uint64_t>(cluster.switches().size()))
-        .add("flows", done)
-        .add("events", sim.events().executedCount())
-        .add("wall_seconds", secs)
-        .add("events_per_sec", sim.events().executedCount() / secs);
-    addSolverStats(json, sched);
-    return json;
-}
-
-/**
- * O(10^5)-link fat-tree scenario: 2048 XE8545 nodes on a k=32 fat
- * tree (8 pods, 128 edge + 128 agg + 256 core switches, ~10^5
- * directed links). Few, small waves: the scenario exists to prove
- * the per-event machinery stays sublinear at this link count (and to
- * complete under sanitizers in CI), not to saturate the fabric.
- */
-bench::JsonObject
-fatTree100kScenario(int waves, int per_wave)
-{
-    bench::Stopwatch watch;
-    Simulation sim;
-    ClusterSpec spec = xe8545Cluster(2048);
-    spec.fabric.kind = FabricKind::FatTree;
-    spec.fabric.fat_tree_k = 32;
-    const int world = spec.totalGpus();
-    Cluster cluster(std::move(spec));
-    FlowScheduler sched(sim, cluster.topology());
-    int done = 0;
-    for (int w = 0; w < waves; ++w) {
-        sim.events().schedule(w * 0.01, [&, w] {
-            FlowScheduler::ScopedBatch batch(sched);
-            for (int i = 0; i < per_wave; ++i) {
-                FlowSpec spec;
-                const int src = (i * 17 + w * 11) % world;
-                int dst = (src + world / 2 + i) % world;
-                if (dst == src)
-                    dst = (dst + 1) % world;
-                spec.route = &cluster.router().routeForFlow(
-                    cluster.gpuByRank(src), cluster.gpuByRank(dst),
-                    static_cast<std::uint64_t>(i * 37 + w));
-                spec.bytes = 1e8 + 1e6 * i;
-                spec.on_complete = [&done] { ++done; };
-                sched.start(std::move(spec));
-            }
-        });
-    }
-    sim.run();
-    const double secs = watch.seconds();
-
-    bench::JsonObject json;
-    json.add("scenario", std::string("fat_tree_100k"))
-        .add("links", cluster.topology().halfLinkCount())
-        .add("switches",
-             static_cast<std::uint64_t>(cluster.switches().size()))
-        .add("flows", done)
-        .add("events", sim.events().executedCount())
-        .add("wall_seconds", secs)
-        .add("events_per_sec", sim.events().executedCount() / secs);
-    addSolverStats(json, sched);
-    return json;
+    spec.fabric.fat_tree_k = k;
+    return spec;
 }
 
 /** The sweep used for the jobs=1 vs jobs=N comparison. */
@@ -351,14 +255,34 @@ main(int argc, char **argv)
     const int waves = args.getInt("waves");
     const int per_wave = args.getInt("per-wave");
     std::cout << denseFlowScenario(waves, per_wave).str() << "\n";
-    std::cout << spineLeafScenario(waves, per_wave).str() << "\n";
-    std::cout << fatTree10kScenario(args.getInt("big-waves"),
-                                    args.getInt("big-per-wave"))
+    // A 96-node leaf-spine fabric whose topology holds O(10^3)
+    // directed links (24x16 trunks plus two host uplinks per node,
+    // each duplex): two orders of magnitude denser than the dual-node
+    // scenario.
+    ClusterSpec spine_leaf = xe8545Cluster(96);
+    spine_leaf.fabric.kind = FabricKind::SpineLeaf;
+    spine_leaf.fabric.leaves = 24;
+    spine_leaf.fabric.spines = 16;
+    std::cout << fabricScenario("spine_leaf_dense", std::move(spine_leaf),
+                                {7, 1, 1, 0}, waves, per_wave)
+                     .str()
+              << "\n";
+    // 256 nodes on a k=16 fat tree: 4 pods, 32 edge + 32 agg + 64
+    // core switches, >10^4 directed links.
+    std::cout << fabricScenario("fat_tree_10k", fatTreeSpec(256, 16),
+                                {13, 7, 31, 1}, args.getInt("big-waves"),
+                                args.getInt("big-per-wave"))
                      .str()
               << "\n";
     if (!args.getFlag("skip-100k")) {
-        std::cout << fatTree100kScenario(args.getInt("huge-waves"),
-                                         args.getInt("huge-per-wave"))
+        // 2048 nodes on a k=32 fat tree: 8 pods, 128 edge + 128 agg +
+        // 256 core switches, ~10^5 directed links. Few, small waves:
+        // the scenario proves the per-event machinery stays sublinear
+        // at this link count (and completes under sanitizers in CI).
+        std::cout << fabricScenario("fat_tree_100k", fatTreeSpec(2048, 32),
+                                    {17, 11, 37, 1},
+                                    args.getInt("huge-waves"),
+                                    args.getInt("huge-per-wave"))
                          .str()
                   << "\n";
     }

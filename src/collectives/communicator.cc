@@ -103,11 +103,11 @@ CollectiveEngine::viaNics(int src_rank, int dst_rank,
  * the router flushes its route caches.
  *
  * On the fault-free path a round's hops go to the TransferManager as
- * hop sets: the hops with one launch time and equal bytes, in round
- * order. The scheduler runs the equal, resource-disjoint ones as one
- * hop class, so a set costs one record, one launch member and, when it
- * stays a class, one completion; hopDone(c, k) takes the k hops that
- * landed at once.
+ * hop sets: the hops with one launch time, in round order (a round
+ * gives every hop one byte count). The scheduler runs the equal,
+ * resource-disjoint ones as one hop class, so a set costs one record,
+ * one launch member and, when it stays a class, one completion;
+ * hopDone(c, k) takes the k hops that landed at once.
  *
  * With retries enabled (the fault path), every hop is its own
  * retryable transfer, and with resilience attached a per-round
@@ -117,10 +117,11 @@ CollectiveEngine::viaNics(int src_rank, int dst_rank,
  * reconverged — completed rounds never re-run. Without retries no hop
  * has a transfer id to rescue, so no watchdog is armed.
  *
- * A round's hops launch inside one TransferManager::LaunchScope, so
- * hops with equal route latency share one launch event. A hop's
- * completion captures only (this, channel) and allocates nothing;
- * the hop's transfer holds the runner through its keepalive.
+ * A hop set is one launch event; on the retry path a round's hops
+ * launch inside one TransferManager::LaunchScope, so hops with equal
+ * route latency share one. A hop's completion captures only (this,
+ * channel) and allocates nothing; the hop's transfer holds the runner
+ * through its keepalive.
  *
  * Ownership: each transfer in flight (through its keepalive) and
  * each scheduled callback (armed watchdogs, deferred settles,
@@ -158,6 +159,11 @@ class CollectiveEngine::RoundRunner
     }
 
   private:
+    /** Watchdog rescues per channel before the watchdog gives up and
+     * lets the remaining flows park (they resume if the fault
+     * restores): bounds watchdog work on a partitioned fabric. */
+    static constexpr int kMaxResumes = 16;
+
     /** A resolved edge, remembered per hop index. */
     struct EdgeMemo {
         int src;
@@ -204,7 +210,6 @@ class CollectiveEngine::RoundRunner
         ++cur.round_gen;
         TransferManager &tm = eng_.tm_;
         if (!tm.retryPolicy().enabled) {
-            TransferManager::LaunchScope scope(tm);
             startHopSets(c);
             return;
         }
@@ -234,10 +239,10 @@ class CollectiveEngine::RoundRunner
 
     /**
      * Start channel @p c's round as hop sets: the hops of one launch
-     * time (the time TransferManager groups a launch by) and equal
-     * bytes, as maximal runs in round order. Sets start in the order
-     * of their first hop, so every launch group is created, and filled,
-     * in the order per-hop starts would give it.
+     * time (the time TransferManager groups a launch by), in round
+     * order. Sets start in the order of their first hop, so every
+     * launch group is created, and filled, in the order per-hop starts
+     * would give it.
      */
     void
     startHopSets(std::size_t c)
@@ -253,7 +258,7 @@ class CollectiveEngine::RoundRunner
                 other.memo.clear();
             edge_flushes_ = flushes;
         }
-        sets_.clear();
+        set_when_.clear();
         hop_set_.clear();
         hop_route_.clear();
         if (cur.memo.size() < cur.hops.size())
@@ -267,23 +272,15 @@ class CollectiveEngine::RoundRunner
             }
             const Route &route = *memo.route;
             const SimTime when = now + route.latency;
-            std::size_t set = sets_.size();
-            for (std::size_t s = 0; s < sets_.size(); ++s) {
-                if (sets_[s].open && sets_[s].when == when) {
-                    set = s;
-                    break;
-                }
-            }
-            if (set < sets_.size() && sets_[set].bytes != hop.bytes) {
-                sets_[set].open = false;
-                set = sets_.size();
-            }
-            if (set == sets_.size())
-                sets_.push_back(HopSet{when, hop.bytes, true});
+            const std::size_t set = static_cast<std::size_t>(
+                std::find(set_when_.begin(), set_when_.end(), when) -
+                set_when_.begin());
+            if (set == set_when_.size())
+                set_when_.push_back(when);
             hop_set_.push_back(static_cast<std::uint32_t>(set));
             hop_route_.push_back(&route);
         }
-        for (std::size_t s = 0; s < sets_.size(); ++s) {
+        for (std::size_t s = 0; s < set_when_.size(); ++s) {
             set_routes_.clear();
             for (std::size_t i = 0; i < hop_set_.size(); ++i)
                 if (hop_set_[i] == s)
@@ -292,7 +289,7 @@ class CollectiveEngine::RoundRunner
             opts.rate_factor = bw_factor_;
             opts.tag = tag_;
             opts.keepalive = shared_from_this();
-            tm.startHops(set_routes_, sets_[s].bytes,
+            tm.startHops(set_routes_, cur.hops.front().bytes,
                          [this, c](std::uint32_t n) { hopDone(c, n); },
                          std::move(opts));
         }
@@ -357,9 +354,8 @@ class CollectiveEngine::RoundRunner
             return;  // hard-fault abort killed this attempt
         if (gen != cur.round_gen || cur.outstanding == 0)
             return;  // the round completed; a new watchdog owns the next
-        const int max_resumes = rc_->config().max_collective_resumes;
         bool rescued = false;
-        if (cur.resumes < max_resumes) {
+        if (cur.resumes < kMaxResumes) {
             for (std::size_t i = 0; i < cur.xids.size(); ++i) {
                 if (cur.xids[i] == 0 || !tm.transferStalled(cur.xids[i]))
                     continue;
@@ -395,16 +391,9 @@ class CollectiveEngine::RoundRunner
             ++rc_->stats().collective_timeouts;
             ++cur.resumes;
         }
-        if (cur.outstanding > 0 && cur.resumes < max_resumes)
+        if (cur.outstanding > 0 && cur.resumes < kMaxResumes)
             armWatchdog(c);
     }
-
-    /** startHopSets() scratch: one run of a round's hops. */
-    struct HopSet {
-        SimTime when;
-        Bytes bytes;
-        bool open;  ///< later hops of this launch time may join
-    };
 
     CollectiveEngine &eng_;
     /** The invocation's schedule, shared by every channel. */
@@ -420,7 +409,7 @@ class CollectiveEngine::RoundRunner
     /** Router cache flushes the edge memos were resolved under. */
     std::uint64_t edge_flushes_ = 0;
     // startHopSets() scratch, reused across rounds.
-    std::vector<HopSet> sets_;
+    std::vector<SimTime> set_when_;  ///< per set: its launch time
     std::vector<std::uint32_t> hop_set_;  ///< per hop: its set
     std::vector<const Route *> hop_route_;  ///< per hop: its route
     std::vector<const Route *> set_routes_;
@@ -532,8 +521,7 @@ CollectiveEngine::runOp(CollectiveOp op, const CommGroup &group,
                                                : spec_.requestedFor(op);
     CollectiveAlgo algo =
         resolveCollectiveAlgorithm(op, live, bytes, requested, view);
-    if (resilience_ != nullptr &&
-        resilience_->config().collective_fallback) {
+    if (resilience_ != nullptr) {
         // Degraded-schedule fallback: an algorithm whose structural
         // assumption is cut re-resolves deterministically through
         // the Auto policy's universal fallbacks (all-to-all ->

@@ -185,7 +185,7 @@ class CollectiveEngine
      * Attach the degraded-mode resilience coordinator
      * (net/resilience.hh). Enables the per-round progress watchdog
      * (config().collective_timeout), the degraded-schedule fallback
-     * (config().collective_fallback) and dead-rank group filtering.
+     * and dead-rank group filtering.
      * nullptr detaches; detached behavior is bit-identical to the
      * pre-resilience engine.
      */

@@ -257,7 +257,7 @@ Experiment::Experiment(ExperimentConfig cfg)
         tm_->setResilience(resilience_.get());
         coll_->configureResilience(resilience_.get());
         if (injector_)
-            injector_->setTopologyBus(&resilience_->bus());
+            injector_->setResilience(resilience_.get());
     }
     if (cfg_.recovery.checkpoint.enabled() ||
         hasHardFaults(cfg_.faults)) {

@@ -65,6 +65,21 @@ tryIndexed(const std::string &text, std::string_view prefix, int *out)
     return true;
 }
 
+/** Every resource of a half-link touching component @p id, once each,
+ * in half-link order. */
+std::vector<ResourceId>
+linksTouching(const Topology &topo, ComponentId id)
+{
+    std::vector<ResourceId> rids;
+    for (std::size_t h = 0; h < topo.halfLinkCount(); ++h) {
+        const HalfLink &hl = topo.halfLink(static_cast<HalfLinkId>(h));
+        if ((hl.from == id || hl.to == id) &&
+            std::find(rids.begin(), rids.end(), hl.resource) == rids.end())
+            rids.push_back(hl.resource);
+    }
+    return rids;
+}
+
 /** The target namespaces, listed in every resolution error. */
 constexpr const char *kTargetNamespaces =
     "valid target namespaces: rank<k> (GPU ranks), n<k> (nodes), "
@@ -131,16 +146,7 @@ FaultInjector::resolve(const FaultEvent &ev) const
             if (id == kNoComponent)
                 fatal("fault target '%s': no such switch (%s)",
                       ev.target.c_str(), kTargetNamespaces);
-            for (std::size_t h = 0; h < topo.halfLinkCount(); ++h) {
-                const HalfLink &hl =
-                    topo.halfLink(static_cast<HalfLinkId>(h));
-                if (hl.from != id && hl.to != id)
-                    continue;
-                if (std::find(r.rids.begin(), r.rids.end(),
-                              hl.resource) == r.rids.end()) {
-                    r.rids.push_back(hl.resource);
-                }
-            }
+            r.rids = linksTouching(topo, id);
             DSTRAIN_ASSERT(!r.rids.empty(), "switch '%s' has no links",
                            ev.target.c_str());
             return r;
@@ -194,16 +200,7 @@ FaultInjector::resolve(const FaultEvent &ev) const
                   ev.target.c_str(), kTargetNamespaces);
         // Every link direction touching the NIC dies with it: the
         // PCIe attach and the RoCE uplink.
-        for (std::size_t h = 0; h < topo.halfLinkCount(); ++h) {
-            const HalfLink &hl =
-                topo.halfLink(static_cast<HalfLinkId>(h));
-            if (hl.from != id && hl.to != id)
-                continue;
-            if (std::find(r.rids.begin(), r.rids.end(), hl.resource) ==
-                r.rids.end()) {
-                r.rids.push_back(hl.resource);
-            }
-        }
+        r.rids = linksTouching(topo, id);
         DSTRAIN_ASSERT(!r.rids.empty(), "NIC '%s' has no links",
                        ev.target.c_str());
         return r;
@@ -246,17 +243,7 @@ FaultInjector::resolve(const FaultEvent &ev) const
         // The dead GPU's attach links (NVLink + PCIe) go to zero:
         // anything still talking to it stalls until the abort sweeps
         // it away.
-        const ComponentId gpu = cluster_.gpuByRank(r.rank);
-        for (std::size_t h = 0; h < topo.halfLinkCount(); ++h) {
-            const HalfLink &hl =
-                topo.halfLink(static_cast<HalfLinkId>(h));
-            if (hl.from != gpu && hl.to != gpu)
-                continue;
-            if (std::find(r.rids.begin(), r.rids.end(), hl.resource) ==
-                r.rids.end()) {
-                r.rids.push_back(hl.resource);
-            }
-        }
+        r.rids = linksTouching(topo, cluster_.gpuByRank(r.rank));
         DSTRAIN_ASSERT(!r.rids.empty(), "rank %d has no links", r.rank);
         return r;
       }
@@ -362,8 +349,6 @@ FaultInjector::apply(std::size_t i)
     // solve — for the whole failure domain (a switch or rail fault
     // can scale hundreds of links in one event).
     updateCapacities(r.rids);
-    if (bus_ != nullptr && !r.rids.empty())
-        bus_->publish(r.rids);
     // Record the capacities that resulted (overlap-aware).
     for (std::size_t k = 0; k < r.rids.size(); ++k) {
         const Resource &res = topo.resource(r.rids[k]);
@@ -425,8 +410,6 @@ FaultInjector::restore(std::size_t i)
     for (ResourceId rid : r.rids)
         popFraction(rid, fraction);
     updateCapacities(r.rids);
-    if (bus_ != nullptr && !r.rids.empty())
-        bus_->publish(r.rids);
 
     if (r.rank >= 0) {
         auto &v = gpu_active_[static_cast<std::size_t>(r.rank)];
@@ -463,8 +446,6 @@ FaultInjector::restoreHard(std::size_t i)
     for (ResourceId rid : r.rids)
         popFraction(rid, 0.0);
     updateCapacities(r.rids);
-    if (bus_ != nullptr && !r.rids.empty())
-        bus_->publish(r.rids);
 
     inform("hardware replaced: %s healthy at t=%s", ev.target.c_str(),
            formatTime(now).c_str());
@@ -492,7 +473,7 @@ FaultInjector::updateCapacities(const std::vector<ResourceId> &rids)
         return;
     // Re-derive each target capacity from the active fault fractions
     // (min across overlapping windows), then hand the whole set to
-    // the scheduler as one batch: one capacity_updates count, one
+    // the scheduler in one call: one capacity_updates count, one
     // fair-share solve.
     cap_batch_.clear();
     const Topology &topo = cluster_.topology();
@@ -504,6 +485,8 @@ FaultInjector::updateCapacities(const std::vector<ResourceId> &rids)
             rid, topo.resource(rid).nominal_capacity * fraction);
     }
     flows_.setCapacities(cap_batch_);
+    if (resilience_ != nullptr)
+        resilience_->onTopologyChange();
 }
 
 void

@@ -6,7 +6,7 @@
  * (fatal on a target that does not exist — a configuration error)
  * and schedules one apply and, for finite windows, one restore event
  * on the simulation's event queue. Applying a fault mutates resource
- * capacities through FlowScheduler::setCapacity() — never directly —
+ * capacities through FlowScheduler::setCapacities() — never directly —
  * so in-flight flow rates re-waterfill at the fault instant and the
  * streaming telemetry records the degraded rates exactly. Restores
  * return capacities to Resource::nominal_capacity (respecting other
@@ -29,7 +29,7 @@
 
 namespace dstrain {
 
-class TopologyChangeBus;
+class ResilienceCoordinator;
 
 /** Measured effect of one fault on one affected link direction. */
 struct LinkImpact {
@@ -126,13 +126,13 @@ class FaultInjector
     void restoreHard(std::size_t i);
 
     /**
-     * Publish every capacity change on @p bus (the resilience
-     * coordinator's topology-change bus, net/resilience.hh), so the
-     * router's cached routes are invalidated after the configured
-     * reconvergence window. nullptr (the default) publishes nothing —
-     * routes stay permanently cached, the pre-resilience behavior.
+     * Report every capacity change to @p rc (the resilience
+     * coordinator, net/resilience.hh), so the router's cached routes
+     * are invalidated after the configured reconvergence window.
+     * nullptr (the default) reports nothing — routes stay permanently
+     * cached, the pre-resilience behavior.
      */
-    void setTopologyBus(TopologyChangeBus *bus) { bus_ = bus; }
+    void setResilience(ResilienceCoordinator *rc) { resilience_ = rc; }
 
   private:
     /** Byte-counter baselines of one affected resource. */
@@ -156,8 +156,9 @@ class FaultInjector
     /**
      * Re-derive the capacities of @p rids from their active fault
      * fractions and apply them as one FlowScheduler::setCapacities()
-     * batch — a multi-link fault event triggers one solve, not one
-     * per link.
+     * call — a multi-link fault event triggers one solve, not one
+     * per link — then report the change to the resilience
+     * coordinator.
      */
     void updateCapacities(const std::vector<ResourceId> &rids);
 
@@ -191,7 +192,7 @@ class FaultInjector
     std::function<void(std::size_t)> hard_handler_;
 
     /** Optional capacity-change sink (degraded-mode resilience). */
-    TopologyChangeBus *bus_ = nullptr;
+    ResilienceCoordinator *resilience_ = nullptr;
 
     bool armed_ = false;
 };

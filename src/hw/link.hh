@@ -259,7 +259,7 @@ struct Resource {
     /**
      * Current theoretical capacity of this direction. Equals
      * `nominal_capacity` on a healthy link; the fault injector lowers
-     * it mid-run through FlowScheduler::setCapacity (never directly,
+     * it mid-run through FlowScheduler::setCapacities (never directly,
      * so the scheduler's effective-capacity array stays in sync).
      */
     Bps capacity = 0.0;

@@ -650,7 +650,7 @@ FlowScheduler::commitRates(std::size_t begin, std::size_t end)
         if (rate <= 0.0) {
             // Water-filling assigns rate 0 only to flows stranded on
             // a link faulted to zero capacity: they have no finish
-            // time and resume when setCapacity() restores the link.
+            // time and resume when setCapacities() restores the link.
             DSTRAIN_ASSERT(stalledByFault(slot),
                            "active flow '%s' got zero rate",
                            tags_.label(f.tag).c_str());
@@ -756,7 +756,6 @@ FlowScheduler::materialize(std::uint32_t slot)
         nclass_[rid] -= 1;
     const bool indexed = index_seq_[slot] != 0;
     const bool deferred =
-        batch_depth_ > 0 &&
         std::find(batch_start_slots_.begin(), batch_start_slots_.end(),
                   slot) != batch_start_slots_.end();
     proto.hops = 1;
@@ -1087,18 +1086,20 @@ FlowScheduler::admit(std::uint32_t slot)
         maybeVerify();
         return;
     }
-    if (batch_depth_ > 0) {
-        // Deferred admission: the flow sits rate-less (not stalled,
-        // no finish time) until the batch flush solves its region.
-        ++stats_.batched_events;
-        batch_start_slots_.push_back(slot);
-        batch_need_solve_ = true;
-        return;
-    }
-    beginRegion();
-    seedRegionFlow(slot);
-    solveRegion();
-    maybeVerify();
+    // Deferred admission: the flow sits rate-less (not stalled, no
+    // finish time) until the flush solves its region.
+    batch_start_slots_.push_back(slot);
+    batch_need_solve_ = true;
+    deferOrFlush(1);
+}
+
+void
+FlowScheduler::deferOrFlush(std::uint64_t ops)
+{
+    if (batch_depth_ > 0)
+        stats_.batched_events += ops;
+    else
+        flushBatch();
 }
 
 void
@@ -1241,9 +1242,9 @@ FlowScheduler::startClass(const HopSetSpec &spec, std::uint32_t set,
         indexUpdate(slot, slots_[slot].finish_at);
         return;
     }
-    stats_.batched_events += k;
     batch_start_slots_.push_back(slot);
     batch_need_solve_ = true;
+    deferOrFlush(k);
 }
 
 void
@@ -1349,69 +1350,11 @@ FlowScheduler::isActive(FlowId id) const
 }
 
 void
-FlowScheduler::setCapacity(ResourceId rid, Bps capacity)
-{
-    DSTRAIN_ASSERT(capacity >= 0.0, "negative capacity for resource %d",
-                   rid);
-    ensureResourceArrays();
-    DSTRAIN_ASSERT(rid >= 0 &&
-                       static_cast<std::size_t>(rid) < eff_cap_.size(),
-                   "bad resource id %d", rid);
-    Resource &r = topo_.resource(rid);
-    const double new_eff = capacity * linkClassEfficiency(r.cls);
-    r.capacity = capacity;
-    if (new_eff == eff_cap_[rid])
-        return;
-    ++stats_.capacity_updates;
-    materializeCrossers(rid);
-
-    const bool was_zero = eff_cap_[rid] <= 0.0;
-    const bool slack_before = !saturated(rid);
-    eff_cap_[rid] = new_eff;
-    const bool slack_after = new_eff > 0.0 && !saturated(rid);
-    // A restore from zero wakes the parked crossers: they rejoin the
-    // (possibly deferred) solve below, which re-parks any of them
-    // still blocked on another downed link.
-    if (was_zero && new_eff > 0.0)
-        unparkResource(rid);
-
-    if (batch_depth_ > 0) {
-        // Deferred: match setCapacities() batch semantics — rates are
-        // pre-batch (stale), so every changed resource with flows
-        // seeds the flush region, and a failed fast check anywhere
-        // forces the flush solve.
-        ++stats_.batched_events;
-        if (nflows_[rid] > 0) {
-            batch_dirty_.push_back(rid);
-            if (!(slack_before && slack_after))
-                batch_need_solve_ = true;
-        }
-        return;
-    }
-
-    // Fast path: with no crossing flows — or with the resource
-    // strictly unsaturated under both the old and the new capacity —
-    // every flow's bottleneck stays where it is, so no rate changes
-    // and neither a recompute nor a log write is needed.
-    if (nflows_[rid] == 0 || (slack_before && slack_after)) {
-        ++stats_.fast_capacity_updates;
-        return;
-    }
-
-    beginRegion();
-    seedRegionResource(rid);
-    solveRegion();
-    maybeVerify();
-}
-
-void
 FlowScheduler::setCapacities(
     const std::vector<std::pair<ResourceId, Bps>> &updates)
 {
     ensureResourceArrays();
     bool any_change = false;
-    bool need_solve = false;
-    cap_dirty_.clear();
     for (const auto &[rid, capacity] : updates) {
         DSTRAIN_ASSERT(capacity >= 0.0,
                        "negative capacity for resource %d", rid);
@@ -1429,43 +1372,28 @@ FlowScheduler::setCapacities(
         const bool slack_before = !saturated(rid);
         eff_cap_[rid] = new_eff;
         const bool slack_after = new_eff > 0.0 && !saturated(rid);
+        // A restore from zero wakes the parked crossers: they rejoin
+        // the flush's solve, which re-parks any of them still blocked
+        // on another downed link.
         if (was_zero && new_eff > 0.0)
             unparkResource(rid);
         if (nflows_[rid] == 0)
             continue;
-        // Every changed resource with flows seeds the solve region
-        // (not just the ones failing the fast check): the batch is
-        // solved against pre-batch rates, so a jointly affected
-        // resource must not be skipped on a stale individual check.
-        cap_dirty_.push_back(rid);
+        // Every changed resource with flows seeds the flush region
+        // (not just the ones failing the fast check): the flush solves
+        // against the rates from before the batch, so a jointly
+        // affected resource must not be skipped on a stale individual
+        // check. With no crossing flow, or with the resource strictly
+        // unsaturated under both capacities, no bottleneck moves.
+        batch_dirty_.push_back(rid);
         if (!(slack_before && slack_after))
-            need_solve = true;
+            batch_need_solve_ = true;
     }
     if (!any_change)
         return;
-    ++stats_.capacity_updates;  // the whole batch counts once
-
-    if (batch_depth_ > 0) {
-        // Fold into the open storm batch.
-        ++stats_.batched_events;
-        batch_dirty_.insert(batch_dirty_.end(), cap_dirty_.begin(),
-                            cap_dirty_.end());
-        if (need_solve)
-            batch_need_solve_ = true;
-        return;
-    }
-
-    if (!need_solve) {
-        ++stats_.fast_capacity_updates;
-        maybeVerify();
-        return;
-    }
-
-    beginRegion();
-    for (ResourceId rid : cap_dirty_)
-        seedRegionResource(rid);
-    solveRegion();
-    maybeVerify();
+    ++stats_.capacity_updates;  // the whole call counts once
+    batch_cap_change_ = true;
+    deferOrFlush(1);
 }
 
 void
@@ -1486,36 +1414,34 @@ FlowScheduler::endBatch()
 void
 FlowScheduler::flushBatch()
 {
-    if (batch_start_slots_.empty() && batch_dirty_.empty()) {
+    if (batch_need_solve_) {
+        // Seed order feeds component *enumeration* order only; the
+        // fill and every observable consumer are
+        // enumeration-order-invariant, so dedup by sort is safe and
+        // keeps the closure walk linear.
+        std::sort(batch_dirty_.begin(), batch_dirty_.end());
+        batch_dirty_.erase(
+            std::unique(batch_dirty_.begin(), batch_dirty_.end()),
+            batch_dirty_.end());
+        beginRegion();
+        for (std::uint32_t slot : batch_start_slots_)
+            seedRegionFlow(slot);
+        for (ResourceId rid : batch_dirty_)
+            seedRegionResource(rid);
+        batch_start_slots_.clear();
+        batch_dirty_.clear();
         batch_need_solve_ = false;
-        maybeVerify();
-        return;
-    }
-    if (!batch_need_solve_) {
-        // Capacity-only batch where every entry passed its fast
-        // check: no rate can have moved.
+        batch_cap_change_ = false;
+        // Even an empty region reschedules the completion event: a
+        // removal may have taken the flow that owned it.
+        solveRegion();
+    } else if (batch_cap_change_) {
+        // Capacity changes that all passed their fast check: no rate
+        // can have moved.
         ++stats_.fast_capacity_updates;
         batch_dirty_.clear();
-        maybeVerify();
-        return;
+        batch_cap_change_ = false;
     }
-    // Seed order feeds component *enumeration* order only; the fill
-    // and every observable consumer are enumeration-order-invariant,
-    // so dedup by sort is safe and keeps the closure walk linear.
-    std::sort(batch_dirty_.begin(), batch_dirty_.end());
-    batch_dirty_.erase(
-        std::unique(batch_dirty_.begin(), batch_dirty_.end()),
-        batch_dirty_.end());
-
-    beginRegion();
-    for (std::uint32_t slot : batch_start_slots_)
-        seedRegionFlow(slot);
-    for (ResourceId rid : batch_dirty_)
-        seedRegionResource(rid);
-    batch_start_slots_.clear();
-    batch_dirty_.clear();
-    batch_need_solve_ = false;
-    solveRegion();
     maybeVerify();
 }
 
@@ -1542,32 +1468,18 @@ FlowScheduler::cancel(FlowId id, Bytes *remaining)
     releaseSlot(slot);
     ++stats_.cancels;
 
-    if (batch_depth_ > 0) {
-        ++stats_.batched_events;
-        // A start deferred in this same batch leaves no seed behind.
-        batch_start_slots_.erase(std::remove(batch_start_slots_.begin(),
-                                             batch_start_slots_.end(),
-                                             slot),
-                                 batch_start_slots_.end());
-        ++mark_epoch_;  // fresh epoch for zeroIfIdle deduplication
-        for (ResourceId rid : removed)
-            zeroIfIdle(rid);
-        for (ResourceId rid : removed)
-            if (nflows_[rid] > 0)
-                batch_dirty_.push_back(rid);
-        batch_need_solve_ = true;
-        return true;
-    }
-
-    beginRegion();
+    // A start deferred in this same batch leaves no seed behind.
+    batch_start_slots_.erase(std::remove(batch_start_slots_.begin(),
+                                         batch_start_slots_.end(), slot),
+                             batch_start_slots_.end());
+    ++mark_epoch_;  // fresh epoch for zeroIfIdle deduplication
     for (ResourceId rid : removed)
         zeroIfIdle(rid);
-    // zeroIfIdle shares the mark epoch; a resource marked idle has no
-    // flows, so it can never be (re)seeded anyway.
     for (ResourceId rid : removed)
-        seedRegionResource(rid);
-    solveRegion();
-    maybeVerify();
+        if (nflows_[rid] > 0)
+            batch_dirty_.push_back(rid);
+    batch_need_solve_ = true;
+    deferOrFlush(1);
     return true;
 }
 

@@ -30,7 +30,7 @@
  * flows whose rate changed, and per-resource totals are re-summed
  * from the crossing-flow lists of the region's resources alone.
  * Fault-stalled zero-rate flows are parked on a stalled list that no
- * fill, scan, or index operation revisits until setCapacity()
+ * fill, scan, or index operation revisits until setCapacities()
  * restores their link.
  *
  * Per-resource state lives in flat arrays indexed by ResourceId and
@@ -85,7 +85,7 @@ class FlowScheduler
         std::uint64_t fast_starts = 0;    ///< starts admitted incrementally
         std::uint64_t fast_finishes = 0;  ///< completions handled incrementally
         std::uint64_t rate_updates = 0;   ///< per-resource rate notifications
-        std::uint64_t capacity_updates = 0;  ///< setCapacity[s]() effective calls
+        std::uint64_t capacity_updates = 0;  ///< setCapacities() effective calls
         std::uint64_t fast_capacity_updates = 0;  ///< ... without a recompute
         std::uint64_t cancels = 0;        ///< flows removed via cancel()
         std::uint64_t region_solves = 0;  ///< solves scoped to a region
@@ -178,13 +178,16 @@ class FlowScheduler
     bool isActive(FlowId id) const;
 
     /**
-     * Change a resource's capacity mid-run (the fault-injection
-     * path). Updates the topology's Resource::capacity and the
-     * scheduler's effective-capacity array together, then re-runs
-     * water-filling for the affected flows — with a fast path: when
-     * the resource carries no flows, or stays strictly unsaturated
-     * under both the old and the new capacity, no rate can change and
-     * the update is O(1) with no recompute and no log writes.
+     * Change resource capacities mid-run (the fault-injection path),
+     * with at most one solve for the whole set: one fault event
+     * hitting a failure domain coalesces into one water-filling pass
+     * instead of one per link. Updates the topology's
+     * Resource::capacity and the scheduler's effective-capacity array
+     * together. Entries whose capacity is unchanged are skipped; a
+     * call with any change counts once in Stats::capacity_updates.
+     * Fast path: when every changed resource carries no flows, or
+     * stays strictly unsaturated under both the old and the new
+     * capacity, no rate can change and no solve runs.
      *
      * A capacity of 0 models a downed link: crossing flows stall at
      * rate zero (their telemetry logs record the dropout exactly) and
@@ -193,41 +196,31 @@ class FlowScheduler
      * flows have no completion event; a plan that downs a route
      * forever without rerouting will deadlock by design.
      */
-    void setCapacity(ResourceId rid, Bps capacity);
-
-    /**
-     * Apply several capacity changes as one batch with a single solve
-     * (the multi-link fault path: one fault event hitting a failure
-     * domain coalesces into one water-filling pass instead of one per
-     * link). State-equivalent to calling setCapacity() per entry at
-     * the same instant, but counted once in Stats::capacity_updates
-     * and solved once. Entries whose capacity is unchanged are
-     * skipped; if every changed entry meets the fast-path condition
-     * the batch completes without any solve.
-     */
     void setCapacities(const std::vector<std::pair<ResourceId, Bps>> &updates);
 
     /**
-     * Open a batch: until the matching endBatch(), setCapacity()/
-     * setCapacities() update capacities (and the topology) immediately
-     * but defer their solves, and cancel() defers its solve too.
-     * start() first tries the same fast-start admission an unbatched
-     * start does; only a start that fails it is deferred, sitting at
-     * rate zero until the flush. endBatch() closes the union region of
-     * the deferred ops once and runs a single solve. Nestable; only
-     * the outermost endBatch() flushes.
+     * Open a batch. Every op — start(), startHops(), cancel() and
+     * setCapacities() — applies through one protocol: it updates the
+     * flows, capacities and topology at once, records what its solve
+     * needs (a start that fails fast-start admission, the resources a
+     * change touched, whether a solve is needed) and leaves the solve
+     * to the flush. endBatch() closes the union region of the recorded
+     * ops once and runs a single solve; an op with no batch open is a
+     * batch of one and flushes at once. A deferred start sits at rate
+     * zero until the flush. Nestable; only the outermost endBatch()
+     * flushes.
      *
-     * Capacity-only batches are state-equivalent to the unbatched
-     * call sequence (water-filling is a pure function of the final
+     * A batch of capacity changes ends in the rates the changes made
+     * one by one give (water-filling is a pure function of the final
      * capacities, and a capacity change that leaves a resource
      * unsaturated never moves the fill's binding minimum — see
      * DESIGN.md §6.5). A batch of starts ends in max-min fair rates:
      * a flow admitted against totals that a deferred op changes
      * crosses a resource of the flush's closure and is re-solved
      * there, and a flow outside that closure read exact totals. The
-     * rates can differ from the unbatched sequence's in the last bit,
-     * since the flush fills merged components in one pass. Verify
-     * mode defers every batched start, so the oracle checks every
+     * rates can differ from those of the ops made one by one in the
+     * last bit, since the flush fills merged components in one pass.
+     * Verify mode defers every start, so the oracle checks every
      * closure. TransferManager batches each launch group this way.
      */
     void beginBatch();
@@ -357,9 +350,13 @@ class FlowScheduler
      * and the completion event (the commit of a fast start). */
     void admitFast(std::uint32_t slot, double rate);
 
-    /** Admit the just-registered flow in @p slot: fast start, batch
-     * deferral or an immediate region solve. */
+    /** Admit the just-registered flow in @p slot: a fast start, or a
+     * start deferred to the flush. */
     void admit(std::uint32_t slot);
+
+    /** End an op that recorded work for the flush: count @p ops as
+     * deferred while a batch is open, else flush at once. */
+    void deferOrFlush(std::uint64_t ops);
 
     // --- hop sets and hop classes (startHops()) ---------------------------
 
@@ -649,7 +646,8 @@ class FlowScheduler
      */
     void zeroIfIdle(ResourceId rid);
 
-    /** Flush the outermost batch: one closure, one solve. */
+    /** Flush the recorded ops: one closure, one solve (none when only
+     * fast capacity changes were recorded). */
     void flushBatch();
 
     /** Run the oracle and assert bitwise-equal rates, a consistent
@@ -714,11 +712,12 @@ class FlowScheduler
     std::size_t arena_live_ = 0;  ///< summed span length of active slots
     std::vector<double> cap_slot_;  ///< Flow::cap mirror (set once)
 
-    // --- event-storm batching ---------------------------------------------
+    // --- op recording (see beginBatch()) ---------------------------------
     int batch_depth_ = 0;
     bool batch_need_solve_ = false;
+    bool batch_cap_change_ = false;  ///< a capacity changed since the flush
     std::vector<std::uint32_t> batch_start_slots_;  ///< deferred starts
-    std::vector<ResourceId> batch_dirty_;  ///< deferred capacity seeds
+    std::vector<ResourceId> batch_dirty_;  ///< seeds of changes and removals
 
     // --- flat per-resource state (indexed by ResourceId) -----------------
     std::vector<double> eff_cap_;     ///< capacity * class efficiency
@@ -787,7 +786,6 @@ class FlowScheduler
     // --- reusable scratch buffers ----------------------------------------
     FillScratch fill_;
     std::vector<ResourceId> active_resources_;  ///< solved resources
-    std::vector<ResourceId> cap_dirty_;  ///< batch-update seeds
     std::vector<std::function<void()>> callbacks_;
     std::vector<std::uint32_t> finished_;  ///< detached finisher slots
     std::vector<double> oracle_rate_;          ///< verify-mode rates

@@ -20,9 +20,6 @@ ResilienceConfig::validate() const
         errors.push_back({"resilience.collective_timeout",
                           "must be 0 (watchdog off) or in [1 ms, "
                           "3600 s]"});
-    if (max_collective_resumes < 0)
-        errors.push_back({"resilience.max_collective_resumes",
-                          "must be >= 0"});
     return errors;
 }
 
@@ -31,8 +28,6 @@ ResilienceCoordinator::ResilienceCoordinator(Simulation &sim,
                                              ResilienceConfig config)
     : sim_(sim), router_(router), cfg_(std::move(config))
 {
-    bus_.subscribe(
-        [this](const std::vector<ResourceId> &) { onTopologyChange(); });
 }
 
 bool

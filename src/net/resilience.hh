@@ -15,8 +15,8 @@
  *
  * The ResilienceCoordinator models exactly that control-plane loop:
  *
- *  - FaultInjector publishes every capacity change on a
- *    TopologyChangeBus.
+ *  - FaultInjector reports every capacity change to the coordinator
+ *    (onTopologyChange()).
  *  - The coordinator holds the change for a configurable
  *    reconvergence delay (new flows keep taking stale-or-parked
  *    routes, like a real fabric between failure and FIB update),
@@ -36,7 +36,6 @@
 #define DSTRAIN_NET_RESILIENCE_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "hw/routing.hh"
@@ -67,21 +66,6 @@ struct ResilienceConfig {
      * the watchdog.
      */
     SimTime collective_timeout = 25e-3;
-
-    /**
-     * Watchdog rescue attempts per collective invocation before it
-     * gives up and lets the remaining flows park (they resume if the
-     * fault restores). Bounds watchdog work on a partitioned fabric.
-     */
-    int max_collective_resumes = 16;
-
-    /**
-     * Re-resolve an algorithm whose structural assumption is cut
-     * (hierarchical with a dead intra-node NVLink domain; tree after
-     * rank loss breaks the pow2 group) through the Auto policy's
-     * fallback chain instead of panicking mid-schedule.
-     */
-    bool collective_fallback = true;
 
     /** Structural checks; empty result = valid. */
     std::vector<ConfigError> validate() const;
@@ -119,38 +103,6 @@ struct ResilienceStats {
 };
 
 /**
- * Fan-out point for topology mutations. The FaultInjector publishes
- * after every batched capacity update (and hard fault); subscribers
- * — today the ResilienceCoordinator, tomorrow e.g. an adaptive
- * collective planner — react in subscription order.
- */
-class TopologyChangeBus
-{
-  public:
-    /** @p rids: the resources whose capacity just changed. */
-    using Listener = std::function<void(const std::vector<ResourceId> &)>;
-
-    /** Register a listener (called in subscription order). */
-    void subscribe(Listener listener)
-    {
-        listeners_.push_back(std::move(listener));
-    }
-
-    /** Notify all listeners of a capacity change on @p rids. */
-    void publish(const std::vector<ResourceId> &rids) const
-    {
-        for (const Listener &l : listeners_)
-            l(rids);
-    }
-
-    /** Number of registered listeners (diagnostic). */
-    std::size_t listenerCount() const { return listeners_.size(); }
-
-  private:
-    std::vector<Listener> listeners_;
-};
-
-/**
  * Drives the reconvergence model: collects topology-change
  * notifications, holds them for the configured delay, then
  * invalidates the router caches exactly once per window.
@@ -159,10 +111,10 @@ class ResilienceCoordinator
 {
   public:
     /**
-     * Wire the coordinator to @p sim's clock and @p router's caches
-     * and subscribe it to its own bus. Callers still need to enable
-     * dead-link avoidance (`router.setAvoidDeadLinks(true)`) and
-     * point the FaultInjector at `bus()`.
+     * Wire the coordinator to @p sim's clock and @p router's caches.
+     * Callers still need to enable dead-link avoidance
+     * (`router.setAvoidDeadLinks(true)`) and point the FaultInjector
+     * at the coordinator.
      */
     ResilienceCoordinator(Simulation &sim, const Router &router,
                           ResilienceConfig config);
@@ -171,11 +123,12 @@ class ResilienceCoordinator
     ResilienceCoordinator &operator=(const ResilienceCoordinator &) =
         delete;
 
-    /** The notification bus this coordinator listens on. */
-    TopologyChangeBus &bus() { return bus_; }
-
     /** Active config. */
     const ResilienceConfig &config() const { return cfg_; }
+
+    /** A capacity changed (FaultInjector, after every capacity
+     * update): open or extend the window and arm the flush event. */
+    void onTopologyChange();
 
     /**
      * True while a reconvergence window is open: a capacity change
@@ -203,9 +156,6 @@ class ResilienceCoordinator
     const ResilienceStats &stats() const { return stats_; }
 
   private:
-    /** Bus callback: open/extend the window, arm the flush event. */
-    void onTopologyChange();
-
     /** Flush-event body: re-arm if the window moved, else flush. */
     void maybeInvalidate();
 
@@ -215,7 +165,6 @@ class ResilienceCoordinator
     Simulation &sim_;
     const Router &router_;
     ResilienceConfig cfg_;
-    TopologyChangeBus bus_;
     ResilienceStats stats_;
 
     /** A change is pending and the caches are stale. */

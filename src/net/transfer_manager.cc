@@ -406,20 +406,23 @@ TransferManager::cancelTransfer(std::uint64_t xid)
     auto it = pending_.find(xid);
     if (it == pending_.end())
         return 0.0;
-    Pending &p = it->second;
+    const Bytes remaining = abortPending(it->second);
+    pending_.erase(it);
+    return remaining;
+}
+
+Bytes
+TransferManager::abortPending(Pending &p)
+{
     Bytes remaining = p.remaining;
     if (p.flow != 0 && flows_.isActive(p.flow)) {
         flows_.cancel(p.flow, &remaining);
         p.flow = 0;
     }
-    // Same ledger entries as one abortAll() iteration: whatever the
-    // attempts moved counts delivered, the remainder aborted, and the
-    // completion callback never fires — the caller owns continuation.
     p.delivered += p.remaining - remaining;
     ++stats_.aborted;
     stats_.bytes_aborted += remaining;
     stats_.bytes_delivered += p.delivered;
-    pending_.erase(it);
     return remaining;
 }
 
@@ -480,19 +483,9 @@ TransferManager::abortAll()
     // Iterate in xid order (pending_ is an ordered map) so the flow
     // cancellations — and therefore the scheduler's telemetry log
     // writes — land deterministically.
-    std::size_t n = 0;
-    for (auto &[xid, p] : pending_) {
-        Bytes remaining = p.remaining;
-        if (p.flow != 0 && flows_.isActive(p.flow)) {
-            flows_.cancel(p.flow, &remaining);
-            p.flow = 0;
-        }
-        p.delivered += p.remaining - remaining;
-        ++stats_.aborted;
-        stats_.bytes_aborted += remaining;
-        stats_.bytes_delivered += p.delivered;
-        ++n;
-    }
+    std::size_t n = pending_.size();
+    for (auto &entry : pending_)
+        abortPending(entry.second);
     pending_.clear();
     ++epoch_;
     abort_xid_floor_ = next_xfer_;

@@ -365,6 +365,15 @@ class TransferManager
     void accountDelivery(Bytes requested, Bytes undelivered,
                          int attempts, TagId tag);
 
+    /**
+     * Cancel retryable transfer @p p's flow, if any, and book the
+     * transfer as aborted: what its attempts moved counts delivered,
+     * the remainder aborted. The caller drops the bookkeeping; the
+     * completion callback never fires.
+     * @return the undelivered remainder.
+     */
+    Bytes abortPending(Pending &p);
+
     /** Take a free record slot (or grow the slab). */
     std::uint32_t allocRecord();
 

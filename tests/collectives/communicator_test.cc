@@ -239,7 +239,7 @@ TEST_F(DualNodeCollectiveTest, RouteCacheFlushReResolvesTheNextRoundsEdges)
     sim_.events().schedule(0.05, [&] {
         ASSERT_EQ(cluster_.topology().resource(dead).log.currentRate(),
                   0.0);
-        flows_.setCapacity(dead, 0.0);
+        flows_.setCapacities({{dead, 0.0}});
         cluster_.router().invalidateRouteCaches();
     });
     sim_.run();

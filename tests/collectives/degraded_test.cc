@@ -68,9 +68,9 @@ class DegradedCollectiveTest : public testing::Test
 
     /**
      * Drop @p rids to capacity zero the way the injector does: one
-     * scheduler batch, a bus publish, and (unless the test wants the
-     * watchdog alone to act) a transfer-manager notification that
-     * schedules the stranded-flow scan.
+     * setCapacities() call, a coordinator notification, and (unless
+     * the test wants the watchdog alone to act) a transfer-manager
+     * notification that schedules the stranded-flow scan.
      */
     void
     kill(const std::vector<ResourceId> &rids, bool notify_tm = true)
@@ -79,7 +79,7 @@ class DegradedCollectiveTest : public testing::Test
         for (ResourceId rid : rids)
             batch.emplace_back(rid, 0.0);
         flows_.setCapacities(batch);
-        rc_->bus().publish(rids);
+        rc_->onTopologyChange();
         if (notify_tm)
             tm_.notifyCapacityChange();
     }

@@ -396,7 +396,7 @@ TEST_F(FlowSchedulerTest, SetCapacityDegradesActiveFlow)
     sim_.events().schedule(0.5, [&] {
         for (ResourceId rid : rids) {
             const Resource &r = cluster_.topology().resource(rid);
-            flows_.setCapacity(rid, r.nominal_capacity * 0.5);
+            flows_.setCapacities({{rid, r.nominal_capacity * 0.5}});
         }
     });
     sim_.run();
@@ -419,7 +419,7 @@ TEST_F(FlowSchedulerTest, ZeroCapacityStallsThenResumes)
     const FlowId id = flows_.start(std::move(spec));
     sim_.events().schedule(0.5, [&] {
         for (ResourceId rid : rids)
-            flows_.setCapacity(rid, 0.0);
+            flows_.setCapacities({{rid, 0.0}});
     });
     sim_.events().schedule(0.75, [&] {
         EXPECT_TRUE(flows_.isActive(id));
@@ -429,7 +429,7 @@ TEST_F(FlowSchedulerTest, ZeroCapacityStallsThenResumes)
     sim_.events().schedule(1.0, [&] {
         for (ResourceId rid : rids) {
             const Resource &r = cluster_.topology().resource(rid);
-            flows_.setCapacity(rid, r.nominal_capacity);
+            flows_.setCapacities({{rid, r.nominal_capacity}});
         }
     });
     sim_.run();
@@ -453,10 +453,16 @@ TEST_F(FlowSchedulerTest, SlackToSlackCapacityChangeIsFast)
         const std::uint64_t before = flows_.stats().recomputes;
         for (ResourceId rid : rids) {
             const Resource &r = cluster_.topology().resource(rid);
-            flows_.setCapacity(rid, r.nominal_capacity * 0.9);
+            flows_.setCapacities({{rid, r.nominal_capacity * 0.9}});
         }
         EXPECT_EQ(flows_.stats().recomputes, before);
         EXPECT_EQ(flows_.stats().fast_capacity_updates, rids.size());
+        // A link no flow crosses changes without a solve too.
+        const ResourceId idle = gpuRoute(2, 3)->resources.front();
+        const Resource &r = cluster_.topology().resource(idle);
+        flows_.setCapacities({{idle, r.nominal_capacity * 0.5}});
+        EXPECT_EQ(flows_.stats().recomputes, before);
+        EXPECT_EQ(flows_.stats().fast_capacity_updates, rids.size() + 1);
     });
     sim_.run();
     // The cap still binds: unchanged finish time.
@@ -503,7 +509,7 @@ TEST_F(FlowSchedulerTest, StalledFlowsParkOnTheStalledList)
     EXPECT_EQ(flows_.stalledCount(), 0u);
     sim_.events().schedule(0.5, [&] {
         for (ResourceId rid : rids)
-            flows_.setCapacity(rid, 0.0);
+            flows_.setCapacities({{rid, 0.0}});
         EXPECT_EQ(flows_.stalledCount(), 1u);
         EXPECT_GE(flows_.stats().stalled_parks, 1u);
         EXPECT_TRUE(flows_.isActive(id));
@@ -511,7 +517,7 @@ TEST_F(FlowSchedulerTest, StalledFlowsParkOnTheStalledList)
     sim_.events().schedule(1.0, [&] {
         for (ResourceId rid : rids) {
             const Resource &r = cluster_.topology().resource(rid);
-            flows_.setCapacity(rid, r.nominal_capacity);
+            flows_.setCapacities({{rid, r.nominal_capacity}});
         }
         EXPECT_EQ(flows_.stalledCount(), 0u);
         EXPECT_GT(flows_.currentRate(id), 0.0);
@@ -540,13 +546,13 @@ TEST_F(FlowSchedulerTest, StallResumeKeepsCompletionOrder)
     }
     sim_.events().schedule(0.3, [&] {
         for (ResourceId rid : rids)
-            flows_.setCapacity(rid, 0.0);
+            flows_.setCapacities({{rid, 0.0}});
         EXPECT_EQ(flows_.stalledCount(), 3u);
     });
     sim_.events().schedule(0.8, [&] {
         for (ResourceId rid : rids) {
             const Resource &r = cluster_.topology().resource(rid);
-            flows_.setCapacity(rid, r.nominal_capacity);
+            flows_.setCapacities({{rid, r.nominal_capacity}});
         }
     });
     sim_.run();
@@ -561,8 +567,8 @@ TEST_F(FlowSchedulerTest, StallResumeKeepsCompletionOrder)
 
 /** A self-contained sim + cluster + scheduler. */
 struct Twin {
-    Twin()
-        : cluster(ClusterSpec{}), flows(sim, cluster.topology())
+    explicit Twin(FlowSchedulerOptions opts = {})
+        : cluster(ClusterSpec{}), flows(sim, cluster.topology(), opts)
     {
     }
 
@@ -608,7 +614,7 @@ TEST(FlowSchedulerBatchTest, CapacityStormMatchesUnbatchedCalls)
     auto storm = [&](Twin &tw, double factor) {
         for (ResourceId rid : rids) {
             const Resource &r = tw.cluster.topology().resource(rid);
-            tw.flows.setCapacity(rid, r.nominal_capacity * factor);
+            tw.flows.setCapacities({{rid, r.nominal_capacity * factor}});
         }
     };
     plain.sim.events().schedule(0.25, [&] { storm(plain, 0.5); });
@@ -690,6 +696,58 @@ TEST(FlowSchedulerBatchTest, OversubscribedBurstSolvesOnceLikeUnbatched)
         EXPECT_NEAR(batched.flows.currentRate(id), 20e9, 1.0);
     }
     EXPECT_EQ(plain.sim.run(), batched.sim.run());
+}
+
+/**
+ * Flow A moves 80 GB on GPU 0->1 (done at 1 s) and flow B 160 GB on
+ * GPU 2->3 (done at 2 s); at 0.5 s A is cancelled, alone in a batch
+ * when @p batched. A owns the next completion, and every link it
+ * crosses goes idle. @return the events the run executed.
+ */
+std::uint64_t
+runCancelOfNextFinisher(bool batched, FlowSchedulerOptions opts)
+{
+    Twin tw(opts);
+    FlowSpec a;
+    a.route = tw.gpuRoute(0, 1);
+    a.bytes = 80e9;
+    const FlowId id = tw.flows.start(std::move(a));
+    FlowSpec b;
+    b.route = tw.gpuRoute(2, 3);
+    b.bytes = 160e9;
+    bool b_done = false;
+    b.on_complete = [&b_done] { b_done = true; };
+    tw.flows.start(std::move(b));
+    tw.sim.events().schedule(0.5, [&] {
+        if (batched) {
+            FlowScheduler::ScopedBatch batch(tw.flows);
+            EXPECT_TRUE(tw.flows.cancel(id));
+        } else {
+            EXPECT_TRUE(tw.flows.cancel(id));
+        }
+    });
+    tw.sim.run();
+    EXPECT_TRUE(b_done);
+    EXPECT_NEAR(tw.sim.now(), 2.0, 1e-9);
+    return tw.sim.events().executedCount();
+}
+
+TEST(FlowSchedulerBatchTest, CancelOfTheNextFinisherReschedulesInABatch)
+{
+    // The batch's flush must move the completion event off the
+    // cancelled flow's finish time, as the unbatched cancel does: a
+    // stale event would fire at 1 s and find no finisher.
+    const std::uint64_t unbatched = runCancelOfNextFinisher(false, {});
+    EXPECT_EQ(unbatched, 2u);  // the cancel and B's completion
+    EXPECT_EQ(runCancelOfNextFinisher(true, {}), unbatched);
+}
+
+TEST(FlowSchedulerBatchTest, CancelOfTheNextFinisherInABatchPassesTheOracle)
+{
+    // The oracle checks the completion event after the flush and
+    // fatal()s on one scheduled at the cancelled flow's finish time.
+    EXPECT_EQ(runCancelOfNextFinisher(true, FlowSchedulerOptions{true}),
+              2u);
 }
 
 TEST_F(FlowSchedulerTest, CancelReturnsRemainingBytes)

@@ -302,11 +302,12 @@ TEST(HopClassTest, CapacityChangeMaterializesCrossingClasses)
             const Route &r = a.cluster.router().route(
                 a.cluster.gpuByRank(0), a.cluster.gpuByRank(1));
             const ResourceId rid = r.resources.front();
-            for (Twin *t : {&a, &b})
-                t->flows.setCapacity(
-                    rid, 0.5 * t->cluster.topology()
-                                   .resource(rid)
-                                   .nominal_capacity);
+            for (Twin *t : {&a, &b}) {
+                const Bps cap =
+                    0.5 *
+                    t->cluster.topology().resource(rid).nominal_capacity;
+                t->flows.setCapacities({{rid, cap}});
+            }
             check("capacity halved");
         });
     EXPECT_EQ(s.materializations, 1u);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Solver fuzz: on randomized interleavings of start / finish /
- * setCapacity / setCapacities / cancel, hop sets and bursts of
- * same-instant starts in one batch over generated fabrics, the
+ * one- and multi-link setCapacities / cancel, hop sets and bursts
+ * of same-instant starts in one batch over generated fabrics, the
  * region-scoped incremental solver must match the from-scratch
  * fair-share oracle bitwise, hop classes must match their per-hop
  * twin, and the scheduler's event-storm batching must match the
@@ -235,11 +235,11 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops,
         }
     };
     const double fractions[] = {0.0, 0.25, 0.5, 1.0};
-    auto setCapacity = [&] {
+    auto setOneCapacity = [&] {
         const std::size_t i = rng.below(roce.size());
         const double f = fractions[rng.below(4)];
         for (Rig *r : rigs)
-            r->flows.setCapacity(roce[i], nominal[i] * f);
+            r->flows.setCapacities({{roce[i], nominal[i] * f}});
     };
     auto materialize = [&] {
         // Halve or restore a link some hop-set hop crosses; a live
@@ -250,10 +250,11 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops,
         const ResourceId rid =
             route->resources[rng.below(route->resources.size())];
         const double f = rng.below(2) == 0 ? 0.5 : 1.0;
-        for (Rig *r : rigs)
-            r->flows.setCapacity(
-                rid,
-                r->cluster.topology().resource(rid).nominal_capacity * f);
+        for (Rig *r : rigs) {
+            const Bps cap =
+                r->cluster.topology().resource(rid).nominal_capacity * f;
+            r->flows.setCapacities({{rid, cap}});
+        }
     };
     auto cancel = [&] {
         // A no-op once the flow has finished.
@@ -288,7 +289,7 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops,
         if (kind < 5) {
             start();
         } else if (kind < 7) {
-            setCapacity();
+            setOneCapacity();
         } else if (kind == 7) {
             // Batched multi-link change (the fault-domain path).
             std::vector<std::pair<ResourceId, Bps>> batch;
@@ -312,7 +313,7 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops,
             for (std::uint64_t k = 0; k < n; ++k) {
                 const std::uint64_t extra = rng.below(8);
                 if (extra == 0)
-                    setCapacity();
+                    setOneCapacity();
                 else if (extra == 1)
                     ASSERT_NO_FATAL_FAILURE(cancel());
                 else if (extra == 2)
@@ -332,7 +333,7 @@ fuzzFabric(const ClusterSpec &spec, std::uint64_t seed, int ops,
     // Restore every link and drain: every surviving flow finishes.
     for (Rig *r : rigs)
         for (const Resource &res : r->cluster.topology().resources())
-            r->flows.setCapacity(res.id, res.nominal_capacity);
+            r->flows.setCapacities({{res.id, res.nominal_capacity}});
     for (Rig *r : rigs)
         r->sim.run();
     ASSERT_NO_FATAL_FAILURE(check());
@@ -491,11 +492,11 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
                                    nominal[i] * fractions[rng.below(4)]);
             }
             for (const auto &[rid, cap] : storm)
-                base.flows.setCapacity(rid, cap);
+                base.flows.setCapacities({{rid, cap}});
             {
                 FlowScheduler::ScopedBatch b(batched.flows);
                 for (const auto &[rid, cap] : storm)
-                    batched.flows.setCapacity(rid, cap);
+                    batched.flows.setCapacities({{rid, cap}});
             }
         } else if (kind == 9 && !ids.empty()) {
             const FlowId id = ids[rng.below(ids.size())];
@@ -530,7 +531,7 @@ fuzzImplementationTwins(const ClusterSpec &spec, std::uint64_t seed,
 
     for (std::size_t i = 0; i < roce.size(); ++i)
         for (Rig *tw : twins)
-            tw->flows.setCapacity(roce[i], nominal[i]);
+            tw->flows.setCapacities({{roce[i], nominal[i]}});
     compare();
     ASSERT_EQ(batched.sim.run(), base.sim.run()) << "drain times diverged";
     compare();

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the degraded-mode resilience layer: the topology-change
- * bus, the reconvergence window of the ResilienceCoordinator, and
- * the router's dead-link avoidance + stale-route fallback.
+ * Tests for the degraded-mode resilience layer: the reconvergence
+ * window of the ResilienceCoordinator, and the router's dead-link
+ * avoidance + stale-route fallback.
  */
 
 #include <gtest/gtest.h>
@@ -55,25 +55,6 @@ TEST(ResilienceConfig, ValidateRejectsNegativeKnobs)
     cfg = ResilienceConfig{};
     cfg.collective_timeout = -1.0;
     EXPECT_FALSE(cfg.validate().empty());
-
-    cfg = ResilienceConfig{};
-    cfg.max_collective_resumes = -1;
-    EXPECT_FALSE(cfg.validate().empty());
-}
-
-TEST(TopologyChangeBus, DeliversToListenersInOrder)
-{
-    TopologyChangeBus bus;
-    std::vector<int> order;
-    bus.subscribe([&](const std::vector<ResourceId> &) {
-        order.push_back(1);
-    });
-    bus.subscribe([&](const std::vector<ResourceId> &) {
-        order.push_back(2);
-    });
-    EXPECT_EQ(bus.listenerCount(), 2u);
-    bus.publish({ResourceId{0}});
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 class CoordinatorTest : public testing::Test
@@ -98,11 +79,9 @@ class CoordinatorTest : public testing::Test
     }
 
     void
-    publishAt(SimTime when)
+    changeAt(SimTime when)
     {
-        sim_.events().schedule(when, [this] {
-            rc_->bus().publish({ResourceId{0}});
-        });
+        sim_.events().schedule(when, [this] { rc_->onTopologyChange(); });
     }
 
     Simulation sim_;
@@ -112,7 +91,7 @@ class CoordinatorTest : public testing::Test
 
 TEST_F(CoordinatorTest, SingleChangeInvalidatesAfterDelay)
 {
-    publishAt(1e-3);
+    changeAt(1e-3);
     sim_.events().schedule(2e-3, [this] {
         EXPECT_TRUE(rc_->inReconvergence());
         EXPECT_EQ(cluster_.router().cacheInvalidations(), 0u);
@@ -129,8 +108,8 @@ TEST_F(CoordinatorTest, OverlappingChangesExtendTheWindowOnce)
 {
     // Second change lands inside the first window: one flush, at the
     // extended close (2e-3 + 2e-3 = 4e-3), not two.
-    publishAt(1e-3);
-    publishAt(2e-3);
+    changeAt(1e-3);
+    changeAt(2e-3);
     sim_.events().schedule(3.5e-3, [this] {
         EXPECT_TRUE(rc_->inReconvergence());
         EXPECT_EQ(cluster_.router().cacheInvalidations(), 0u);
@@ -145,8 +124,8 @@ TEST_F(CoordinatorTest, OverlappingChangesExtendTheWindowOnce)
 
 TEST_F(CoordinatorTest, SeparatedChangesInvalidateSeparately)
 {
-    publishAt(1e-3);
-    publishAt(10e-3);
+    changeAt(1e-3);
+    changeAt(10e-3);
     sim_.run();
     EXPECT_EQ(rc_->stats().route_invalidations, 2u);
     EXPECT_EQ(cluster_.router().cacheInvalidations(), 2u);
@@ -154,7 +133,7 @@ TEST_F(CoordinatorTest, SeparatedChangesInvalidateSeparately)
 
 TEST_F(CoordinatorTest, EnsureFreshFlushesEarlyAndOnlyOnce)
 {
-    publishAt(1e-3);
+    changeAt(1e-3);
     sim_.events().schedule(1.5e-3, [this] {
         rc_->ensureFresh();
         EXPECT_EQ(cluster_.router().cacheInvalidations(), 1u);

@@ -151,8 +151,8 @@ class TransferRetryTest : public TransferManagerTest
             if (hl.from != id && hl.to != id)
                 continue;
             const Resource &r = topo.resource(hl.resource);
-            flows_.setCapacity(hl.resource,
-                               r.nominal_capacity * factor);
+            flows_.setCapacities(
+                {{hl.resource, r.nominal_capacity * factor}});
         }
     }
 };
@@ -369,7 +369,7 @@ TEST(TransferLaunchTest, LaunchAfterRouteFlushUsesItsOriginalRoute)
     }
     ASSERT_GE(cut, 0);
     const Bps nominal = cluster.topology().resource(cut).nominal_capacity;
-    flows.setCapacity(cut, 0.0);
+    flows.setCapacities({{cut, 0.0}});
     cluster.router().invalidateRouteCaches();
     const Route &fresh = cluster.router().routeForFlow(src, dst, 0);
     ASSERT_NE(fresh.hops, route.hops);
@@ -378,7 +378,7 @@ TEST(TransferLaunchTest, LaunchAfterRouteFlushUsesItsOriginalRoute)
     EXPECT_EQ(flows.activeCount(), 1u);
     EXPECT_EQ(flows.stalledCount(), 1u);  // parked on the cut link
     EXPECT_FALSE(done);
-    flows.setCapacity(cut, nominal);
+    flows.setCapacities({{cut, nominal}});
     sim.run();
     EXPECT_TRUE(done);
     tm.verifyConservation();

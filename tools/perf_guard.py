@@ -44,13 +44,8 @@ SKIPPED_SCENARIOS = {CANARY_SCENARIO, "sweep_jobs"}
 
 
 def scenario_key(rec):
-    """Identity of one bench line: scenario plus solver mode (the
-    region and global passes of one scenario are separate series)."""
-    key = rec.get("scenario")
-    if key is None:
-        return None
-    solver = rec.get("solver")
-    return f"{key}/{solver}" if solver else key
+    """Identity of one bench line: its scenario name."""
+    return rec.get("scenario")
 
 
 def read_records(path):
