@@ -6,6 +6,9 @@
 #include "core/report.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <concepts>
+#include <string_view>
 
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -288,49 +291,95 @@ collectiveUsageTable(const ExperimentReport &report)
     return table;
 }
 
+namespace {
+
+/**
+ * Appends fingerprint fields without printf: text verbatim, integers
+ * as "%d" writes them and doubles as "%a" does (appendHexFloat()).
+ */
+class FieldWriter
+{
+  public:
+    explicit FieldWriter(std::string &out) : out_(out) {}
+
+    FieldWriter &
+    operator<<(std::string_view text)
+    {
+        out_ += text;
+        return *this;
+    }
+
+    FieldWriter &
+    operator<<(char c)
+    {
+        out_ += c;
+        return *this;
+    }
+
+    FieldWriter &
+    operator<<(double v)
+    {
+        appendHexFloat(out_, v);
+        return *this;
+    }
+
+    template <std::integral T>
+    FieldWriter &
+    operator<<(T v)
+    {
+        char buf[24];
+        const std::to_chars_result r =
+            std::to_chars(buf, buf + sizeof buf, v);
+        out_.append(buf, static_cast<std::size_t>(r.ptr - buf));
+        return *this;
+    }
+
+  private:
+    std::string &out_;
+};
+
+} // namespace
+
 std::string
 reportFingerprint(const ExperimentReport &report)
 {
     std::string out;
-    out += report.strategy.displayName();
-    out += csprintf("|model=%a/%d/%lld", report.model.billions,
-                    report.model.layers,
-                    static_cast<long long>(report.model.params));
-    out += csprintf("|iter=%a|tflops=%a", report.iteration_time,
-                    report.tflops);
-    out += csprintf("|fp=%a/%a/%a", report.footprint.gpu_per_gpu,
-                    report.footprint.cpu_per_node,
-                    report.footprint.nvme_per_node);
-    out += csprintf("|mem=%a/%a/%a", report.composition.gpu,
-                    report.composition.cpu, report.composition.nvme);
-    out += "|bw=";
+    FieldWriter w(out);
+    w << report.strategy.displayName() << "|model="
+      << report.model.billions << '/' << report.model.layers << '/'
+      << static_cast<long long>(report.model.params);
+    w << "|iter=" << report.iteration_time << "|tflops=" << report.tflops;
+    w << "|fp=" << report.footprint.gpu_per_gpu << '/'
+      << report.footprint.cpu_per_node << '/'
+      << report.footprint.nvme_per_node;
+    w << "|mem=" << report.composition.gpu << '/'
+      << report.composition.cpu << '/' << report.composition.nvme;
+    w << "|bw=";
     for (const BandwidthSummary &s : report.bandwidth.per_class)
-        out += csprintf("%a/%a/%a;", s.avg, s.p90, s.peak);
-    out += csprintf("|win=%a..%a|flops=%a",
-                    report.execution.measured_begin,
-                    report.execution.measured_end,
-                    report.execution.flops_per_iteration);
-    out += "|ends=";
+        w << s.avg << '/' << s.p90 << '/' << s.peak << ';';
+    w << "|win=" << report.execution.measured_begin << ".."
+      << report.execution.measured_end
+      << "|flops=" << report.execution.flops_per_iteration;
+    w << "|ends=";
     for (SimTime t : report.execution.iteration_ends)
-        out += csprintf("%a;", t);
-    out += csprintf("|spans=%zu", report.execution.spans.size());
+        w << t << ';';
+    w << "|spans=" << report.execution.spans.size();
     for (const TaskSpan &s : report.execution.spans)
-        out += csprintf("%d/%d/%a/%a;", s.task_id, s.rank, s.begin,
-                        s.end);
+        w << s.task_id << '/' << s.rank << '/' << s.begin << '/' << s.end
+          << ';';
     // Only faulted runs carry this section, so a run with an empty
     // FaultPlan fingerprints identically to a plain run.
     if (!report.faults.empty()) {
-        out += csprintf("|faults=%zu", report.faults.size());
+        w << "|faults=" << report.faults.size();
         for (const FaultImpact &im : report.faults) {
-            out += csprintf("%s/%a/%a/%d/%a:", im.event.str().c_str(),
-                            im.applied_at, im.restored_at,
-                            im.restored ? 1 : 0,
-                            im.iteration_slowdown);
+            w << im.event.str() << '/' << im.applied_at << '/'
+              << im.restored_at << '/' << (im.restored ? 1 : 0) << '/'
+              << im.iteration_slowdown << ':';
             for (const LinkImpact &li : im.links)
-                out += csprintf("%s=%a/%a/%a/%a/%a,", li.label.c_str(),
-                                li.nominal, li.faulted, li.avg_before,
-                                li.avg_during, li.avg_after);
-            out += ";";
+                w << li.label << '=' << li.nominal << '/' << li.faulted
+                  << '/' << li.avg_before << '/' << li.avg_during << '/'
+                  << li.avg_after << ',';
+            w << ';';
         }
     }
     // Gated on a non-ring algorithm actually being used: the default
@@ -341,40 +390,32 @@ reportFingerprint(const ExperimentReport &report)
     for (const CollectiveUsage &u : report.collectives)
         non_ring |= u.algo != CollectiveAlgo::Ring;
     if (non_ring) {
-        out += csprintf("|collectives=%zu", report.collectives.size());
-        for (const CollectiveUsage &u : report.collectives) {
-            out += csprintf("%s/%s/%llu/%a/%a;", collectiveOpName(u.op),
-                            collectiveAlgoName(u.algo),
-                            static_cast<unsigned long long>(
-                                u.invocations),
-                            u.payload_bytes, u.fabric_bytes);
-        }
+        w << "|collectives=" << report.collectives.size();
+        for (const CollectiveUsage &u : report.collectives)
+            w << collectiveOpName(u.op) << '/'
+              << collectiveAlgoName(u.algo) << '/' << u.invocations
+              << '/' << u.payload_bytes << '/' << u.fabric_bytes << ';';
     }
     // Likewise gated: a disabled checkpoint policy with no hard
     // faults never constructs a RecoveryManager, so plain runs are
     // unaffected.
     if (report.recovery.active) {
         const RecoveryReport &rc = report.recovery;
-        out += csprintf("|recovery=%d/%a/%a/%d/%a/%a/%d/%a/%a/%a/%a",
-                        rc.checkpoints, rc.checkpoint_bytes,
-                        rc.checkpoint_time, rc.recoveries,
-                        rc.recovery_time, rc.lost_time,
-                        rc.lost_iterations, rc.time_to_recover,
-                        rc.goodput_tflops, rc.throughput_tflops,
-                        rc.checkpoint_overhead);
+        w << "|recovery=" << rc.checkpoints << '/' << rc.checkpoint_bytes
+          << '/' << rc.checkpoint_time << '/' << rc.recoveries << '/'
+          << rc.recovery_time << '/' << rc.lost_time << '/'
+          << rc.lost_iterations << '/' << rc.time_to_recover << '/'
+          << rc.goodput_tflops << '/' << rc.throughput_tflops << '/'
+          << rc.checkpoint_overhead;
     }
     // Gated on a counter actually firing: resilience enabled on a
     // healthy fabric changes no routing decision and no schedule, so
     // it fingerprints identically to a plain run.
     if (report.resilience.any()) {
         const ResilienceStats &rs = report.resilience;
-        out += csprintf(
-            "|resilience=%llu/%llu/%llu/%llu/%llu",
-            static_cast<unsigned long long>(rs.route_invalidations),
-            static_cast<unsigned long long>(rs.reconvergence_waits),
-            static_cast<unsigned long long>(rs.collective_timeouts),
-            static_cast<unsigned long long>(rs.collective_fallbacks),
-            static_cast<unsigned long long>(rs.comm_shrinks));
+        w << "|resilience=" << rs.route_invalidations << '/'
+          << rs.reconvergence_waits << '/' << rs.collective_timeouts
+          << '/' << rs.collective_fallbacks << '/' << rs.comm_shrinks;
     }
     return out;
 }

@@ -7,6 +7,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
+
+#include "util/logging.hh"
 
 namespace dstrain {
 
@@ -84,6 +88,29 @@ toLower(std::string_view text)
     std::transform(out.begin(), out.end(), out.begin(),
                    [](unsigned char c) { return std::tolower(c); });
     return out;
+}
+
+void
+appendHexFloat(std::string &out, double v)
+{
+    // The standard leaves a subnormal's leading hex digit open: glibc
+    // writes 0x0.0000000000001p-1022 where newer libstdc++ writes
+    // 1p-1074. Those rare values take printf itself.
+    if (std::fpclassify(v) == FP_SUBNORMAL) {
+        out += csprintf("%a", v);
+        return;
+    }
+    char buf[32];  // "-1.fffffffffffffp-1022" is the longest
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof buf, v, std::chars_format::hex);
+    const char *digits = buf;
+    if (*digits == '-') {
+        out += '-';
+        ++digits;
+    }
+    if (std::isfinite(v))
+        out += "0x";
+    out.append(digits, static_cast<std::size_t>(r.ptr - digits));
 }
 
 } // namespace dstrain

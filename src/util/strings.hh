@@ -36,6 +36,14 @@ bool startsWith(std::string_view text, std::string_view prefix);
 /** Lower-case an ASCII string. */
 std::string toLower(std::string_view text);
 
+/**
+ * Append @p v exactly as printf's "%a" writes it ("0x1.8p+1",
+ * "-0x0p+0", "0x0.0000000000001p-1022", "inf", "-nan"), without the
+ * printf machinery for all but subnormals: std::to_chars' hex form,
+ * with the "0x" prefix printf puts after the sign of a finite value.
+ */
+void appendHexFloat(std::string &out, double v);
+
 } // namespace dstrain
 
 #endif // DSTRAIN_UTIL_STRINGS_HH

@@ -283,6 +283,84 @@ TEST_F(TransferRetryTest, RetryDisabledKeepsZeroPendingState)
     EXPECT_EQ(tm_.rerouteCount(), 0u);
 }
 
+TEST_F(TransferRetryTest, ReusedSlotLeavesTheOldIdUnknown)
+{
+    // A finished transfer's slot goes to the next one; its old id
+    // must not reach the new occupant. The new transfer parks on a
+    // downed NIC, so an id check that ignored the start sequence
+    // would read it as stalled and cancel it.
+    RetryPolicy policy;
+    policy.enabled = true;
+    policy.max_retries = 0;
+    tm_.configureRetry(policy);
+
+    const ComponentId via[] = {cluster_.node(0).nics[0]};
+    TransferOptions first;
+    first.waypoints = via;
+    const std::uint64_t old_id =
+        tm_.start(cluster_.gpuByRank(0), cluster_.gpuByRank(4), 1e9,
+                  nullptr, std::move(first));
+    sim_.run();
+    ASSERT_EQ(tm_.inFlight(), 0u);
+
+    setNicCapacityFactor(0, 0, 0.0);
+    TransferOptions second;
+    second.waypoints = via;
+    bool done = false;
+    const std::uint64_t new_id =
+        tm_.start(cluster_.gpuByRank(0), cluster_.gpuByRank(4), 10e9,
+                  [&] { done = true; }, std::move(second));
+    EXPECT_NE(new_id, old_id);
+    sim_.runUntil(sim_.now() + 0.01);
+    ASSERT_TRUE(tm_.transferStalled(new_id));
+
+    EXPECT_FALSE(tm_.transferStalled(old_id));
+    EXPECT_EQ(tm_.cancelTransfer(old_id), 0.0);
+    setNicCapacityFactor(0, 0, 1.0);
+    sim_.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(tm_.stats().aborted, 0u);
+    EXPECT_NEAR(tm_.stats().bytes_delivered, 11e9, 4.0);
+    tm_.verifyConservation();
+}
+
+TEST_F(TransferRetryTest, ScanReroutesInStartOrderAcrossReusedSlots)
+{
+    RetryPolicy policy;
+    policy.enabled = true;
+    tm_.configureRetry(policy);
+    const ComponentId g0 = cluster_.gpuByRank(0);
+    const ComponentId g4 = cluster_.gpuByRank(4);
+
+    // Two transfers finish in start order and free their slots, so
+    // the slab hands the next two out in reverse: slot order is no
+    // longer start order.
+    tm_.start(g0, g4, 1e9, nullptr);
+    tm_.start(g0, g4, 1e9, nullptr);
+    sim_.run();
+
+    // Twins on one route, stranded together by a NIC fault: equal
+    // bytes remain, so their relaunches on the alternate NIC finish
+    // in one completion event, whose callbacks run in relaunch order
+    // - the order the scan rerouted them in.
+    const ComponentId via[] = {cluster_.node(0).nics[0]};
+    std::vector<std::string> log;
+    for (const char *name : {"first", "second"}) {
+        TransferOptions opts;
+        opts.waypoints = via;
+        tm_.start(g0, g4, 10e9, [&log, name] { log.push_back(name); },
+                  std::move(opts));
+    }
+    sim_.events().schedule(sim_.now() + 0.05, [&] {
+        setNicCapacityFactor(0, 0, 0.0);
+        tm_.notifyCapacityChange();
+    });
+    sim_.run();
+
+    EXPECT_EQ(tm_.rerouteCount(), 2u);
+    EXPECT_EQ(log, (std::vector<std::string>{"first", "second"}));
+}
+
 TEST_F(TransferManagerTest, AbortAllAccountsEveryByte)
 {
     // Byte conservation across the hard-failure abort path:
@@ -330,58 +408,103 @@ TEST_F(TransferManagerTest, AbortAllInvalidatesDelayedLaunches)
     tm_.verifyConservation();
 }
 
-TEST(TransferLaunchTest, LaunchAfterRouteFlushUsesItsOriginalRoute)
+/** A transfer across the leaves of a spine-leaf fabric whose router
+ * avoids dead links, with a link of its route cut in its latency
+ * delay. */
+class TransferLaunchTest : public testing::Test
+{
+  protected:
+    TransferLaunchTest()
+        : cluster_(makeSpec()), flows_(sim_, cluster_.topology()),
+          tm_(sim_, cluster_, flows_)
+    {
+        cluster_.router().setAvoidDeadLinks(true);
+    }
+
+    static ClusterSpec
+    makeSpec()
+    {
+        ClusterSpec spec;
+        spec.nodes = 4;
+        spec.fabric.kind = FabricKind::SpineLeaf;
+        spec.fabric.leaves = 2;
+        spec.fabric.spines = 4;
+        return spec;
+    }
+
+    /**
+     * Start a 1 GB transfer to the other leaf, then cut its route's
+     * leaf-to-spine hop (the first switch-to-switch hop) and flush
+     * the router before the launch fires: fresh lookups now avoid
+     * the cut.
+     */
+    void
+    startThenCutAndFlush()
+    {
+        const ComponentId src = cluster_.gpuByRank(0);
+        const ComponentId dst = cluster_.gpuByRank(12);  // other leaf
+        const Route &route = cluster_.router().routeForFlow(src, dst, 0);
+        latency_ = route.latency;
+        tm_.start(src, dst, 1e9, [this] { done_ = true; });
+        const Topology &topo = cluster_.topology();
+        for (HalfLinkId hid : route.hops) {
+            const HalfLink &hl = topo.halfLink(hid);
+            if (topo.component(hl.from).kind == ComponentKind::Switch &&
+                topo.component(hl.to).kind == ComponentKind::Switch) {
+                cut_ = hl.resource;
+                break;
+            }
+        }
+        ASSERT_GE(cut_, 0);
+        flows_.setCapacities({{cut_, 0.0}});
+        cluster_.router().invalidateRouteCaches();
+        const Route &fresh = cluster_.router().routeForFlow(src, dst, 0);
+        ASSERT_NE(fresh.hops, route.hops);
+    }
+
+    Simulation sim_;
+    Cluster cluster_;
+    FlowScheduler flows_;
+    TransferManager tm_;
+    SimTime latency_ = 0.0;
+    ResourceId cut_ = -1;
+    bool done_ = false;
+};
+
+TEST_F(TransferLaunchTest, LaunchAfterRouteFlushUsesItsOriginalRoute)
 {
     // A fault-free transfer resolves its route at start() and holds
-    // it by reference until its latency-delayed launch. Cut a link of
-    // that route and flush the router in between: fresh lookups now
-    // avoid the cut, but the launch must still use the original route
-    // (and so park on the dead link), which has to have survived the
-    // flush (ASan checks the reads).
-    ClusterSpec spec;
-    spec.nodes = 4;
-    spec.fabric.kind = FabricKind::SpineLeaf;
-    spec.fabric.leaves = 2;
-    spec.fabric.spines = 4;
-    Simulation sim;
-    Cluster cluster(spec);
-    cluster.router().setAvoidDeadLinks(true);
-    FlowScheduler flows(sim, cluster.topology());
-    TransferManager tm(sim, cluster, flows);
-    const ComponentId src = cluster.gpuByRank(0);
-    const ComponentId dst = cluster.gpuByRank(12);  // other leaf
-    const Route &route = cluster.router().routeForFlow(src, dst, 0);
+    // it by reference until its latency-delayed launch, so the launch
+    // still uses the original route (and parks on the dead link),
+    // which has to have survived the flush (ASan checks the reads).
+    ASSERT_NO_FATAL_FAILURE(startThenCutAndFlush());
+    sim_.runUntil(2.0 * latency_);
+    EXPECT_EQ(flows_.activeCount(), 1u);
+    EXPECT_EQ(flows_.stalledCount(), 1u);  // parked on the cut link
+    EXPECT_FALSE(done_);
+    flows_.setCapacities(
+        {{cut_, cluster_.topology().resource(cut_).nominal_capacity}});
+    sim_.run();
+    EXPECT_TRUE(done_);
+    tm_.verifyConservation();
+}
 
-    bool done = false;
-    tm.start(src, dst, 1e9, [&] { done = true; });
-    // Cut the route's leaf-to-spine hop (the first switch-to-switch
-    // hop) before the launch fires.
-    ResourceId cut = -1;
-    for (HalfLinkId hid : route.hops) {
-        const HalfLink &hl = cluster.topology().halfLink(hid);
-        if (cluster.topology().component(hl.from).kind ==
-                ComponentKind::Switch &&
-            cluster.topology().component(hl.to).kind ==
-                ComponentKind::Switch) {
-            cut = hl.resource;
-            break;
-        }
-    }
-    ASSERT_GE(cut, 0);
-    const Bps nominal = cluster.topology().resource(cut).nominal_capacity;
-    flows.setCapacities({{cut, 0.0}});
-    cluster.router().invalidateRouteCaches();
-    const Route &fresh = cluster.router().routeForFlow(src, dst, 0);
-    ASSERT_NE(fresh.hops, route.hops);
-
-    sim.runUntil(2.0 * route.latency);
-    EXPECT_EQ(flows.activeCount(), 1u);
-    EXPECT_EQ(flows.stalledCount(), 1u);  // parked on the cut link
-    EXPECT_FALSE(done);
-    flows.setCapacities({{cut, nominal}});
-    sim.run();
-    EXPECT_TRUE(done);
-    tm.verifyConservation();
+TEST_F(TransferLaunchTest, RetryLaunchAfterRouteFlushTakesTheFreshRoute)
+{
+    // A retryable transfer reuses start()'s route only while no flush
+    // has happened since: this one launches on the fresh route around
+    // the cut, so nothing parks and nothing is rerouted.
+    RetryPolicy policy;
+    policy.enabled = true;
+    tm_.configureRetry(policy);
+    ASSERT_NO_FATAL_FAILURE(startThenCutAndFlush());
+    sim_.runUntil(2.0 * latency_);
+    EXPECT_EQ(flows_.activeCount(), 1u);
+    EXPECT_EQ(flows_.stalledCount(), 0u);
+    sim_.run();
+    EXPECT_TRUE(done_);
+    EXPECT_EQ(tm_.rerouteCount(), 0u);
+    tm_.verifyConservation();
 }
 
 TEST_F(TransferManagerTest, ScopeGroupsSameTimeLaunchesInCallOrder)

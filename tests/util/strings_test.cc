@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
+#include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/strings.hh"
 
 namespace dstrain {
@@ -59,6 +65,31 @@ TEST(ToLowerTest, Ascii)
 {
     EXPECT_EQ(toLower("ZeRO-3"), "zero-3");
     EXPECT_EQ(toLower(""), "");
+}
+
+TEST(AppendHexFloatTest, MatchesPrintfHexFloat)
+{
+    // Report fingerprints are built with appendHexFloat() instead of
+    // "%a"; every golden depends on the two agreeing byte for byte.
+    using limits = std::numeric_limits<double>;
+    const auto matches = [](double v) {
+        std::string out = "|";
+        appendHexFloat(out, v);
+        EXPECT_EQ(out.substr(1), csprintf("%a", v));
+    };
+    for (double v :
+         {0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 0.1, -2.5e-3, 4.2016231592930104,
+          limits::min(), -limits::min(), limits::max(), -limits::max(),
+          limits::denorm_min(), -limits::denorm_min(),
+          limits::min() - limits::denorm_min(), limits::min() / 3.0,
+          limits::infinity(), -limits::infinity(), limits::quiet_NaN(),
+          -limits::quiet_NaN()})
+        matches(v);
+    // Random bit patterns: every exponent, subnormals and NaN
+    // payloads included.
+    Rng rng(23);
+    for (int i = 0; i < 20000; ++i)
+        matches(std::bit_cast<double>(rng.next()));
 }
 
 } // namespace
