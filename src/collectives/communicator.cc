@@ -70,24 +70,28 @@ CollectiveEngine::CollectiveEngine(TransferManager &tm)
 {
 }
 
-CollectiveEngine::NicPins
-CollectiveEngine::viaNics(int src_rank, int dst_rank,
-                          std::size_t channel, bool pin) const
+HopEdge
+CollectiveEngine::edge(int src_rank, int dst_rank, std::size_t channel,
+                       bool pin) const
 {
     Cluster &cl = tm_.cluster();
-    if (!pin)
-        return {};
+    HopEdge e;
+    e.src = cl.gpuByRank(src_rank);
+    e.dst = cl.gpuByRank(dst_rank);
     const int src_node = cl.nodeOfRank(src_rank);
     const int dst_node = cl.nodeOfRank(dst_rank);
-    if (src_node == dst_node)
-        return {};  // intra-node: NVLink
-    const auto &src_nics = cl.node(src_node).nics;
-    const auto &dst_nics = cl.node(dst_node).nics;
-    DSTRAIN_ASSERT(!src_nics.empty() && !dst_nics.empty(),
-                   "nodes %d/%d lack NICs", src_node, dst_node);
-    return {{src_nics[channel % src_nics.size()],
-             dst_nics[channel % dst_nics.size()]},
-            2};
+    if (pin && src_node != dst_node) {  // intra-node hops take NVLink
+        const auto &src_nics = cl.node(src_node).nics;
+        const auto &dst_nics = cl.node(dst_node).nics;
+        DSTRAIN_ASSERT(!src_nics.empty() && !dst_nics.empty(),
+                       "nodes %d/%d lack NICs", src_node, dst_node);
+        e.via = {src_nics[channel % src_nics.size()],
+                 dst_nics[channel % dst_nics.size()]};
+        e.vias = 2;
+    }
+    e.route =
+        &cl.router().routeThrough(e.src, e.waypoints(), e.dst, channel);
+    return e;
 }
 
 /**
@@ -98,30 +102,26 @@ CollectiveEngine::viaNics(int src_rank, int dst_rank,
  * last channel finishes its last round.
  *
  * A ring reuses the same n edges in every round, so each channel
- * remembers per hop index the edge and its pinned route (the edge
+ * remembers per hop index the edge with its pinned route (the edge
  * table): a ring's edge resolves once per invocation, and again after
  * the router flushes its route caches.
  *
- * On the fault-free path a round's hops go to the TransferManager as
- * hop sets: the hops with one launch time, in round order (a round
- * gives every hop one byte count). The scheduler runs the equal,
- * resource-disjoint ones as one hop class, so a set costs one record,
- * one launch member and, when it stays a class, one completion;
- * hopDone(c, k) takes the k hops that landed at once.
+ * A round starts with one TransferManager::startHops() call, which
+ * gives each distinct launch time one launch event. On the fault-free
+ * path the hops of one launch time are a hop set, whose equal,
+ * resource-disjoint hops the scheduler runs as one hop class; hopDone(c,
+ * k) takes the k hops that landed at once. With retries enabled (the
+ * fault path) every hop is a retryable transfer with an id, and with
+ * resilience attached a per-round progress watchdog (the
+ * NCCL-watchdog model) rescues rounds stranded on a dead route:
+ * stalled hops are cancelled byte-conservingly and relaunched, by a
+ * one-hop startHops() call, with the undelivered remainder once
+ * routing has reconverged — completed rounds never re-run. Without
+ * retries no hop has an id to rescue, so no watchdog is armed.
  *
- * With retries enabled (the fault path), every hop is its own
- * retryable transfer, and with resilience attached a per-round
- * progress watchdog (the NCCL-watchdog model) rescues rounds stranded
- * on a dead route: stalled hops are cancelled byte-conservingly and
- * relaunched with the undelivered remainder once routing has
- * reconverged — completed rounds never re-run. Without retries no hop
- * has a transfer id to rescue, so no watchdog is armed.
- *
- * A hop set is one launch event; on the retry path a round's hops
- * launch inside one TransferManager::LaunchScope, so hops with equal
- * route latency share one. A hop's completion captures only (this,
- * channel) and allocates nothing; the hop's transfer holds the runner
- * through its keepalive.
+ * Every hop's completion is a copy of one callable capturing only
+ * (this, channel), so it allocates nothing; the hop's transfer holds
+ * the runner through its keepalive.
  *
  * Ownership: each transfer in flight (through its keepalive) and
  * each scheduled callback (armed watchdogs, deferred settles,
@@ -143,7 +143,8 @@ class CollectiveEngine::RoundRunner
           on_done_(std::move(on_done)), channels_left_(channels)
     {
         ResilienceCoordinator *rc = eng.resilience_;
-        if (rc != nullptr && rc->config().collective_timeout > 0.0)
+        if (rc != nullptr && rc->config().collective_timeout > 0.0 &&
+            eng.tm_.retriesEnabled())
             rc_ = rc;
     }
 
@@ -164,27 +165,19 @@ class CollectiveEngine::RoundRunner
      * restores): bounds watchdog work on a partitioned fabric. */
     static constexpr int kMaxResumes = 16;
 
-    /** A resolved edge, remembered per hop index. */
-    struct EdgeMemo {
-        int src;
-        int dst;
-        const Route *route;
-    };
-
     /** One channel's position in the shared schedule. */
     struct Cursor {
         std::size_t next_round = 0;
         int outstanding = 0;
         /** The round in flight (produced on demand). */
         CollectiveRound hops;
-        /** The edge table: per hop index, the edge and pinned route
-         * it had last round. A ring repeats its round, so every edge
-         * resolves once per invocation; a schedule whose edges move
-         * (pairwise) resolves through the router's route cache. */
-        std::vector<EdgeMemo> memo;
-        /** Current round's hop bytes; shrink on rescue relaunch. */
-        std::vector<Bytes> bytes;
-        /** Transfer ids of the current round (0 = untracked). */
+        /** The edge table: per hop index, the edge it had last round.
+         * A ring repeats its round, so every edge resolves once per
+         * invocation; a schedule whose edges move (pairwise) resolves
+         * through the router's route cache. */
+        std::vector<HopEdge> edges;
+        /** Transfer ids of the current round (retry path; 0 once a
+         * watchdog cancelled the hop). */
         std::vector<std::uint64_t> xids;
         /** Bumped per round launch: stale watchdog events bail. */
         std::uint64_t round_gen = 0;
@@ -208,118 +201,46 @@ class CollectiveEngine::RoundRunner
         schedule_.round(cur.next_round++, cur.hops);
         cur.outstanding = static_cast<int>(cur.hops.size());
         ++cur.round_gen;
-        TransferManager &tm = eng_.tm_;
-        if (!tm.retryPolicy().enabled) {
-            startHopSets(c);
-            return;
+        const Cluster &cl = eng_.tm_.cluster();
+        // A route-cache flush may move any edge: resolve afresh.
+        const std::uint64_t flushes = cl.router().cacheInvalidations();
+        if (flushes != edge_flushes_) {
+            for (Cursor &other : cursors_)
+                other.edges.clear();
+            edge_flushes_ = flushes;
         }
-        cur.bytes.clear();
-        for (const CollectiveHop &hop : cur.hops)
-            cur.bytes.push_back(hop.bytes);
-        cur.xids.assign(cur.hops.size(), 0);
-        {
-            TransferManager::LaunchScope scope(tm);
-            for (std::size_t i = 0; i < cur.hops.size(); ++i)
-                startHop(c, i);
+        if (cur.edges.size() < cur.hops.size())
+            cur.edges.resize(cur.hops.size());
+        for (std::size_t i = 0; i < cur.hops.size(); ++i) {
+            const CollectiveHop &hop = cur.hops[i];
+            HopEdge &e = cur.edges[i];
+            if (e.src != cl.gpuByRank(hop.src_rank) ||
+                e.dst != cl.gpuByRank(hop.dst_rank))
+                e = eng_.edge(hop.src_rank, hop.dst_rank, c, pin_);
         }
+        cur.xids.resize(cur.hops.size());
+        // Every hop of a round carries the same bytes.
+        launch(c, std::span(cur.edges).first(cur.hops.size()),
+               cur.hops.front().bytes, cur.xids);
         if (rc_ != nullptr)
             armWatchdog(c);
     }
 
-    /** The pinned route of edge (@p src, @p dst) on channel @p c
-     * (the router caches it per (src, pins, dst, channel)). */
-    const Route &
-    edgeRoute(int src, int dst, std::size_t c)
-    {
-        Cluster &cl = eng_.tm_.cluster();
-        const NicPins pins = eng_.viaNics(src, dst, c, pin_);
-        return cl.router().routeThrough(cl.gpuByRank(src), pins.span(),
-                                        cl.gpuByRank(dst), c);
-    }
-
-    /**
-     * Start channel @p c's round as hop sets: the hops of one launch
-     * time (the time TransferManager groups a launch by), in round
-     * order. Sets start in the order of their first hop, so every
-     * launch group is created, and filled, in the order per-hop starts
-     * would give it.
-     */
+    /** Start @p edges of channel @p c's round, @p bytes each. */
     void
-    startHopSets(std::size_t c)
+    launch(std::size_t c, std::span<const HopEdge> edges, Bytes bytes,
+           std::span<std::uint64_t> xids)
     {
-        TransferManager &tm = eng_.tm_;
-        Cursor &cur = cursors_[c];
-        const SimTime now = tm.sim().now();
-        // A route-cache flush may move any edge: resolve afresh.
-        const std::uint64_t flushes =
-            tm.cluster().router().cacheInvalidations();
-        if (flushes != edge_flushes_) {
-            for (Cursor &other : cursors_)
-                other.memo.clear();
-            edge_flushes_ = flushes;
-        }
-        set_when_.clear();
-        hop_set_.clear();
-        hop_route_.clear();
-        if (cur.memo.size() < cur.hops.size())
-            cur.memo.resize(cur.hops.size(), EdgeMemo{-1, -1, nullptr});
-        for (std::size_t i = 0; i < cur.hops.size(); ++i) {
-            const CollectiveHop &hop = cur.hops[i];
-            EdgeMemo &memo = cur.memo[i];
-            if (memo.src != hop.src_rank || memo.dst != hop.dst_rank) {
-                memo = EdgeMemo{hop.src_rank, hop.dst_rank,
-                                &edgeRoute(hop.src_rank, hop.dst_rank, c)};
-            }
-            const Route &route = *memo.route;
-            const SimTime when = now + route.latency;
-            const std::size_t set = static_cast<std::size_t>(
-                std::find(set_when_.begin(), set_when_.end(), when) -
-                set_when_.begin());
-            if (set == set_when_.size())
-                set_when_.push_back(when);
-            hop_set_.push_back(static_cast<std::uint32_t>(set));
-            hop_route_.push_back(&route);
-        }
-        for (std::size_t s = 0; s < set_when_.size(); ++s) {
-            set_routes_.clear();
-            for (std::size_t i = 0; i < hop_set_.size(); ++i)
-                if (hop_set_[i] == s)
-                    set_routes_.push_back(hop_route_[i]);
-            TransferOptions opts;
-            opts.rate_factor = bw_factor_;
-            opts.tag = tag_;
-            opts.keepalive = shared_from_this();
-            tm.startHops(set_routes_, cur.hops.front().bytes,
-                         [this, c](std::uint32_t n) { hopDone(c, n); },
-                         std::move(opts));
-        }
-    }
-
-    /**
-     * Launch hop @p i of channel @p c's current round as a retryable
-     * transfer (the initial launch and a watchdog relaunch share it,
-     * so both attempts are identical apart from the bytes).
-     */
-    void
-    startHop(std::size_t c, std::size_t i)
-    {
-        TransferManager &tm = eng_.tm_;
-        Cursor &cur = cursors_[c];
-        const CollectiveHop &hop = cur.hops[i];
-        const NicPins pins =
-            eng_.viaNics(hop.src_rank, hop.dst_rank, c, pin_);
         TransferOptions opts;
-        opts.waypoints = pins.span();
         opts.rate_factor = bw_factor_;
         // On multipath fabrics, ECMP spreads the channels over the
-        // equal-cost trunks (deterministically).
+        // equal-cost trunks (deterministically); reroutes keep it.
         opts.flow_key = c;
         opts.tag = tag_;
         opts.keepalive = shared_from_this();
-        cur.xids[i] = tm.start(tm.cluster().gpuByRank(hop.src_rank),
-                               tm.cluster().gpuByRank(hop.dst_rank),
-                               cur.bytes[i], [this, c] { hopDone(c, 1); },
-                               std::move(opts));
+        eng_.tm_.startHops(edges, bytes,
+                           [this, c](std::uint32_t n) { hopDone(c, n); },
+                           std::move(opts), xids);
     }
 
     /** @p n hops of channel @p c's current round landed. */
@@ -377,13 +298,12 @@ class CollectiveEngine::RoundRunner
                         });
                     continue;
                 }
-                cur.bytes[i] = rem;
                 tm.sim().events().schedule(
                     rc_->reconvergedAt(),
-                    [self = shared_from_this(), c, i, gen, epoch] {
+                    [self = shared_from_this(), c, i, gen, epoch, rem] {
                         if (epoch == self->eng_.tm_.abortEpoch() &&
                             gen == self->cursors_[c].round_gen)
-                            self->startHop(c, i);
+                            self->relaunchHop(c, i, rem);
                     });
             }
         }
@@ -395,6 +315,20 @@ class CollectiveEngine::RoundRunner
             armWatchdog(c);
     }
 
+    /**
+     * Relaunch hop @p i of channel @p c's round with the @p bytes it
+     * has left, on its edge resolved afresh: routing has reconverged
+     * since the round resolved it.
+     */
+    void
+    relaunchHop(std::size_t c, std::size_t i, Bytes bytes)
+    {
+        Cursor &cur = cursors_[c];
+        const CollectiveHop &hop = cur.hops[i];
+        const HopEdge e = eng_.edge(hop.src_rank, hop.dst_rank, c, pin_);
+        launch(c, {&e, 1}, bytes, {&cur.xids[i], 1});
+    }
+
     CollectiveEngine &eng_;
     /** The invocation's schedule, shared by every channel. */
     const CollectiveSchedule schedule_;
@@ -404,15 +338,11 @@ class CollectiveEngine::RoundRunner
     TagId tag_;  ///< interned once per invocation
     Callback on_done_;
     int channels_left_;
-    /** Watchdog coordinator; nullptr while the watchdog is off. */
+    /** Watchdog coordinator; nullptr while the watchdog is off (no
+     * resilience, no timeout, or no retries). */
     ResilienceCoordinator *rc_ = nullptr;
-    /** Router cache flushes the edge memos were resolved under. */
+    /** Router cache flushes the edge tables were resolved under. */
     std::uint64_t edge_flushes_ = 0;
-    // startHopSets() scratch, reused across rounds.
-    std::vector<SimTime> set_when_;  ///< per set: its launch time
-    std::vector<std::uint32_t> hop_set_;  ///< per hop: its set
-    std::vector<const Route *> hop_route_;  ///< per hop: its route
-    std::vector<const Route *> set_routes_;
 };
 
 void

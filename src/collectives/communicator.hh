@@ -27,7 +27,6 @@
 
 #include <array>
 #include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -261,24 +260,15 @@ class CollectiveEngine
     void recordUsage(CollectiveOp op, CollectiveAlgo algo, int n,
                      Bytes bytes);
 
-    /** A hop's pinned route waypoints, held inline (no heap). */
-    struct NicPins {
-        std::array<ComponentId, 2> ids{};
-        std::size_t count = 0;
-
-        std::span<const ComponentId> span() const
-        {
-            return {ids.data(), count};
-        }
-    };
-
     /**
-     * Resolve the pinned route waypoints for a hop: the src node's
-     * and dst node's NIC of the channel. Empty for intra-node hops
-     * and unpinned collectives (shortest path).
+     * The edge of a hop from @p src_rank to @p dst_rank on channel
+     * @p channel: the GPUs, the src node's and dst node's NIC of the
+     * channel as waypoints (none for intra-node hops and unpinned
+     * collectives, which take the shortest path), and the route
+     * through them, ECMP-keyed by the channel.
      */
-    NicPins viaNics(int src_rank, int dst_rank, std::size_t channel,
-                    bool pin) const;
+    HopEdge edge(int src_rank, int dst_rank, std::size_t channel,
+                 bool pin) const;
 
     /** Is @p rank marked dead (elastic shrink)? */
     bool rankDead(int rank) const;

@@ -275,7 +275,7 @@ FaultInjector::arm()
         fatal("invalid fault plan:\n%s",
               formatConfigErrors(errors).c_str());
 
-    tm_.configureRetry(plan_.retry);
+    tm_.enableRetries();
     resolved_.reserve(plan_.events.size());
     impacts_.resize(plan_.events.size());
     snaps_.resize(plan_.events.size());

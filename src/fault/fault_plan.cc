@@ -247,16 +247,6 @@ FaultPlan::validate() const
             errors.push_back({field, "target '" + ev.target +
                                          "': " + terr});
     }
-    if (!events.empty()) {
-        if (retry.detect_delay <= 0.0)
-            errors.push_back(
-                {"faults.retry.detect_delay", "must be > 0"});
-        if (retry.backoff <= 0.0)
-            errors.push_back({"faults.retry.backoff", "must be > 0"});
-        if (retry.max_retries < 0)
-            errors.push_back(
-                {"faults.retry.max_retries", "must be >= 0"});
-    }
     return errors;
 }
 

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "net/transfer_manager.hh"
 #include "util/config_error.hh"
 #include "util/units.hh"
 
@@ -133,16 +132,13 @@ struct FaultEvent {
     std::string str() const;
 };
 
-/** A full fault schedule plus the recovery policy it implies. */
+/**
+ * A full fault schedule. Arming a non-empty plan makes every transfer
+ * retryable (TransferManager::enableRetries()): a plan that downs
+ * links without recovery would deadlock the run.
+ */
 struct FaultPlan {
     std::vector<FaultEvent> events;
-
-    /**
-     * Stranded-flow recovery installed on the TransferManager when
-     * the plan is non-empty. Enabled by default: a plan that downs
-     * links without recovery would deadlock the run.
-     */
-    RetryPolicy retry{true};
 
     /** No faults scheduled? (An empty plan changes nothing.) */
     bool empty() const { return events.empty(); }

@@ -15,6 +15,18 @@ namespace dstrain {
 
 namespace {
 
+/**
+ * Stranded-flow recovery: how long a flow must sit at rate zero
+ * before it counts as stranded (failure-detection time, e.g. a RoCE
+ * CNP/timeout), the base reroute backoff, which doubles on every
+ * further attempt, and the reroutes per transfer before it parks (a
+ * parked flow stays registered at rate zero and resumes on its last
+ * path when the fault clears).
+ */
+constexpr SimTime kDetectDelay = 1e-3;
+constexpr SimTime kRerouteBackoff = 2e-3;
+constexpr int kMaxReroutes = 3;
+
 /** Per-attempt flow cap: caller's cap merged with the route cap. */
 Bps
 attemptRateCap(Bps explicit_cap, double rate_factor, const Route &route)
@@ -61,19 +73,7 @@ TransferManager::TransferManager(Simulation &sim, Cluster &cluster,
 {
 }
 
-TransferManager::LaunchScope::LaunchScope(TransferManager &tm) : tm_(tm)
-{
-    DSTRAIN_ASSERT(!tm_.scope_open_, "nested launch scope");
-    tm_.scope_open_ = true;
-    tm_.scope_groups_.clear();
-}
-
-TransferManager::LaunchScope::~LaunchScope()
-{
-    tm_.scope_open_ = false;
-}
-
-std::uint64_t
+void
 TransferManager::start(ComponentId src, ComponentId dst, Bytes bytes,
                        std::function<void()> on_done, TransferOptions opts)
 {
@@ -83,42 +83,21 @@ TransferManager::start(ComponentId src, ComponentId dst, Bytes bytes,
                    "bad rate factor %g", opts.rate_factor);
     const Route &route = cluster_.router().routeThrough(
         src, opts.waypoints, dst, opts.flow_key);
-    const SimTime latency = route.latency;
-    ++stats_.started;
-    stats_.bytes_requested += bytes;
+    LaunchGroup &g = groups_[openLaunchGroup(sim_.now() + route.latency)];
 
-    if (retry_.enabled) {
+    if (retries_) {
         // Retryable path: keep the full request so a stranded flow
         // can be cancelled, rerouted and relaunched with whatever
         // bytes remain.
-        const std::uint32_t slot = takeSlot(pending_, free_pending_);
-        DSTRAIN_ASSERT(slot <= kSlotMask,
-                       "more than %llu retryable transfers in flight",
-                       static_cast<unsigned long long>(kSlotMask));
-        Pending &p = pending_[slot];
-        p.seq = next_seq_++;
-        p.src = src;
-        p.dst = dst;
-        p.waypoints.assign(opts.waypoints.begin(), opts.waypoints.end());
-        p.route = &route;
-        p.route_flushes = cluster_.router().cacheInvalidations();
-        p.requested = bytes;
-        p.remaining = bytes;
-        p.delivered = 0.0;
-        p.rate_cap = opts.rate_cap;
-        p.rate_factor = opts.rate_factor;
-        p.extra_resources = std::move(opts.extra_resources);
-        p.flow_key = opts.flow_key;
-        p.tag = opts.tag;
-        p.on_done = std::move(on_done);
-        p.keepalive = std::move(opts.keepalive);
-        p.flow = 0;
-        p.attempts = 0;
-        const std::uint64_t xid = xidOf(p.seq, slot);
-        queueLaunch(latency, Member{xid, true});
-        return xid;
+        const std::uint64_t xid =
+            startPending(src, dst, opts.waypoints, route, bytes, opts);
+        pending_[slotOf(xid)].on_done = std::move(on_done);
+        g.members.push_back(Member{xid, true});
+        return;
     }
 
+    ++stats_.started;
+    stats_.bytes_requested += bytes;
     const std::uint32_t idx = takeSlot(records_, free_records_);
     Record &r = records_[idx];
     r.route = &route;
@@ -128,42 +107,111 @@ TransferManager::start(ComponentId src, ComponentId dst, Bytes bytes,
     r.tag = opts.tag;
     r.on_done = std::move(on_done);
     r.keepalive = std::move(opts.keepalive);
-    queueLaunch(latency, Member{idx, false});
-    return 0;
+    g.members.push_back(Member{idx, false});
 }
 
 void
-TransferManager::startHops(std::span<const Route *const> routes, Bytes bytes,
+TransferManager::startHops(std::span<const HopEdge> edges, Bytes bytes,
                            std::function<void(std::uint32_t)> on_done,
-                           TransferOptions opts)
+                           TransferOptions opts,
+                           std::span<std::uint64_t> xids)
 {
-    DSTRAIN_ASSERT(!retry_.enabled,
-                   "hop sets run only on the fault-free path");
-    DSTRAIN_ASSERT(!routes.empty(), "empty hop set");
+    DSTRAIN_ASSERT(!edges.empty(), "empty hop set");
     DSTRAIN_ASSERT(opts.rate_factor > 0.0 && opts.rate_factor <= 1.0,
                    "bad rate factor %g", opts.rate_factor);
-    const SimTime latency = routes.front()->latency;
-    const std::uint32_t idx = takeSlot(records_, free_records_);
-    Record &r = records_[idx];
-    r.route = routes.front();
-    r.bytes = bytes;
-    r.tag = opts.tag;
-    r.on_hops = std::move(on_done);
-    r.keepalive = std::move(opts.keepalive);
-    r.landed = 0;
-    for (const Route *route : routes) {
-        DSTRAIN_ASSERT(sim_.now() + route->latency ==
-                           sim_.now() + latency,
-                       "hop set spans launch times");
-        // One hop at a time, so the byte ledger sums exactly as the
-        // per-hop starts did.
-        ++stats_.started;
-        stats_.bytes_requested += bytes;
-        r.hop_routes.push_back(route);
-        r.hop_caps.push_back(
-            attemptRateCap(opts.rate_cap, opts.rate_factor, *route));
+    DSTRAIN_ASSERT(opts.waypoints.empty() && opts.extra_resources.empty(),
+                   "hop edges carry their own waypoints, and no extra "
+                   "resources");
+    DSTRAIN_ASSERT(xids.size() == edges.size(),
+                   "%zu transfer ids for %zu hops", xids.size(),
+                   edges.size());
+    // One launch group per distinct launch time, opened in first-hop
+    // order: the order per-hop events would have been queued in.
+    call_groups_.clear();
+    hop_group_.clear();
+    for (const HopEdge &e : edges) {
+        const SimTime when = sim_.now() + e.route->latency;
+        auto it = std::find_if(call_groups_.begin(), call_groups_.end(),
+                               [when](const auto &cg) {
+                                   return cg.first == when;
+                               });
+        if (it == call_groups_.end()) {
+            call_groups_.emplace_back(when, openLaunchGroup(when));
+            it = call_groups_.end() - 1;
+        }
+        hop_group_.push_back(it->second);
     }
-    queueLaunch(latency, Member{idx, false});
+
+    if (retries_) {
+        // Every hop is a retryable transfer, started in edge order.
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+            const HopEdge &e = edges[i];
+            const std::uint64_t xid = startPending(
+                e.src, e.dst, e.waypoints(), *e.route, bytes, opts);
+            pending_[slotOf(xid)].on_hops = on_done;
+            xids[i] = xid;
+            groups_[hop_group_[i]].members.push_back(Member{xid, true});
+        }
+        return;
+    }
+
+    // One hop set per launch group: its hops in edge order.
+    for (const auto &call_group : call_groups_) {
+        const std::uint32_t g = call_group.second;
+        const std::uint32_t idx = takeSlot(records_, free_records_);
+        Record &r = records_[idx];
+        r.bytes = bytes;
+        r.tag = opts.tag;
+        r.on_hops = on_done;
+        r.keepalive = opts.keepalive;
+        r.landed = 0;
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+            if (hop_group_[i] != g)
+                continue;
+            // One hop at a time, so the byte ledger sums exactly as
+            // per-hop starts would.
+            ++stats_.started;
+            stats_.bytes_requested += bytes;
+            r.hop_routes.push_back(edges[i].route);
+            r.hop_caps.push_back(attemptRateCap(
+                opts.rate_cap, opts.rate_factor, *edges[i].route));
+        }
+        r.route = r.hop_routes.front();
+        groups_[g].members.push_back(Member{idx, false});
+    }
+}
+
+std::uint64_t
+TransferManager::startPending(ComponentId src, ComponentId dst,
+                              std::span<const ComponentId> waypoints,
+                              const Route &route, Bytes bytes,
+                              const TransferOptions &opts)
+{
+    ++stats_.started;
+    stats_.bytes_requested += bytes;
+    const std::uint32_t slot = takeSlot(pending_, free_pending_);
+    DSTRAIN_ASSERT(slot <= kSlotMask,
+                   "more than %llu retryable transfers in flight",
+                   static_cast<unsigned long long>(kSlotMask));
+    Pending &p = pending_[slot];
+    p.seq = next_seq_++;
+    p.src = src;
+    p.dst = dst;
+    p.waypoints.assign(waypoints.begin(), waypoints.end());
+    p.route = &route;
+    p.route_flushes = cluster_.router().cacheInvalidations();
+    p.requested = bytes;
+    p.remaining = bytes;
+    p.delivered = 0.0;
+    p.rate_cap = opts.rate_cap;
+    p.rate_factor = opts.rate_factor;
+    p.extra_resources = opts.extra_resources;
+    p.flow_key = opts.flow_key;
+    p.tag = opts.tag;
+    p.keepalive = opts.keepalive;
+    p.flow = 0;
+    p.attempts = 0;
+    return xidOf(p.seq, slot);
 }
 
 void
@@ -181,36 +229,13 @@ TransferManager::releaseRecord(std::uint32_t idx)
     free_records_.push_back(idx);
 }
 
-void
-TransferManager::queueLaunch(SimTime latency, Member m)
+std::uint32_t
+TransferManager::openLaunchGroup(SimTime when)
 {
-    // The same sum scheduleAfter() forms, so a grouped launch time is
-    // bitwise the time its own event would have had.
-    const SimTime when = sim_.now() + latency;
-    if (scope_open_) {
-        for (auto it = scope_groups_.rbegin(); it != scope_groups_.rend();
-             ++it) {
-            LaunchGroup &g = groups_[*it];
-            if (g.when != when)
-                continue;
-            // Joining an earlier event moves this launch ahead of
-            // everything queued after that event. Exact only while
-            // nothing else was queued since the scope's last event.
-            DSTRAIN_ASSERT(sim_.events().nextSequence() == scope_seq_,
-                           "an event was queued inside a launch scope");
-            g.members.push_back(m);
-            return;
-        }
-    }
     const std::uint32_t gi = takeSlot(groups_, free_groups_);
-    LaunchGroup &g = groups_[gi];
-    g.when = when;
-    g.members.push_back(m);
-    g.event = sim_.events().schedule(when, [this, gi] { runLaunchGroup(gi); });
-    if (scope_open_) {
-        scope_groups_.push_back(gi);
-        scope_seq_ = sim_.events().nextSequence();
-    }
+    groups_[gi].event =
+        sim_.events().schedule(when, [this, gi] { runLaunchGroup(gi); });
+    return gi;
 }
 
 void
@@ -321,11 +346,12 @@ TransferManager::accountDelivery(Bytes requested, Bytes undelivered,
 void
 TransferManager::releasePending(std::uint32_t slot)
 {
-    // start() rewrites every request field; the caller's completion
-    // and keepalive go now.
+    // startPending() rewrites every request field; the caller's
+    // completion and keepalive go now.
     Pending &p = pending_[slot];
     p.seq = 0;
     p.on_done = nullptr;
+    p.on_hops = nullptr;
     p.keepalive.reset();
     free_pending_.push_back(slot);
 }
@@ -351,7 +377,7 @@ TransferManager::launchPending(std::uint64_t xid)
         return;  // completed or cancelled while a launch was queued
     Pending &p = pending_[slotOf(xid)];
     // The router never evicts a lookup between flushes, so while none
-    // has happened a fresh lookup would return start()'s very route.
+    // has happened a fresh lookup would return the start's very route.
     const Router &router = cluster_.router();
     const Route *route = p.route;
     if (route == nullptr || p.route_flushes != router.cacheInvalidations())
@@ -396,10 +422,13 @@ TransferManager::finishPending(std::uint64_t xid)
     accountDelivery(p.requested, p.requested - p.delivered, p.attempts,
                     p.tag);
     std::function<void()> done = std::move(p.on_done);
+    std::function<void(std::uint32_t)> hop_done = std::move(p.on_hops);
     const std::shared_ptr<void> keepalive = std::move(p.keepalive);
     releasePending(slotOf(xid));
     if (done)
         done();
+    if (hop_done)
+        hop_done(1);
 }
 
 void
@@ -410,10 +439,10 @@ TransferManager::notifyCapacityChange()
     // into a single FlowScheduler::setCapacities() call and then
     // notifies once, and the scheduled-scan flag below coalesces any
     // overlapping notifications into one stranded-flow sweep.
-    if (!retry_.enabled || check_scheduled_)
+    if (!retries_ || check_scheduled_)
         return;
     check_scheduled_ = true;
-    sim_.events().scheduleAfter(retry_.detect_delay, [this] {
+    sim_.events().scheduleAfter(kDetectDelay, [this] {
         check_scheduled_ = false;
         checkStranded();
     });
@@ -484,7 +513,7 @@ TransferManager::checkStranded()
             continue;  // not yet launched, or between attempts
         if (flows_.currentRate(p.flow) > 0.0)
             continue;  // moving (possibly resumed by a restore)
-        if (p.attempts >= retry_.max_retries)
+        if (p.attempts >= kMaxReroutes)
             continue;  // parked: resumes when capacity returns
         Bytes remaining = 0.0;
         flows_.cancel(p.flow, &remaining);
@@ -497,8 +526,7 @@ TransferManager::checkStranded()
         p.route = nullptr;
         ++stats_.reroutes;
         const SimTime delay =
-            retry_.backoff *
-            static_cast<double>(1u << (p.attempts - 1));
+            kRerouteBackoff * static_cast<double>(1u << (p.attempts - 1));
         const std::uint64_t id = xidOf(p.seq, slot);
         sim_.events().scheduleAfter(delay, [this, id] {
             launchPending(id);

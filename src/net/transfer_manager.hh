@@ -13,12 +13,12 @@
  * and the caller's completion. Its latency-delayed launch event and
  * its flow completion capture only (this, index), so they fit
  * std::function's inline buffer and a hop allocates nothing. A
- * LaunchScope lets a caller that starts many transfers at once (a
- * collective round) share one launch event per distinct launch time.
+ * collective round starts through startHops(), which gives its hops
+ * one launch event per distinct launch time.
  *
- * With a RetryPolicy enabled (the fault-injection path), the manager
- * instead keeps the full request of every in-flight transfer in a
- * second slab and recovers flows stranded on a downed route: a
+ * Once enableRetries() is called (the fault-injection path), the
+ * manager instead keeps the full request of every in-flight transfer
+ * in a second slab and recovers flows stranded on a downed route: a
  * stalled flow is cancelled, rerouted through the node's alternate
  * NIC, and relaunched with the remaining bytes under bounded
  * exponential backoff (DESIGN.md "Fault model").
@@ -27,11 +27,13 @@
 #ifndef DSTRAIN_NET_TRANSFER_MANAGER_HH
 #define DSTRAIN_NET_TRANSFER_MANAGER_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "hw/cluster.hh"
@@ -42,13 +44,13 @@ namespace dstrain {
 
 class ResilienceCoordinator;
 
-/** Options for TransferManager::start(). */
+/** Options for TransferManager::start() and startHops(). */
 struct TransferOptions {
     /**
-     * Force the route through these components, in order (e.g. pin
-     * traffic to a local/remote NIC pair for multi-channel
-     * collectives). Empty = shortest path. Valid for the start()
-     * call; the manager copies what it keeps.
+     * Force start()'s route through these components, in order
+     * (e.g. pin traffic to one NIC; a HopEdge carries a hop's own).
+     * Empty = shortest path. Valid for the call; the manager copies
+     * what it keeps.
      */
     std::span<const ComponentId> waypoints;
 
@@ -88,29 +90,24 @@ struct TransferOptions {
 };
 
 /**
- * Recovery policy for transfers stranded by a link fault. Disabled by
- * default: without faults there is nothing to recover from, and the
- * manager keeps only the lean launch record of each transfer.
+ * One hop of a collective round, for TransferManager::startHops():
+ * its endpoints, the NIC waypoints its route is pinned through (held
+ * inline, so an edge owns no heap memory), and that route, resolved
+ * by the caller through Router::routeThrough() since the router's
+ * last cache flush.
  */
-struct RetryPolicy {
-    /** Master switch; the fault injector enables it. */
-    bool enabled = false;
+struct HopEdge {
+    ComponentId src = kNoComponent;
+    ComponentId dst = kNoComponent;
+    std::array<ComponentId, 2> via{};
+    std::uint32_t vias = 0;  ///< entries of via in use
+    const Route *route = nullptr;
 
-    /**
-     * How long a flow must sit at rate zero before it is declared
-     * stranded (models failure-detection time, e.g. RoCE CNP/timeout).
-     */
-    SimTime detect_delay = 1e-3;
-
-    /** Base reroute backoff; doubles on every further attempt. */
-    SimTime backoff = 2e-3;
-
-    /**
-     * Reroute attempts per transfer before it is parked: a parked
-     * flow stays registered at rate zero and resumes on the original
-     * path when the fault clears.
-     */
-    int max_retries = 3;
+    /** The pinned waypoints, in order. */
+    std::span<const ComponentId> waypoints() const
+    {
+        return {via.data(), vias};
+    }
 };
 
 /**
@@ -149,31 +146,37 @@ class TransferManager
 
     /**
      * Transfer @p bytes from @p src to @p dst; @p on_done fires when
-     * the last byte lands.
-     *
-     * @return the transfer id when the retry policy is enabled (a
-     *         handle for transferStalled()/cancelTransfer()), 0 on
-     *         the fault-free path.
+     * the last byte lands. The transfer launches through an event of
+     * its own.
      */
-    std::uint64_t start(ComponentId src, ComponentId dst, Bytes bytes,
-                        std::function<void()> on_done,
-                        TransferOptions opts = {});
+    void start(ComponentId src, ComponentId dst, Bytes bytes,
+               std::function<void()> on_done, TransferOptions opts = {});
 
     /**
-     * Transfer @p bytes over each of @p routes, as one hop set (the
-     * fault-free collective path): one record and one launch member
-     * for the whole set, started through FlowScheduler::startHops(),
-     * which runs the equal, resource-disjoint hops as hop classes.
-     * Every route must have the same launch time (now + latency), so
-     * the set joins one launch group. @p on_done receives the number
-     * of hops that landed; the counts sum to routes.size(). Only
-     * @p opts' rate_cap, rate_factor, tag and keepalive apply (the
-     * routes are already resolved). Not available while the retry
-     * policy is enabled: a hop set has no per-hop transfer ids.
+     * Transfer @p bytes over each of @p edges: the one way a
+     * collective round starts. Hops whose launch times (now + route
+     * latency) are bitwise equal share one launch event, and the
+     * events are created in the order of their first hop, so every
+     * hop launches in exactly the FIFO order a per-hop event would
+     * have given it. A launch event starts its hops in edge order
+     * inside one FlowScheduler batch, so a round of k hops costs one
+     * region solve, not k.
+     *
+     * On the fault-free path one launch time's hops are one record,
+     * started through FlowScheduler::startHops(), which runs the
+     * equal, resource-disjoint hops as hop classes. Once retries are
+     * enabled every hop is a retryable transfer instead, started in
+     * edge order, and hop i's transfer id (a handle for
+     * transferStalled()/cancelTransfer()) goes to xids[i]; the
+     * fault-free path leaves @p xids alone. Either way @p on_done
+     * receives the number of hops that landed, and the counts sum to
+     * edges.size(); every hop keeps a copy of it. @p opts names no
+     * waypoints or extra resources; its flow_key is the one a
+     * reroute resolves with.
      */
-    void startHops(std::span<const Route *const> routes, Bytes bytes,
+    void startHops(std::span<const HopEdge> edges, Bytes bytes,
                    std::function<void(std::uint32_t)> on_done,
-                   TransferOptions opts = {});
+                   TransferOptions opts, std::span<std::uint64_t> xids);
 
     /** The TagId of @p label for TransferOptions::tag. */
     TagId internTag(std::string_view label)
@@ -182,33 +185,14 @@ class TransferManager
     }
 
     /**
-     * Groups the launches of the transfers started while it is open:
-     * transfers (either record kind) whose launch times are bitwise
-     * equal share one launch event, and its members start in call
-     * order. That is exactly the FIFO order their separate events
-     * would have run in, provided nothing else is queued inside the
-     * scope; the manager asserts that from the event queue's
-     * sequence counter. Scopes do not nest. A launch event starts
-     * its members inside one FlowScheduler batch, so a collective
-     * round of k hops costs one region solve, not k.
+     * Keep every transfer started from now on retryable, so flows
+     * stranded by a link fault are recovered (the fault injector
+     * calls it when it arms).
      */
-    class LaunchScope
-    {
-      public:
-        explicit LaunchScope(TransferManager &tm);
-        ~LaunchScope();
-        LaunchScope(const LaunchScope &) = delete;
-        LaunchScope &operator=(const LaunchScope &) = delete;
+    void enableRetries() { retries_ = true; }
 
-      private:
-        TransferManager &tm_;
-    };
-
-    /** Install the stranded-flow recovery policy (fault injection). */
-    void configureRetry(const RetryPolicy &policy) { retry_ = policy; }
-
-    /** The active recovery policy. */
-    const RetryPolicy &retryPolicy() const { return retry_; }
+    /** Are transfers retryable (enableRetries() called)? */
+    bool retriesEnabled() const { return retries_; }
 
     /**
      * Attach the degraded-mode resilience coordinator
@@ -252,7 +236,7 @@ class TransferManager
     /**
      * Fault-injector notification that some resource capacity just
      * changed. Schedules (coalesced) a stranded-flow scan after the
-     * policy's detect_delay. No-op while retries are disabled.
+     * detection delay. No-op while retries are disabled.
      */
     void notifyCapacityChange();
 
@@ -308,7 +292,7 @@ class TransferManager
     /** One fault-free transfer (or hop set) in flight: a slab
      * record. */
     struct Record {
-        /** Resolved at start() (router storage outlives cache
+        /** Resolved by the caller (router storage outlives cache
          * flushes); nullptr marks a free slot. A hop set's first
          * route. */
         const Route *route = nullptr;
@@ -341,8 +325,8 @@ class TransferManager
         ComponentId dst = kNoComponent;
         std::vector<ComponentId> waypoints;
         /**
-         * The route start() resolved, and the router cache flushes it
-         * was resolved under. The first launch reuses it while no
+         * The route resolved at start, and the router cache flushes
+         * it was resolved under. The first launch reuses it while no
          * flush has happened since (a lookup then returns this very
          * route); nullptr once a reroute changed the waypoints, so
          * every relaunch resolves afresh.
@@ -358,6 +342,8 @@ class TransferManager
         std::uint64_t flow_key = 0;   ///< ECMP key of every attempt
         TagId tag = kNoTag;
         std::function<void()> on_done;
+        /** A startHops() hop's completion, called with 1 instead. */
+        std::function<void(std::uint32_t)> on_hops;
         std::shared_ptr<void> keepalive;
         FlowId flow = 0;              ///< 0 = not currently flowing
         int attempts = 0;             ///< reroutes performed so far
@@ -374,9 +360,8 @@ class TransferManager
         bool retry;
     };
 
-    /** The transfers one launch event starts, in call order. */
+    /** The transfers one launch event starts, in start order. */
     struct LaunchGroup {
-        SimTime when = 0.0;
         EventId event = 0;  ///< 0 = free slot
         std::vector<Member> members;
     };
@@ -418,6 +403,18 @@ class TransferManager
                pending_[slotOf(xid)].seq == seq;
     }
 
+    /**
+     * Take a retry slot for @p bytes from @p src to @p dst over
+     * @p route (resolved through @p waypoints), count the transfer
+     * started and fill in its request from @p opts; the caller sets
+     * the completion. start() and startHops() share it.
+     * @return the transfer id.
+     */
+    std::uint64_t startPending(ComponentId src, ComponentId dst,
+                               std::span<const ComponentId> waypoints,
+                               const Route &route, Bytes bytes,
+                               const TransferOptions &opts);
+
     /** Free retry slot @p slot; its vectors keep their capacity for
      * the next transfer. */
     void releasePending(std::uint32_t slot);
@@ -442,11 +439,9 @@ class TransferManager
     /** @p n hops of hop-set record @p idx (generation @p gen) landed. */
     void finishHops(std::uint32_t idx, std::uint32_t gen, std::uint32_t n);
 
-    /**
-     * Queue @p m's launch @p latency from now: into the open scope's
-     * group for the same launch time, or as a group of its own.
-     */
-    void queueLaunch(SimTime latency, Member m);
+    /** A launch group with no members yet, whose event fires at
+     * @p when. */
+    std::uint32_t openLaunchGroup(SimTime when);
 
     /**
      * The launch event of group @p g: start its members in order
@@ -457,8 +452,8 @@ class TransferManager
     void runLaunchGroup(std::uint32_t g);
 
     /**
-     * Start the flow for transfer @p xid, on the route start()
-     * resolved unless a cache flush or a reroute has moved it.
+     * Start the flow for transfer @p xid, on the route it started
+     * with unless a cache flush or a reroute has moved it.
      */
     void launchPending(std::uint64_t xid);
 
@@ -490,7 +485,7 @@ class TransferManager
     Cluster &cluster_;
     FlowScheduler &flows_;
     Stats stats_;
-    RetryPolicy retry_;
+    bool retries_ = false;
     ResilienceCoordinator *resilience_ = nullptr;
     /** The fault-free slab; freed slots are reused LIFO. */
     std::vector<Record> records_;
@@ -505,11 +500,10 @@ class TransferManager
     std::vector<LaunchGroup> groups_;
     std::vector<std::uint32_t> free_groups_;
     std::vector<Member> launching_;  ///< runLaunchGroup() scratch
-    /** The open LaunchScope's groups, and the sequence number the
-     * event queue must show when a member joins one of them. */
-    bool scope_open_ = false;
-    std::vector<std::uint32_t> scope_groups_;
-    std::uint64_t scope_seq_ = 0;
+    /** startHops() scratch: the call's launch times with their
+     * groups, and each hop's group. */
+    std::vector<std::pair<SimTime, std::uint32_t>> call_groups_;
+    std::vector<std::uint32_t> hop_group_;
     /** Bumped by abortAll(); stale scheduled work checks it. */
     std::uint64_t epoch_ = 0;
     bool check_scheduled_ = false;

@@ -119,14 +119,6 @@ class EventQueue
     /** Total number of events executed since construction. */
     std::uint64_t executedCount() const { return executed_; }
 
-    /**
-     * The FIFO sequence number the next schedule() or reschedule()
-     * will take; each such call advances it by one. Comparing two
-     * readings tells whether anything was queued in between (the
-     * transfer manager's launch groups assert it).
-     */
-    std::uint64_t nextSequence() const { return next_seq_; }
-
   private:
     struct Entry {
         SimTime when;

@@ -219,36 +219,60 @@ TEST_F(DualNodeCollectiveTest, FaultFreeResilientRingArmsNoWatchdog)
     }());
 }
 
-TEST_F(DualNodeCollectiveTest, RouteCacheFlushReResolvesTheNextRoundsEdges)
+/**
+ * Rank 0's NVLink to rank 1 dies after round 0's hop over it has
+ * landed, while the round's RoCE hops still run, and the router
+ * flushes its caches. Round 1 must resolve edge 0 -> 1 afresh, around
+ * the dead link (through PCIe): a route kept from round 0 would stall
+ * there. Runs a one-channel all-gather through that and checks that
+ * it completed, nothing is left stalled, and only round 0's chunk
+ * crossed the dead link.
+ */
+void
+expectFlushReResolvesTheNextRoundsEdges(Simulation &sim, Cluster &cluster,
+                                        FlowScheduler &flows,
+                                        CollectiveEngine &coll)
 {
-    // Rank 0's NVLink to rank 1 dies after round 0's hop over it has
-    // landed, while the round's RoCE hops still run, and the router
-    // flushes its caches. Round 1 must resolve edge 0 -> 1 afresh,
-    // around the dead link (through PCIe): a route kept from round 0
-    // would stall there for good, since nothing retries it.
-    cluster_.router().setAvoidDeadLinks(true);
-    const Route &nvlink = cluster_.router().route(cluster_.gpuByRank(0),
-                                                  cluster_.gpuByRank(1));
+    cluster.router().setAvoidDeadLinks(true);
+    const Route &nvlink = cluster.router().route(cluster.gpuByRank(0),
+                                                 cluster.gpuByRank(1));
     ASSERT_EQ(nvlink.resources.size(), 1u);
     const ResourceId dead = nvlink.resources.front();
     const Bytes chunk = 1e9;
     CollectiveOptions opts;
     opts.channels = 1;
-    coll_.allGather(CommGroup::worldOf(8), 8.0 * chunk, nullptr, opts);
+    coll.allGather(CommGroup::worldOf(8), 8.0 * chunk, nullptr, opts);
     // The NVLink hop lands after ~12.5 ms, the RoCE hops after ~150 ms.
-    sim_.events().schedule(0.05, [&] {
-        ASSERT_EQ(cluster_.topology().resource(dead).log.currentRate(),
+    sim.events().schedule(0.05, [&] {
+        ASSERT_EQ(cluster.topology().resource(dead).log.currentRate(),
                   0.0);
-        flows_.setCapacities({{dead, 0.0}});
-        cluster_.router().invalidateRouteCaches();
+        flows.setCapacities({{dead, 0.0}});
+        cluster.router().invalidateRouteCaches();
     });
-    sim_.run();
-    EXPECT_EQ(coll_.completedCount(), 1u);
-    EXPECT_EQ(flows_.stalledCount(), 0u);
-    flows_.finalizeLogs();
-    // Only round 0's chunk crossed the dead link.
-    EXPECT_NEAR(cluster_.topology().resource(dead).log.totalBytes(), chunk,
+    sim.run();
+    EXPECT_EQ(coll.completedCount(), 1u);
+    EXPECT_EQ(flows.stalledCount(), 0u);
+    flows.finalizeLogs();
+    EXPECT_NEAR(cluster.topology().resource(dead).log.totalBytes(), chunk,
                 1.0);
+}
+
+TEST_F(DualNodeCollectiveTest, RouteCacheFlushReResolvesTheNextRoundsEdges)
+{
+    // Fault-free path: nothing retries a hop, so a stale route would
+    // stall for good.
+    expectFlushReResolvesTheNextRoundsEdges(sim_, cluster_, flows_, coll_);
+}
+
+TEST_F(DualNodeCollectiveTest, RetryRouteCacheFlushReResolvesTheNextRoundsEdges)
+{
+    // Retry path, with no stranded-flow notification: a hop launched
+    // onto a stale route would be rescued only by a reroute, so none
+    // may happen.
+    tm_.enableRetries();
+    expectFlushReResolvesTheNextRoundsEdges(sim_, cluster_, flows_, coll_);
+    EXPECT_EQ(tm_.rerouteCount(), 0u);
+    tm_.verifyConservation();
 }
 
 TEST_F(DualNodeCollectiveTest, PinnedChannelsTouchBothNicsAndXgmi)

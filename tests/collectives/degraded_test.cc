@@ -54,7 +54,7 @@ class DegradedCollectiveTest : public testing::Test
         rc_ = std::make_unique<ResilienceCoordinator>(
             sim_, cluster_.router(), cfg);
         tm_.setResilience(rc_.get());
-        tm_.configureRetry(RetryPolicy{true});
+        tm_.enableRetries();
         coll_.configureResilience(rc_.get());
     }
 

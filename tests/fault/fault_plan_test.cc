@@ -70,7 +70,6 @@ TEST(FaultPlanTest, DefaultsWhenOmitted)
     EXPECT_DOUBLE_EQ(plan.events[0].begin, 3.0);
     EXPECT_DOUBLE_EQ(plan.events[0].duration, 0.0);
     EXPECT_DOUBLE_EQ(plan.events[0].fraction, 0.5);
-    EXPECT_TRUE(plan.retry.enabled);
 }
 
 TEST(FaultPlanTest, ParsesLinkDown)
@@ -223,7 +222,7 @@ TEST(FaultPlanTest, FabricTargetNamespacesRejectBadSpellings)
     EXPECT_NE(errors[0].message.find("rack<k>"), std::string::npos);
 }
 
-TEST(FaultPlanTest, ValidateChecksRangesAndRetry)
+TEST(FaultPlanTest, ValidateChecksRanges)
 {
     FaultPlan plan;
     FaultEvent ev;
@@ -231,11 +230,9 @@ TEST(FaultPlanTest, ValidateChecksRangesAndRetry)
     ev.begin = -1.0;
     ev.target = "roce";
     plan.events.push_back(ev);
-    plan.retry.detect_delay = 0.0;
     const auto errors = plan.validate();
-    ASSERT_EQ(errors.size(), 2u);
+    ASSERT_EQ(errors.size(), 1u);
     EXPECT_EQ(errors[0].field, "faults.events[0]");
-    EXPECT_EQ(errors[1].field, "faults.retry.detect_delay");
 
     // A window past the simulated-time horizon, and a fraction so
     // small the faulted work never ends.
@@ -250,11 +247,6 @@ TEST(FaultPlanTest, ValidateChecksRangesAndRetry)
         ASSERT_EQ(far_errors.size(), 1u) << begin << " " << fraction;
         EXPECT_EQ(far_errors[0].field, "faults.events[0]");
     }
-
-    // Retry parameters are irrelevant (and unchecked) with no events.
-    FaultPlan empty;
-    empty.retry.backoff = -1.0;
-    EXPECT_TRUE(empty.validate().empty());
 }
 
 } // namespace

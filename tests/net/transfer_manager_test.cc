@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for the transfer manager: latency handling, via-pinning,
- * rate factors, accounting and one-solve launch groups.
+ * rate factors, accounting, retries and one-solve launch groups.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/transfer_manager.hh"
@@ -31,6 +34,25 @@ class TransferManagerTest : public testing::Test
         return spec;
     }
 
+    /**
+     * The edge from rank @p src to rank @p dst, pinned through node
+     * 0's NIC @p nic (-1 = unpinned), with its route resolved.
+     */
+    HopEdge
+    edge(int src, int dst, int nic = -1)
+    {
+        HopEdge e;
+        e.src = cluster_.gpuByRank(src);
+        e.dst = cluster_.gpuByRank(dst);
+        if (nic >= 0) {
+            e.via[0] = cluster_.node(0).nics[static_cast<std::size_t>(nic)];
+            e.vias = 1;
+        }
+        e.route =
+            &cluster_.router().routeThrough(e.src, e.waypoints(), e.dst);
+        return e;
+    }
+
     /** One inter-node hop, pinned through node 0's NIC @p nic. */
     struct Hop {
         int src;
@@ -38,23 +60,66 @@ class TransferManagerTest : public testing::Test
         int nic;
     };
 
-    /** Start @p hops (10 GB each) in one LaunchScope, counting
-     * completions in @p done; the hops share one launch event. */
-    void
+    /**
+     * Start @p edges (10 GB each) with one startHops() call, adding
+     * landed hops to @p landed.
+     * @return their transfer ids (retry path).
+     */
+    std::vector<std::uint64_t>
+    startEdges(const std::vector<HopEdge> &edges, int *landed)
+    {
+        std::vector<std::uint64_t> ids(edges.size(), 0);
+        tm_.startHops(edges, 10e9,
+                      [landed](std::uint32_t n) {
+                          *landed += static_cast<int>(n);
+                      },
+                      {}, ids);
+        return ids;
+    }
+
+    /** Start @p hops through startEdges(); they share one launch
+     * event. */
+    std::vector<std::uint64_t>
     launchGroup(std::initializer_list<Hop> hops, int *done)
     {
-        {
-            TransferManager::LaunchScope scope(tm_);
-            for (const Hop &h : hops) {
-                const ComponentId via[] = {cluster_.node(0).nics[h.nic]};
-                TransferOptions opts;
-                opts.waypoints = via;
-                tm_.start(cluster_.gpuByRank(h.src),
-                          cluster_.gpuByRank(h.dst), 10e9,
-                          [done] { ++*done; }, std::move(opts));
-            }
-        }
-        ASSERT_EQ(sim_.events().size(), 1u);
+        std::vector<HopEdge> edges;
+        for (const Hop &h : hops)
+            edges.push_back(edge(h.src, h.dst, h.nic));
+        const std::vector<std::uint64_t> ids = startEdges(edges, done);
+        EXPECT_EQ(sim_.events().size(), 1u);
+        return ids;
+    }
+
+    /**
+     * Two NVLink hops interleaved with two RoCE hops through node 0's
+     * nic0: two launch times, the NVLink one first.
+     */
+    std::vector<HopEdge>
+    interleavedEdges()
+    {
+        std::vector<HopEdge> edges = {edge(0, 1), edge(0, 4, 0),
+                                      edge(1, 0), edge(1, 5, 0)};
+        EXPECT_EQ(edges[0].route->latency, edges[2].route->latency);
+        EXPECT_EQ(edges[1].route->latency, edges[3].route->latency);
+        EXPECT_LT(edges[0].route->latency, edges[1].route->latency);
+        return edges;
+    }
+
+    /**
+     * Start interleavedEdges() through startEdges(): each launch time
+     * gets one event, which starts its hops before an event queued
+     * later for the same time.
+     */
+    std::vector<std::uint64_t>
+    startInterleaved(int *landed)
+    {
+        const std::vector<HopEdge> edges = interleavedEdges();
+        const std::vector<std::uint64_t> ids = startEdges(edges, landed);
+        EXPECT_EQ(sim_.events().size(), 2u);
+        sim_.events().schedule(edges[0].route->latency, [this] {
+            EXPECT_EQ(flows_.activeCount(), 2u);  // the NVLink hops
+        });
+        return ids;
     }
 
     Simulation sim_;
@@ -159,9 +224,7 @@ class TransferRetryTest : public TransferManagerTest
 
 TEST_F(TransferRetryTest, ReroutesAroundDownedNic)
 {
-    RetryPolicy policy;
-    policy.enabled = true;
-    tm_.configureRetry(policy);
+    tm_.enableRetries();
 
     // Pin the inter-node transfer through n0.nic0, then kill that NIC
     // mid-flight: the manager must cancel the stranded flow and
@@ -198,12 +261,10 @@ TEST_F(TransferRetryTest, ReroutesAroundDownedNic)
 
 TEST_F(TransferRetryTest, ParkedTransferResumesOnRestore)
 {
-    // With zero retries allowed the stranded transfer is parked at
-    // rate zero; restoring the link lets it finish on its own.
-    RetryPolicy policy;
-    policy.enabled = true;
-    policy.max_retries = 0;
-    tm_.configureRetry(policy);
+    // With both of node 0's NICs down no reroute finds a path: once
+    // its three reroutes have run out the stranded transfer is parked
+    // at rate zero, and restoring the links lets it finish on its own.
+    tm_.enableRetries();
 
     const ComponentId via[] = {cluster_.node(0).nics[0]};
     TransferOptions opts;
@@ -213,24 +274,25 @@ TEST_F(TransferRetryTest, ParkedTransferResumesOnRestore)
               [&] { done = true; }, std::move(opts));
     sim_.events().schedule(0.05, [&] {
         setNicCapacityFactor(0, 0, 0.0);
+        setNicCapacityFactor(0, 1, 0.0);
         tm_.notifyCapacityChange();
     });
     sim_.events().schedule(0.3, [&] {
         EXPECT_FALSE(done);  // still parked
+        EXPECT_EQ(flows_.stalledCount(), 1u);
         setNicCapacityFactor(0, 0, 1.0);
+        setNicCapacityFactor(0, 1, 1.0);
     });
     sim_.run();
 
     EXPECT_TRUE(done);
-    EXPECT_EQ(tm_.rerouteCount(), 0u);
+    EXPECT_EQ(tm_.rerouteCount(), 3u);
     EXPECT_EQ(tm_.inFlight(), 0u);
 }
 
 TEST_F(TransferRetryTest, GroupWithADownedHopArmsOneScanAndReroutesIt)
 {
-    RetryPolicy policy;
-    policy.enabled = true;
-    tm_.configureRetry(policy);
+    tm_.enableRetries();
 
     // Four hops contend for nic0's uplink (three fit at their route
     // caps); the fifth launches through nic1, which is down. The
@@ -238,11 +300,13 @@ TEST_F(TransferRetryTest, GroupWithADownedHopArmsOneScanAndReroutesIt)
     // then is the stranded launch seen, arming one scan.
     setNicCapacityFactor(0, 1, 0.0);
     int done = 0;
-    launchGroup({{0, 4, 0}, {1, 5, 0}, {0, 5, 0}, {1, 4, 0}, {2, 6, 1}},
-                &done);
+    const std::vector<std::uint64_t> ids = launchGroup(
+        {{0, 4, 0}, {1, 5, 0}, {0, 5, 0}, {1, 4, 0}, {2, 6, 1}}, &done);
     ASSERT_TRUE(sim_.events().step());  // the launch event
     EXPECT_EQ(flows_.stats().region_solves, 1u);
     EXPECT_EQ(flows_.stalledCount(), 1u);
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        EXPECT_EQ(tm_.transferStalled(ids[i]), i == 4) << i;
     // Pending: the scheduler's completion event and one scan.
     EXPECT_EQ(sim_.events().size(), 2u);
     sim_.run();
@@ -256,15 +320,15 @@ TEST_F(TransferRetryTest, HealthyGroupArmsNoScan)
     // A start deferred to the group's solve reads rate zero until the
     // batch flushes; the stranded-launch check must not mistake it
     // for a flow launched into a fault.
-    RetryPolicy policy;
-    policy.enabled = true;
-    tm_.configureRetry(policy);
+    tm_.enableRetries();
     int done = 0;
-    launchGroup({{0, 4, 0}, {1, 5, 0}, {0, 5, 0}, {1, 4, 0}, {0, 6, 0}},
-                &done);
+    const std::vector<std::uint64_t> ids = launchGroup(
+        {{0, 4, 0}, {1, 5, 0}, {0, 5, 0}, {1, 4, 0}, {0, 6, 0}}, &done);
     ASSERT_TRUE(sim_.events().step());
     EXPECT_EQ(flows_.stats().region_solves, 1u);
     EXPECT_EQ(sim_.events().size(), 1u);  // the completion event only
+    for (const std::uint64_t id : ids)
+        EXPECT_FALSE(tm_.transferStalled(id));
     sim_.run();
     EXPECT_EQ(done, 5);
     EXPECT_EQ(tm_.rerouteCount(), 0u);
@@ -286,37 +350,33 @@ TEST_F(TransferRetryTest, RetryDisabledKeepsZeroPendingState)
 TEST_F(TransferRetryTest, ReusedSlotLeavesTheOldIdUnknown)
 {
     // A finished transfer's slot goes to the next one; its old id
-    // must not reach the new occupant. The new transfer parks on a
-    // downed NIC, so an id check that ignored the start sequence
-    // would read it as stalled and cancel it.
-    RetryPolicy policy;
-    policy.enabled = true;
-    policy.max_retries = 0;
-    tm_.configureRetry(policy);
+    // must not reach the new occupant. The new transfer parks with
+    // both of node 0's NICs down, so an id check that ignored the
+    // start sequence would read it as stalled and cancel it.
+    tm_.enableRetries();
 
-    const ComponentId via[] = {cluster_.node(0).nics[0]};
-    TransferOptions first;
-    first.waypoints = via;
-    const std::uint64_t old_id =
-        tm_.start(cluster_.gpuByRank(0), cluster_.gpuByRank(4), 1e9,
-                  nullptr, std::move(first));
+    const HopEdge hop = edge(0, 4, 0);
+    std::uint64_t old_id = 0;
+    tm_.startHops({&hop, 1}, 1e9, [](std::uint32_t) {}, {}, {&old_id, 1});
     sim_.run();
     ASSERT_EQ(tm_.inFlight(), 0u);
 
     setNicCapacityFactor(0, 0, 0.0);
-    TransferOptions second;
-    second.waypoints = via;
+    setNicCapacityFactor(0, 1, 0.0);
     bool done = false;
-    const std::uint64_t new_id =
-        tm_.start(cluster_.gpuByRank(0), cluster_.gpuByRank(4), 10e9,
-                  [&] { done = true; }, std::move(second));
+    std::uint64_t new_id = 0;
+    tm_.startHops({&hop, 1}, 10e9, [&](std::uint32_t) { done = true; }, {},
+                  {&new_id, 1});
     EXPECT_NE(new_id, old_id);
-    sim_.runUntil(sim_.now() + 0.01);
+    // Detection and backoff of the three reroutes take 1 + 2 + 1 +
+    // 4 + 1 + 8 ms, and the last relaunch parks.
+    sim_.runUntil(sim_.now() + 0.05);
     ASSERT_TRUE(tm_.transferStalled(new_id));
 
     EXPECT_FALSE(tm_.transferStalled(old_id));
     EXPECT_EQ(tm_.cancelTransfer(old_id), 0.0);
     setNicCapacityFactor(0, 0, 1.0);
+    setNicCapacityFactor(0, 1, 1.0);
     sim_.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(tm_.stats().aborted, 0u);
@@ -326,9 +386,7 @@ TEST_F(TransferRetryTest, ReusedSlotLeavesTheOldIdUnknown)
 
 TEST_F(TransferRetryTest, ScanReroutesInStartOrderAcrossReusedSlots)
 {
-    RetryPolicy policy;
-    policy.enabled = true;
-    tm_.configureRetry(policy);
+    tm_.enableRetries();
     const ComponentId g0 = cluster_.gpuByRank(0);
     const ComponentId g4 = cluster_.gpuByRank(4);
 
@@ -494,9 +552,7 @@ TEST_F(TransferLaunchTest, RetryLaunchAfterRouteFlushTakesTheFreshRoute)
     // A retryable transfer reuses start()'s route only while no flush
     // has happened since: this one launches on the fresh route around
     // the cut, so nothing parks and nothing is rerouted.
-    RetryPolicy policy;
-    policy.enabled = true;
-    tm_.configureRetry(policy);
+    tm_.enableRetries();
     ASSERT_NO_FATAL_FAILURE(startThenCutAndFlush());
     sim_.runUntil(2.0 * latency_);
     EXPECT_EQ(flows_.activeCount(), 1u);
@@ -507,47 +563,66 @@ TEST_F(TransferLaunchTest, RetryLaunchAfterRouteFlushTakesTheFreshRoute)
     tm_.verifyConservation();
 }
 
-TEST_F(TransferManagerTest, ScopeGroupsSameTimeLaunchesInCallOrder)
+TEST_F(TransferManagerTest, StartHopsGivesEachLaunchTimeOneEvent)
 {
-    // Inside a LaunchScope, launches with bitwise-equal times share
-    // one event and start in call order, all before an event queued
-    // later for that same time. Zero-byte transfers complete through
-    // zero-delay events queued in launch order, so the completion log
-    // shows the launch order.
-    const ComponentId g0 = cluster_.gpuByRank(0);
-    const ComponentId g1 = cluster_.gpuByRank(1);
-    const ComponentId g4 = cluster_.gpuByRank(4);
-    const SimTime nvlink = cluster_.router().route(g0, g1).latency;
-    const SimTime roce = cluster_.router().route(g0, g4).latency;
-    ASSERT_NE(nvlink, roce);
-    std::vector<std::string> log;
-    {
-        TransferManager::LaunchScope scope(tm_);
-        tm_.start(g0, g1, 0.0, [&] { log.push_back("a"); });
-        tm_.start(g0, g4, 0.0, [&] { log.push_back("b"); });
-        tm_.start(g1, g0, 0.0, [&] { log.push_back("c"); });
-        tm_.start(g0, g4, 0.0, [&] { log.push_back("d"); });
-    }
-    // One event per distinct launch time, not one per transfer.
-    EXPECT_EQ(sim_.events().size(), 2u);
-    sim_.events().schedule(nvlink, [&] { log.push_back("x"); });
+    // A hop set per launch time, each launched by its own event ahead
+    // of an event queued later for that time.
+    int landed = 0;
+    startInterleaved(&landed);
     sim_.run();
-    EXPECT_EQ(log, (std::vector<std::string>{"x", "a", "c", "b", "d"}));
+    EXPECT_EQ(landed, 4);
+    EXPECT_EQ(tm_.completedCount(), 4u);
+    tm_.verifyConservation();
+}
 
-    // With bytes, the grouped launches are already flowing when the
-    // later same-time event runs.
-    std::size_t active_at_x = 0;
-    const SimTime t0 = sim_.now();
-    {
-        TransferManager::LaunchScope scope(tm_);
-        tm_.start(g0, g1, 1e9, nullptr);
-        tm_.start(g1, g0, 1e9, nullptr);
+TEST_F(TransferRetryTest, StartHopsIdsAndScanFollowHopOrder)
+{
+    // On the retry path every hop is a transfer, started in hop order
+    // across the launch groups: the ids increase with the hop index,
+    // and a stranded-flow scan reroutes in that order too.
+    tm_.enableRetries();
+    int landed = 0;
+    const std::vector<std::uint64_t> ids = startInterleaved(&landed);
+    for (std::size_t i = 1; i < ids.size(); ++i)
+        EXPECT_LT(ids[i - 1], ids[i]) << i;
+
+    // Strand every hop for good: the NVLink hops' links die, and so
+    // do both of node 0's NICs, so no reroute finds a live path.
+    std::vector<std::pair<ResourceId, Bps>> cut;
+    for (const HopEdge &e : interleavedEdges())
+        if (e.vias == 0)
+            for (const ResourceId rid : e.route->resources)
+                cut.emplace_back(rid, 0.0);
+    const SimTime fault = 0.01;
+    sim_.events().schedule(fault, [&] {
+        flows_.setCapacities(cut);
+        setNicCapacityFactor(0, 0, 0.0);
+        setNicCapacityFactor(0, 1, 0.0);
+        tm_.notifyCapacityChange();
+    });
+    // The scan runs 1 ms after the fault and relaunches each hop 2 ms
+    // later, through an event of its own, in the order it rerouted
+    // them; a relaunch into the dead links reads stalled at once.
+    sim_.runUntil(fault + 2e-3);
+    EXPECT_EQ(tm_.rerouteCount(), 4u);
+    std::vector<std::size_t> relaunched;
+    while (relaunched.size() < ids.size() && sim_.events().step()) {
+        for (std::size_t i = 0; i < ids.size(); ++i)
+            if (tm_.transferStalled(ids[i]) &&
+                std::find(relaunched.begin(), relaunched.end(), i) ==
+                    relaunched.end())
+                relaunched.push_back(i);
     }
-    sim_.events().schedule(t0 + nvlink,
-                           [&] { active_at_x = flows_.activeCount(); });
+    EXPECT_EQ(relaunched, (std::vector<std::size_t>{0, 1, 2, 3}));
+
+    for (auto &[rid, capacity] : cut)
+        capacity = cluster_.topology().resource(rid).nominal_capacity;
+    flows_.setCapacities(cut);
+    setNicCapacityFactor(0, 0, 1.0);
+    setNicCapacityFactor(0, 1, 1.0);
     sim_.run();
-    EXPECT_EQ(active_at_x, 2u);
-    EXPECT_EQ(tm_.completedCount(), 6u);
+    EXPECT_EQ(landed, 4);
+    tm_.verifyConservation();
 }
 
 TEST_F(TransferManagerTest, LaunchGroupOnASharedUplinkSolvesOnce)
@@ -566,23 +641,6 @@ TEST_F(TransferManagerTest, LaunchGroupOnASharedUplinkSolvesOnce)
     EXPECT_EQ(flows_.stats().region_solves, 1u);
     sim_.run();
     EXPECT_EQ(done, 6);
-}
-
-TEST_F(TransferManagerTest, DeathOnEventQueuedInsideALaunchScope)
-{
-    // Grouping is FIFO-exact only while nothing else is queued inside
-    // the scope; the manager checks the event queue's sequence
-    // counter instead of assuming it.
-    const ComponentId g0 = cluster_.gpuByRank(0);
-    const ComponentId g1 = cluster_.gpuByRank(1);
-    EXPECT_DEATH(
-        {
-            TransferManager::LaunchScope scope(tm_);
-            tm_.start(g0, g1, 1e9, nullptr);
-            sim_.events().scheduleAfter(1.0, [] {});
-            tm_.start(g1, g0, 1e9, nullptr);
-        },
-        "queued inside a launch scope");
 }
 
 TEST_F(TransferManagerTest, DeathOnSelfTransfer)

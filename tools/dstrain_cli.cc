@@ -32,6 +32,7 @@
  */
 
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -399,6 +400,12 @@ runCli(int argc, const char *const *argv)
         return 1;
     }
 
+    // A trace path that cannot be written fails before the run, not
+    // after it: a trace asked for must not be silently lost.
+    const std::string trace = args.get("trace");
+    if (!trace.empty() && !std::ofstream(trace))
+        fatal("cannot open '%s' for trace export", trace.c_str());
+
     Experiment experiment(std::move(parsed.config));
     const ExperimentReport report = experiment.run();
     const ExperimentConfig &used = experiment.config();
@@ -461,15 +468,14 @@ runCli(int argc, const char *const *argv)
                   << summarizeEnergy(estimateEnergy(report, used))
                   << "\n";
     }
-    if (!args.get("trace").empty()) {
+    if (!trace.empty()) {
         TraceOptions topts;
         topts.begin = last_begin;
         topts.end = report.execution.measured_end;
-        if (writeChromeTrace(args.get("trace"),
-                             report.execution.spans, topts)) {
-            std::cout << "\ntrace written to " << args.get("trace")
-                      << " (open in chrome://tracing)\n";
-        }
+        if (!writeChromeTrace(trace, report.execution.spans, topts))
+            fatal("writing the trace to '%s' failed", trace.c_str());
+        std::cout << "\ntrace written to " << trace
+                  << " (open in chrome://tracing)\n";
     }
     return 0;
 }
