@@ -111,7 +111,7 @@ CollectiveEngine::edge(int src_rank, int dst_rank, std::size_t channel,
  * path the hops of one launch time are a hop set, whose equal,
  * resource-disjoint hops the scheduler runs as one hop class; hopDone(c,
  * k) takes the k hops that landed at once. With retries enabled (the
- * fault path) every hop is a retryable transfer with an id, and with
+ * fault path) every hop is a transfer with an id, and with
  * resilience attached a per-round progress watchdog (the
  * NCCL-watchdog model) rescues rounds stranded on a dead route:
  * stalled hops are cancelled byte-conservingly and relaunched, by a

@@ -227,7 +227,7 @@ Experiment::Experiment(ExperimentConfig cfg)
                      .entry;
     }
 
-    sim_ = std::make_unique<Simulation>(cfg_.seed);
+    sim_ = std::make_unique<Simulation>();
     cluster_ = std::make_unique<Cluster>(cfg_.cluster);
     flows_ = std::make_unique<FlowScheduler>(
         *sim_, cluster_->topology(),

@@ -119,8 +119,6 @@ struct ExperimentConfig {
      */
     ResilienceConfig resilience;
 
-    std::uint64_t seed = 1;
-
     /**
      * Debug cross-check: run the from-scratch fair-share oracle after
      * every scheduler event and fatal() if any flow's rate differs

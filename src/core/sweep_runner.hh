@@ -11,8 +11,8 @@
  * regardless of completion order), and an optional progress callback
  * is invoked — serialized — as each point completes.
  *
- * Determinism: a report depends only on its config (seeded RNG,
- * single-threaded DES per experiment), so a sweep at --jobs N is
+ * Determinism: a report depends only on its config (no
+ * randomness, single-threaded DES per experiment), so a sweep at --jobs N is
  * byte-identical to the same sweep at --jobs 1; the determinism
  * regression tests and bench/micro_flow_scheduler.cc assert this.
  */

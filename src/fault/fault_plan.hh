@@ -133,8 +133,8 @@ struct FaultEvent {
 };
 
 /**
- * A full fault schedule. Arming a non-empty plan makes every transfer
- * retryable (TransferManager::enableRetries()): a plan that downs
+ * A full fault schedule. Arming a non-empty plan turns on stranded-flow
+ * recovery (TransferManager::enableRetries()): a plan that downs
  * links without recovery would deadlock the run.
  */
 struct FaultPlan {

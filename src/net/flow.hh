@@ -109,7 +109,8 @@ struct HopSetSpec {
     /**
      * Invoked with the number of hops that landed, once per landing
      * (a hop class lands all of its hops at once); the counts sum to
-     * routes.size().
+     * routes.size(). Every entity the set starts keeps a copy, so it
+     * should fit std::function's inline buffer.
      */
     std::function<void(std::uint32_t)> on_complete;
 
@@ -151,13 +152,12 @@ struct Flow {
     Bps rate = 0.0;        ///< current assigned rate
     Bps cap = 0.0;         ///< min(route cap, spec cap)
     bool stalled = false;  ///< parked: every crossed link at zero capacity
+    /** A plain flow's completion. A startHops() entity completes
+     * through the scheduler's per-slot copy of its set's instead. */
     std::function<void()> on_complete;
     TagId tag = kNoTag;
     /** Hops this entry carries: k for a hop class, else 1. */
     std::uint32_t hops = 1;
-    /** The startHops() set it belongs to, plus one; 0 = a plain
-     * flow, which completes through on_complete instead. */
-    std::uint32_t hop_set = 0;
 };
 
 } // namespace dstrain

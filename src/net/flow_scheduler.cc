@@ -128,6 +128,7 @@ FlowScheduler::allocSlot(Flow f)
         cap_slot_.push_back(0.0);
         slot_gen_.push_back(0);
         class_of_.push_back(0);
+        hop_done_.emplace_back();
     } else {
         slot = free_slots_.back();
         free_slots_.pop_back();
@@ -272,6 +273,7 @@ FlowScheduler::releaseSlot(std::uint32_t slot)
         --live_classes_;
     }
     slots_[slot] = Flow();
+    hop_done_[slot] = nullptr;
     free_slots_.push_back(slot);
 }
 
@@ -767,6 +769,7 @@ FlowScheduler::materialize(std::uint32_t slot)
         g.seq = proto.seq + m;
         const std::uint32_t ms = allocSlot(std::move(g));
         rate_slot_[ms] = proto.rate;
+        hop_done_[ms] = hop_done_[slot];
         const std::uint32_t from = begin + off[m];
         route_begin_[ms] = from;
         route_len_[ms] = off[m + 1] - off[m];
@@ -1103,7 +1106,7 @@ FlowScheduler::deferOrFlush(std::uint64_t ops)
 }
 
 void
-FlowScheduler::startHops(HopSetSpec spec)
+FlowScheduler::startHops(const HopSetSpec &spec)
 {
     const std::size_t k = spec.routes.size();
     DSTRAIN_ASSERT(k > 0 && spec.rate_caps.size() == k,
@@ -1111,23 +1114,13 @@ FlowScheduler::startHops(HopSetSpec spec)
                    tags_.label(spec.tag).c_str());
     DSTRAIN_ASSERT(spec.bytes >= 0.0, "hop set '%s' has negative size",
                    tags_.label(spec.tag).c_str());
-    std::uint32_t set;
-    if (free_hop_sets_.empty()) {
-        set = static_cast<std::uint32_t>(hop_sets_.size());
-        hop_sets_.emplace_back();
-    } else {
-        set = free_hop_sets_.back();
-        free_hop_sets_.pop_back();
-    }
-    hop_sets_[set].on_complete = std::move(spec.on_complete);
-    hop_sets_[set].live = static_cast<std::uint32_t>(k);
 
     if (spec.bytes <= kFlowByteEpsilon) {
         // Degenerate hops complete as start() completes them: one
         // zero-delay event each.
         for (std::size_t i = 0; i < k; ++i)
-            sim_.events().scheduleAfter(0.0,
-                                        [this, set] { landHops(set, 1); });
+            sim_.events().scheduleAfter(
+                0.0, [done = spec.on_complete] { done(1); });
         return;
     }
 
@@ -1174,16 +1167,15 @@ FlowScheduler::startHops(HopSetSpec spec)
             }
         }
         if (j - i >= 2)
-            startClass(spec, set, i, j);
+            startClass(spec, i, j);
         else
-            startHop(spec, set, i);
+            startHop(spec, i);
         i = j;
     }
 }
 
 void
-FlowScheduler::startHop(const HopSetSpec &spec, std::uint32_t set,
-                        std::size_t i)
+FlowScheduler::startHop(const HopSetSpec &spec, std::size_t i)
 {
     Flow f;
     f.seq = next_seq_++;
@@ -1191,13 +1183,15 @@ FlowScheduler::startHop(const HopSetSpec &spec, std::uint32_t set,
     f.anchor = sim_.now();
     f.tag = spec.tag;
     f.cap = hop_caps_[i];
-    f.hop_set = set + 1;
-    admit(registerFlow(std::move(f), spec.routes.subspan(i, 1), {}));
+    const std::uint32_t slot =
+        registerFlow(std::move(f), spec.routes.subspan(i, 1), {});
+    hop_done_[slot] = spec.on_complete;
+    admit(slot);
 }
 
 void
-FlowScheduler::startClass(const HopSetSpec &spec, std::uint32_t set,
-                          std::size_t i, std::size_t j)
+FlowScheduler::startClass(const HopSetSpec &spec, std::size_t i,
+                          std::size_t j)
 {
     // Each member's admission as its own start would read it: the
     // members are disjoint, so no member's start moves the totals
@@ -1219,7 +1213,7 @@ FlowScheduler::startClass(const HopSetSpec &spec, std::uint32_t set,
     }
     if (!all_pass && !all_fail) {
         for (std::size_t m = i; m < j; ++m)
-            startHop(spec, set, m);
+            startHop(spec, m);
         return;
     }
     const std::uint32_t k = static_cast<std::uint32_t>(j - i);
@@ -1231,9 +1225,9 @@ FlowScheduler::startClass(const HopSetSpec &spec, std::uint32_t set,
     f.tag = spec.tag;
     f.cap = cap;
     f.hops = k;
-    f.hop_set = set + 1;
     const std::uint32_t slot =
         registerClass(std::move(f), spec.routes.subspan(i, k));
+    hop_done_[slot] = spec.on_complete;
     ++stats_.class_starts;
     stats_.class_hops += k;
     if (all_pass) {
@@ -1245,31 +1239,6 @@ FlowScheduler::startClass(const HopSetSpec &spec, std::uint32_t set,
     batch_start_slots_.push_back(slot);
     batch_need_solve_ = true;
     deferOrFlush(k);
-}
-
-void
-FlowScheduler::landHops(std::uint32_t set, std::uint32_t n)
-{
-    HopSet &hs = hop_sets_[set];
-    hs.live -= n;
-    std::function<void(std::uint32_t)> done = std::move(hs.on_complete);
-    const std::uint32_t gen = hs.gen;
-    if (hs.live == 0)
-        releaseHopSet(set);
-    done(n);
-    // The set outlives the call while hops remain, unless cancelAll()
-    // released it meanwhile; the callback may also have grown the slab.
-    if (hop_sets_[set].gen == gen)
-        hop_sets_[set].on_complete = std::move(done);
-}
-
-void
-FlowScheduler::releaseHopSet(std::uint32_t set)
-{
-    HopSet &hs = hop_sets_[set];
-    hs.on_complete = nullptr;
-    ++hs.gen;
-    free_hop_sets_.push_back(set);
 }
 
 double
@@ -1503,13 +1472,6 @@ FlowScheduler::cancelAll()
             nflows_[rid] -= 1;
         indexRemove(slot);
         detachFlow(slot);
-        const Flow &f = slots_[slot];
-        if (f.hop_set != 0) {
-            HopSet &hs = hop_sets_[f.hop_set - 1];
-            hs.live -= f.hops;
-            if (hs.live == 0)
-                releaseHopSet(f.hop_set - 1);
-        }
         releaseSlot(slot);
         // Every resource the flow crossed logs exactly zero once idle,
         // so the abort instant is bit-reproducible.
@@ -1592,9 +1554,9 @@ FlowScheduler::onCompletionEvent()
     // Reuse the member buffers but operate on moved-out locals so a
     // callback that re-enters the scheduler can't alias them.
     std::vector<std::uint32_t> finished = std::move(finished_);
-    std::vector<std::function<void()>> callbacks = std::move(callbacks_);
+    std::vector<Landing> landings = std::move(landings_);
     finished.clear();
-    callbacks.clear();
+    landings.clear();
 
     for (std::uint32_t slot : finisher_slots_) {
         Flow &f = slots_[slot];
@@ -1624,7 +1586,7 @@ FlowScheduler::onCompletionEvent()
         scheduleNextCompletion();
         maybeVerify();
         finished_ = std::move(finished);
-        callbacks_ = std::move(callbacks);
+        landings_ = std::move(landings);
         return;
     }
 
@@ -1675,25 +1637,24 @@ FlowScheduler::onCompletionEvent()
     }
     for (std::uint32_t slot : finished) {
         Flow &f = slots_[slot];
-        if (f.hop_set != 0) {
-            callbacks.push_back([this, set = f.hop_set - 1, n = f.hops] {
-                landHops(set, n);
-            });
-        } else if (f.on_complete) {
-            callbacks.push_back(std::move(f.on_complete));
-        }
+        landings.push_back(Landing{std::move(f.on_complete),
+                                   std::move(hop_done_[slot]), f.hops});
         releaseSlot(slot);
     }
     maybeVerify();
 
-    for (auto &cb : callbacks)
-        cb();
+    for (Landing &l : landings) {
+        if (l.hops)
+            l.hops(l.n);
+        else if (l.done)
+            l.done();
+    }
 
     // Return the buffers (and their capacity) for the next event.
     finished.clear();
-    callbacks.clear();
+    landings.clear();
     finished_ = std::move(finished);
-    callbacks_ = std::move(callbacks);
+    landings_ = std::move(landings);
 }
 
 void

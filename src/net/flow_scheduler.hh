@@ -132,7 +132,9 @@ class FlowScheduler
      * every route of @p spec carries spec.bytes, and spec.on_complete
      * receives hop counts as they land. The result is exactly that of
      * start() per hop, in order, with each hop completing through
-     * on_complete(1).
+     * on_complete(1). The scheduler keeps no record of the set: every
+     * entity it starts holds its own copy of spec.on_complete, and a
+     * landing calls that copy with the entity's hop count.
      *
      * Inside a batch, a maximal run of consecutive hops with equal
      * caps, pairwise resource-disjoint routes, and no link at zero
@@ -151,7 +153,7 @@ class FlowScheduler
      * *materializes* the class into per-hop flows at its current
      * progress (DESIGN.md §6.6).
      */
-    void startHops(HopSetSpec spec);
+    void startHops(const HopSetSpec &spec);
 
     /** The labels FlowSpec::tag ids refer to. */
     TagTable &tags() { return tags_; }
@@ -358,17 +360,10 @@ class FlowScheduler
      * deferred while a batch is open, else flush at once. */
     void deferOrFlush(std::uint64_t ops);
 
-    // --- hop sets and hop classes (startHops()) ---------------------------
+    // --- hop classes (startHops()) ----------------------------------------
 
     /** Sentinel member index: the whole class was seeded. */
     static constexpr std::uint32_t kWholeClass = 0xFFFFFFFFu;
-
-    /** The completion shared by one startHops() call's entities. */
-    struct HopSet {
-        std::function<void(std::uint32_t)> on_complete;
-        std::uint32_t live = 0;  ///< hops not yet landed or cancelled
-        std::uint32_t gen = 0;   ///< bumped at release
-    };
 
     /** A hop class's member layout inside its arena span, and the
      * current region's seeds among its members. */
@@ -382,26 +377,18 @@ class FlowScheduler
         std::vector<std::uint32_t> seed_members;  ///< seeded via resources
     };
 
-    /** Start hop @p i of @p spec as a plain flow of hop set @p set. */
-    void startHop(const HopSetSpec &spec, std::uint32_t set,
-                  std::size_t i);
+    /** Start hop @p i of @p spec as a one-hop entity. */
+    void startHop(const HopSetSpec &spec, std::size_t i);
 
     /** Start hops [@p i, @p j) of @p spec (a class run) as a class, or
      * hop by hop when their admissions differ. */
-    void startClass(const HopSetSpec &spec, std::uint32_t set,
-                    std::size_t i, std::size_t j);
+    void startClass(const HopSetSpec &spec, std::size_t i, std::size_t j);
 
     /** Register a class of @p routes: registerFlow() over the member
      * routes back to back, plus the member layout. @return the
      * slot. */
     std::uint32_t registerClass(Flow f,
                                 std::span<const Route *const> routes);
-
-    /** Land @p n hops of hop set @p set (completion callback). */
-    void landHops(std::uint32_t set, std::uint32_t n);
-
-    /** Return hop set @p set to the free list. */
-    void releaseHopSet(std::uint32_t set);
 
     /** The member of class slot @p slot owning span index @p idx. */
     std::uint32_t memberOf(std::uint32_t slot, std::uint32_t idx) const;
@@ -413,8 +400,9 @@ class FlowScheduler
     /**
      * Split class slot @p slot into per-hop flows at its current
      * progress: member m takes start sequence seq + m, its sub-span of
-     * the class's arena span and the class's crossing-list positions;
-     * member 0 keeps the slot. mat_slots_ receives the member slots.
+     * the class's arena span, the class's crossing-list positions and
+     * a copy of its completion; member 0 keeps the slot. mat_slots_
+     * receives the member slots.
      */
     void materialize(std::uint32_t slot);
 
@@ -448,7 +436,16 @@ class FlowScheduler
      * rates to its classes. */
     void classFill(std::size_t c);
 
-    /** Completion event handler. */
+    /** One finisher's completion, taken out of its slot: a plain
+     * flow's done, or a hop entity's hops(n). */
+    struct Landing {
+        std::function<void()> done;
+        std::function<void(std::uint32_t)> hops;
+        std::uint32_t n = 0;
+    };
+
+    /** Completion event handler: lands the finishers in start
+     * order. */
     void onCompletionEvent();
 
     /** Schedule (or reschedule) the next completion event from the
@@ -756,12 +753,13 @@ class FlowScheduler
     std::vector<double> comp_rcap_;    ///< effective caps, flat
     std::vector<std::uint32_t> res_local_;  ///< rid -> local id (comp-epoch)
 
-    // --- hop sets and classes ---------------------------------------------
-    std::vector<HopSet> hop_sets_;
-    std::vector<std::uint32_t> free_hop_sets_;
+    // --- hop entities and classes -----------------------------------------
     std::vector<HopClass> classes_;
     std::vector<std::uint32_t> free_classes_;
     std::vector<std::uint32_t> class_of_;  ///< per slot: class + 1, 0 = none
+    /** Per slot: a startHops() entity's copy of its set's completion
+     * (empty for a plain flow). */
+    std::vector<std::function<void(std::uint32_t)>> hop_done_;
     std::size_t live_classes_ = 0;
     std::vector<double> hop_caps_;       ///< startHops() scratch
     std::vector<std::uint64_t> res_hop_mark_;  ///< disjointness marks
@@ -786,7 +784,7 @@ class FlowScheduler
     // --- reusable scratch buffers ----------------------------------------
     FillScratch fill_;
     std::vector<ResourceId> active_resources_;  ///< solved resources
-    std::vector<std::function<void()>> callbacks_;
+    std::vector<Landing> landings_;
     std::vector<std::uint32_t> finished_;  ///< detached finisher slots
     std::vector<double> oracle_rate_;          ///< verify-mode rates
     std::vector<std::uint32_t> oracle_unfrozen_;

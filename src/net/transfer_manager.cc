@@ -84,30 +84,12 @@ TransferManager::start(ComponentId src, ComponentId dst, Bytes bytes,
     const Route &route = cluster_.router().routeThrough(
         src, opts.waypoints, dst, opts.flow_key);
     LaunchGroup &g = groups_[openLaunchGroup(sim_.now() + route.latency)];
-
-    if (retries_) {
-        // Retryable path: keep the full request so a stranded flow
-        // can be cancelled, rerouted and relaunched with whatever
-        // bytes remain.
-        const std::uint64_t xid =
-            startPending(src, dst, opts.waypoints, route, bytes, opts);
-        pending_[slotOf(xid)].on_done = std::move(on_done);
-        g.members.push_back(Member{xid, true});
-        return;
-    }
-
-    ++stats_.started;
-    stats_.bytes_requested += bytes;
-    const std::uint32_t idx = takeSlot(records_, free_records_);
-    Record &r = records_[idx];
-    r.route = &route;
-    r.bytes = bytes;
-    r.rate_cap = attemptRateCap(opts.rate_cap, opts.rate_factor, route);
-    r.extra_resources = std::move(opts.extra_resources);
-    r.tag = opts.tag;
-    r.on_done = std::move(on_done);
-    r.keepalive = std::move(opts.keepalive);
-    g.members.push_back(Member{idx, false});
+    const std::uint64_t xid =
+        startTransfer(src, dst, opts.waypoints, route, bytes, opts);
+    Transfer &t = transfers_[slotOf(xid)];
+    t.on_done = std::move(on_done);
+    t.keepalive = std::move(opts.keepalive);
+    g.members.push_back(Member{xid, false});
 }
 
 void
@@ -143,14 +125,16 @@ TransferManager::startHops(std::span<const HopEdge> edges, Bytes bytes,
     }
 
     if (retries_) {
-        // Every hop is a retryable transfer, started in edge order.
+        // Every hop is a transfer, started in edge order.
         for (std::size_t i = 0; i < edges.size(); ++i) {
             const HopEdge &e = edges[i];
-            const std::uint64_t xid = startPending(
+            const std::uint64_t xid = startTransfer(
                 e.src, e.dst, e.waypoints(), *e.route, bytes, opts);
-            pending_[slotOf(xid)].on_hops = on_done;
+            Transfer &t = transfers_[slotOf(xid)];
+            t.on_hops = on_done;
+            t.keepalive = opts.keepalive;
             xids[i] = xid;
-            groups_[hop_group_[i]].members.push_back(Member{xid, true});
+            groups_[hop_group_[i]].members.push_back(Member{xid, false});
         }
         return;
     }
@@ -158,13 +142,13 @@ TransferManager::startHops(std::span<const HopEdge> edges, Bytes bytes,
     // One hop set per launch group: its hops in edge order.
     for (const auto &call_group : call_groups_) {
         const std::uint32_t g = call_group.second;
-        const std::uint32_t idx = takeSlot(records_, free_records_);
-        Record &r = records_[idx];
-        r.bytes = bytes;
-        r.tag = opts.tag;
-        r.on_hops = on_done;
-        r.keepalive = opts.keepalive;
-        r.landed = 0;
+        const std::uint32_t idx = takeSlot(sets_, free_sets_);
+        HopSet &s = sets_[idx];
+        s.bytes = bytes;
+        s.tag = opts.tag;
+        s.on_done = on_done;
+        s.keepalive = opts.keepalive;
+        s.landed = 0;
         for (std::size_t i = 0; i < edges.size(); ++i) {
             if (hop_group_[i] != g)
                 continue;
@@ -172,61 +156,55 @@ TransferManager::startHops(std::span<const HopEdge> edges, Bytes bytes,
             // per-hop starts would.
             ++stats_.started;
             stats_.bytes_requested += bytes;
-            r.hop_routes.push_back(edges[i].route);
-            r.hop_caps.push_back(attemptRateCap(
-                opts.rate_cap, opts.rate_factor, *edges[i].route));
+            s.routes.push_back(edges[i].route);
+            s.caps.push_back(attemptRateCap(opts.rate_cap, opts.rate_factor,
+                                            *edges[i].route));
         }
-        r.route = r.hop_routes.front();
-        groups_[g].members.push_back(Member{idx, false});
+        groups_[g].members.push_back(Member{idx, true});
     }
 }
 
 std::uint64_t
-TransferManager::startPending(ComponentId src, ComponentId dst,
-                              std::span<const ComponentId> waypoints,
-                              const Route &route, Bytes bytes,
-                              const TransferOptions &opts)
+TransferManager::startTransfer(ComponentId src, ComponentId dst,
+                               std::span<const ComponentId> waypoints,
+                               const Route &route, Bytes bytes,
+                               const TransferOptions &opts)
 {
     ++stats_.started;
     stats_.bytes_requested += bytes;
-    const std::uint32_t slot = takeSlot(pending_, free_pending_);
-    DSTRAIN_ASSERT(slot <= kSlotMask,
-                   "more than %llu retryable transfers in flight",
+    const std::uint32_t slot = takeSlot(transfers_, free_transfers_);
+    DSTRAIN_ASSERT(slot <= kSlotMask, "more than %llu transfers in flight",
                    static_cast<unsigned long long>(kSlotMask));
-    Pending &p = pending_[slot];
-    p.seq = next_seq_++;
-    p.src = src;
-    p.dst = dst;
-    p.waypoints.assign(waypoints.begin(), waypoints.end());
-    p.route = &route;
-    p.route_flushes = cluster_.router().cacheInvalidations();
-    p.requested = bytes;
-    p.remaining = bytes;
-    p.delivered = 0.0;
-    p.rate_cap = opts.rate_cap;
-    p.rate_factor = opts.rate_factor;
-    p.extra_resources = opts.extra_resources;
-    p.flow_key = opts.flow_key;
-    p.tag = opts.tag;
-    p.keepalive = opts.keepalive;
-    p.flow = 0;
-    p.attempts = 0;
-    return xidOf(p.seq, slot);
+    Transfer &t = transfers_[slot];
+    t.seq = next_seq_++;
+    t.src = src;
+    t.dst = dst;
+    t.waypoints.assign(waypoints.begin(), waypoints.end());
+    t.route = &route;
+    t.route_flushes = cluster_.router().cacheInvalidations();
+    t.requested = bytes;
+    t.remaining = bytes;
+    t.delivered = 0.0;
+    t.rate_cap = opts.rate_cap;
+    t.rate_factor = opts.rate_factor;
+    t.extra_resources = opts.extra_resources;
+    t.flow_key = opts.flow_key;
+    t.tag = opts.tag;
+    t.flow = 0;
+    t.attempts = 0;
+    return xidOf(t.seq, slot);
 }
 
 void
-TransferManager::releaseRecord(std::uint32_t idx)
+TransferManager::releaseSet(std::uint32_t idx)
 {
-    Record &r = records_[idx];
-    r.route = nullptr;
-    r.extra_resources.clear();
-    r.on_done = nullptr;
-    r.keepalive.reset();
-    r.hop_routes.clear();
-    r.hop_caps.clear();
-    r.on_hops = nullptr;
-    ++r.gen;
-    free_records_.push_back(idx);
+    HopSet &s = sets_[idx];
+    s.routes.clear();
+    s.caps.clear();
+    s.on_done = nullptr;
+    s.keepalive.reset();
+    ++s.gen;
+    free_sets_.push_back(idx);
 }
 
 std::uint32_t
@@ -248,86 +226,59 @@ TransferManager::runLaunchGroup(std::uint32_t gi)
     {
         FlowScheduler::ScopedBatch batch(flows_);
         for (const Member &m : launching_) {
-            if (m.retry)
-                launchPending(m.id);
+            if (m.set)
+                launchSet(static_cast<std::uint32_t>(m.id));
             else
-                launchRecord(static_cast<std::uint32_t>(m.id));
+                launchTransfer(m.id);
         }
     }
     // Only now do the deferred starts read their solved rates.
     for (const Member &m : launching_)
-        if (m.retry)
+        if (!m.set)
             armIfStranded(m.id);
     launching_.clear();
 }
 
 void
-TransferManager::launchRecord(std::uint32_t idx)
+TransferManager::launchSet(std::uint32_t idx)
 {
-    const Record &r = records_[idx];
-    if (r.on_hops) {
-        HopSetSpec spec;
-        spec.routes = r.hop_routes;
-        spec.rate_caps = r.hop_caps;
-        spec.bytes = r.bytes;
-        spec.tag = r.tag;
-        spec.on_complete = [this, idx, gen = r.gen](std::uint32_t n) {
-            finishHops(idx, gen, n);
-        };
-        flows_.startHops(std::move(spec));
-        return;
-    }
-    FlowSpec spec;
-    spec.route = r.route;
-    spec.bytes = r.bytes;
-    spec.rate_cap = r.rate_cap;
-    spec.extra_resources = r.extra_resources;
-    spec.tag = r.tag;
-    spec.on_complete = [this, idx, gen = r.gen] { finishRecord(idx, gen); };
-    flows_.start(std::move(spec));
-}
-
-void
-TransferManager::finishRecord(std::uint32_t idx, std::uint32_t gen)
-{
-    Record &r = records_[idx];
-    if (r.gen != gen)
-        return;  // abortAll() accounted this one in aggregate
-    accountDelivery(r.bytes, 0.0, 0, r.tag);
-    // Free the slot before the continuation runs (it may start more
-    // transfers); the keepalive outlives the call.
-    std::function<void()> done = std::move(r.on_done);
-    const std::shared_ptr<void> keepalive = std::move(r.keepalive);
-    releaseRecord(idx);
-    if (done)
-        done();
+    const HopSet &s = sets_[idx];
+    HopSetSpec spec;
+    spec.routes = s.routes;
+    spec.rate_caps = s.caps;
+    spec.bytes = s.bytes;
+    spec.tag = s.tag;
+    spec.on_complete = [this, idx, gen = s.gen](std::uint32_t n) {
+        finishHops(idx, gen, n);
+    };
+    flows_.startHops(spec);
 }
 
 void
 TransferManager::finishHops(std::uint32_t idx, std::uint32_t gen,
                             std::uint32_t n)
 {
-    Record &r = records_[idx];
-    if (r.gen != gen)
+    HopSet &s = sets_[idx];
+    if (s.gen != gen)
         return;  // abortAll() accounted this one in aggregate
     for (std::uint32_t i = 0; i < n; ++i)
-        accountDelivery(r.bytes, 0.0, 0, r.tag);
-    r.landed += n;
-    std::function<void(std::uint32_t)> done = std::move(r.on_hops);
-    if (r.landed == r.hop_routes.size()) {
+        accountDelivery(s.bytes, 0.0, 0, s.tag);
+    s.landed += n;
+    std::function<void(std::uint32_t)> done = std::move(s.on_done);
+    if (s.landed == s.routes.size()) {
         // The last hops: free the slot before the continuation runs
         // (it may start more transfers); the keepalive outlives the
         // call.
-        const std::shared_ptr<void> keepalive = std::move(r.keepalive);
-        releaseRecord(idx);
+        const std::shared_ptr<void> keepalive = std::move(s.keepalive);
+        releaseSet(idx);
         done(n);
         return;
     }
     done(n);
-    // The continuation may have grown the slab; the record stays ours
+    // The continuation may have grown the slab; the set stays ours
     // unless an abort released it meanwhile.
-    if (records_[idx].gen == gen)
-        records_[idx].on_hops = std::move(done);
+    if (sets_[idx].gen == gen)
+        sets_[idx].on_done = std::move(done);
 }
 
 void
@@ -344,53 +295,53 @@ TransferManager::accountDelivery(Bytes requested, Bytes undelivered,
 }
 
 void
-TransferManager::releasePending(std::uint32_t slot)
+TransferManager::releaseTransfer(std::uint32_t slot)
 {
-    // startPending() rewrites every request field; the caller's
+    // startTransfer() rewrites every request field; the caller's
     // completion and keepalive go now.
-    Pending &p = pending_[slot];
-    p.seq = 0;
-    p.on_done = nullptr;
-    p.on_hops = nullptr;
-    p.keepalive.reset();
-    free_pending_.push_back(slot);
+    Transfer &t = transfers_[slot];
+    t.seq = 0;
+    t.on_done = nullptr;
+    t.on_hops = nullptr;
+    t.keepalive.reset();
+    free_transfers_.push_back(slot);
 }
 
 std::vector<std::uint32_t>
 TransferManager::liveInStartOrder() const
 {
     std::vector<std::uint32_t> live;
-    for (std::uint32_t slot = 0; slot < pending_.size(); ++slot)
-        if (pending_[slot].seq != 0)
+    for (std::uint32_t slot = 0; slot < transfers_.size(); ++slot)
+        if (transfers_[slot].seq != 0)
             live.push_back(slot);
     std::sort(live.begin(), live.end(),
               [this](std::uint32_t a, std::uint32_t b) {
-                  return pending_[a].seq < pending_[b].seq;
+                  return transfers_[a].seq < transfers_[b].seq;
               });
     return live;
 }
 
 void
-TransferManager::launchPending(std::uint64_t xid)
+TransferManager::launchTransfer(std::uint64_t xid)
 {
-    if (!isPending(xid))
+    if (!isLive(xid))
         return;  // completed or cancelled while a launch was queued
-    Pending &p = pending_[slotOf(xid)];
+    Transfer &t = transfers_[slotOf(xid)];
     // The router never evicts a lookup between flushes, so while none
     // has happened a fresh lookup would return the start's very route.
     const Router &router = cluster_.router();
-    const Route *route = p.route;
-    if (route == nullptr || p.route_flushes != router.cacheInvalidations())
-        route = &router.routeThrough(p.src, p.waypoints, p.dst, p.flow_key);
+    const Route *route = t.route;
+    if (route == nullptr || t.route_flushes != router.cacheInvalidations())
+        route = &router.routeThrough(t.src, t.waypoints, t.dst, t.flow_key);
 
     FlowSpec spec;
     spec.route = route;
-    spec.bytes = p.remaining;
-    spec.rate_cap = attemptRateCap(p.rate_cap, p.rate_factor, *route);
-    spec.extra_resources = p.extra_resources;
-    spec.tag = p.tag;
-    spec.on_complete = [this, xid] { finishPending(xid); };
-    p.flow = flows_.start(std::move(spec));
+    spec.bytes = t.remaining;
+    spec.rate_cap = attemptRateCap(t.rate_cap, t.rate_factor, *route);
+    spec.extra_resources = t.extra_resources;
+    spec.tag = t.tag;
+    spec.on_complete = [this, xid] { finishTransfer(xid); };
+    t.flow = flows_.start(std::move(spec));
 }
 
 void
@@ -404,27 +355,27 @@ TransferManager::armIfStranded(std::uint64_t xid)
 }
 
 void
-TransferManager::finishPending(std::uint64_t xid)
+TransferManager::finishTransfer(std::uint64_t xid)
 {
-    if (!isPending(xid)) {
+    if (!isLive(xid)) {
         // A zero-byte completion scheduled before an abortAll() lands
         // after it; anything else is a bookkeeping bug.
         DSTRAIN_ASSERT((xid >> kSlotBits) < abort_seq_floor_,
                        "completion for unknown transfer");
         return;
     }
-    Pending &p = pending_[slotOf(xid)];
+    Transfer &t = transfers_[slotOf(xid)];
     // The completed attempt delivered its whole launch size, so
     // cumulative delivery must equal the original request; any
     // shortfall beyond the scheduler's completion epsilon means a
     // cancel/relaunch lost bytes.
-    p.delivered += p.remaining;
-    accountDelivery(p.requested, p.requested - p.delivered, p.attempts,
-                    p.tag);
-    std::function<void()> done = std::move(p.on_done);
-    std::function<void(std::uint32_t)> hop_done = std::move(p.on_hops);
-    const std::shared_ptr<void> keepalive = std::move(p.keepalive);
-    releasePending(slotOf(xid));
+    t.delivered += t.remaining;
+    accountDelivery(t.requested, t.requested - t.delivered, t.attempts,
+                    t.tag);
+    std::function<void()> done = std::move(t.on_done);
+    std::function<void(std::uint32_t)> hop_done = std::move(t.on_hops);
+    const std::shared_ptr<void> keepalive = std::move(t.keepalive);
+    releaseTransfer(slotOf(xid));
     if (done)
         done();
     if (hop_done)
@@ -451,35 +402,35 @@ TransferManager::notifyCapacityChange()
 bool
 TransferManager::transferStalled(std::uint64_t xid) const
 {
-    if (!isPending(xid))
+    if (!isLive(xid))
         return false;
-    const Pending &p = pending_[slotOf(xid)];
-    return p.flow != 0 && flows_.isActive(p.flow) &&
-           flows_.currentRate(p.flow) <= 0.0;
+    const Transfer &t = transfers_[slotOf(xid)];
+    return t.flow != 0 && flows_.isActive(t.flow) &&
+           flows_.currentRate(t.flow) <= 0.0;
 }
 
 Bytes
 TransferManager::cancelTransfer(std::uint64_t xid)
 {
-    if (!isPending(xid))
+    if (!isLive(xid))
         return 0.0;
-    const Bytes remaining = abortPending(pending_[slotOf(xid)]);
-    releasePending(slotOf(xid));
+    const Bytes remaining = abortTransfer(transfers_[slotOf(xid)]);
+    releaseTransfer(slotOf(xid));
     return remaining;
 }
 
 Bytes
-TransferManager::abortPending(Pending &p)
+TransferManager::abortTransfer(Transfer &t)
 {
-    Bytes remaining = p.remaining;
-    if (p.flow != 0 && flows_.isActive(p.flow)) {
-        flows_.cancel(p.flow, &remaining);
-        p.flow = 0;
+    Bytes remaining = t.remaining;
+    if (t.flow != 0 && flows_.isActive(t.flow)) {
+        flows_.cancel(t.flow, &remaining);
+        t.flow = 0;
     }
-    p.delivered += p.remaining - remaining;
+    t.delivered += t.remaining - remaining;
     ++stats_.aborted;
     stats_.bytes_aborted += remaining;
-    stats_.bytes_delivered += p.delivered;
+    stats_.bytes_delivered += t.delivered;
     return remaining;
 }
 
@@ -508,28 +459,28 @@ TransferManager::checkStranded()
         resilience_->ensureFresh();
     }
     for (const std::uint32_t slot : liveInStartOrder()) {
-        Pending &p = pending_[slot];
-        if (p.flow == 0 || !flows_.isActive(p.flow))
+        Transfer &t = transfers_[slot];
+        if (t.flow == 0 || !flows_.isActive(t.flow))
             continue;  // not yet launched, or between attempts
-        if (flows_.currentRate(p.flow) > 0.0)
+        if (flows_.currentRate(t.flow) > 0.0)
             continue;  // moving (possibly resumed by a restore)
-        if (p.attempts >= kMaxReroutes)
+        if (t.attempts >= kMaxReroutes)
             continue;  // parked: resumes when capacity returns
         Bytes remaining = 0.0;
-        flows_.cancel(p.flow, &remaining);
-        p.flow = 0;
-        p.delivered += p.remaining - remaining;
-        p.remaining = remaining;
-        p.attempts += 1;
-        p.waypoints =
-            alternateWaypoints(p.src, p.dst, p.waypoints, p.flow_key);
-        p.route = nullptr;
+        flows_.cancel(t.flow, &remaining);
+        t.flow = 0;
+        t.delivered += t.remaining - remaining;
+        t.remaining = remaining;
+        t.attempts += 1;
+        t.waypoints =
+            alternateWaypoints(t.src, t.dst, t.waypoints, t.flow_key);
+        t.route = nullptr;
         ++stats_.reroutes;
         const SimTime delay =
-            kRerouteBackoff * static_cast<double>(1u << (p.attempts - 1));
-        const std::uint64_t id = xidOf(p.seq, slot);
+            kRerouteBackoff * static_cast<double>(1u << (t.attempts - 1));
+        const std::uint64_t id = xidOf(t.seq, slot);
         sim_.events().scheduleAfter(delay, [this, id] {
-            launchPending(id);
+            launchTransfer(id);
             armIfStranded(id);
         });
     }
@@ -544,9 +495,9 @@ TransferManager::abortAll()
     const std::vector<std::uint32_t> live = liveInStartOrder();
     std::size_t n = live.size();
     for (const std::uint32_t slot : live)
-        abortPending(pending_[slot]);
+        abortTransfer(transfers_[slot]);
     for (const std::uint32_t slot : live)
-        releasePending(slot);
+        releaseTransfer(slot);
     ++epoch_;
     abort_seq_floor_ = next_seq_;
     // Launches still inside their latency delay never fire.
@@ -555,15 +506,15 @@ TransferManager::abortAll()
             sim_.events().cancel(g.event);
     groups_.clear();
     free_groups_.clear();
-    // Every fault-free record goes with its completion and keepalive;
-    // a flow completion or zero-byte completion still queued for one
-    // finds its generation bumped and bails.
-    for (std::uint32_t idx = 0; idx < records_.size(); ++idx)
-        if (records_[idx].route != nullptr)
-            releaseRecord(idx);
-    // Fault-free records carry no per-attempt progress, so account
-    // whatever is still in flight in aggregate: the owner kills their
-    // active flows via FlowScheduler::cancelAll(), so every byte not
+    // Every hop set goes with its completion and keepalive; a
+    // completion or zero-byte completion still queued for one finds
+    // its generation bumped and bails.
+    for (std::uint32_t idx = 0; idx < sets_.size(); ++idx)
+        if (!sets_[idx].routes.empty())
+            releaseSet(idx);
+    // Hop sets carry no per-hop progress, so account whatever is
+    // still in flight in aggregate: the owner kills their active
+    // flows via FlowScheduler::cancelAll(), so every byte not
     // delivered by now — including partial progress of a cancelled
     // flow — is discarded.
     const std::uint64_t untracked =
@@ -580,11 +531,11 @@ TransferManager::abortAll()
 void
 TransferManager::verifyConservation() const
 {
-    DSTRAIN_ASSERT(free_pending_.size() == pending_.size() &&
-                       free_records_.size() == records_.size(),
+    DSTRAIN_ASSERT(free_transfers_.size() == transfers_.size() &&
+                       free_sets_.size() == sets_.size(),
                    "%zu transfers still pending at conservation check",
-                   pending_.size() - free_pending_.size() +
-                       records_.size() - free_records_.size());
+                   transfers_.size() - free_transfers_.size() +
+                       sets_.size() - free_sets_.size());
     DSTRAIN_ASSERT(stats_.started == stats_.completed + stats_.aborted,
                    "transfer count leak: %llu started, %llu completed, "
                    "%llu aborted",

@@ -8,20 +8,23 @@
  * start delay, starts the flow, and invokes the completion callback.
  * Collectives, offload staging and NVMe IO are all built from this.
  *
- * A fault-free transfer is a record in a slab: the route (a stable
- * reference into the router's storage), the bytes, an interned tag
- * and the caller's completion. Its latency-delayed launch event and
- * its flow completion capture only (this, index), so they fit
- * std::function's inline buffer and a hop allocates nothing. A
- * collective round starts through startHops(), which gives its hops
- * one launch event per distinct launch time.
+ * Every start() is a transfer: a slot of the transfer slab that keeps
+ * the full request (endpoints, waypoints, the route resolved at the
+ * start, bytes remaining and delivered, the caller's completion) under
+ * an id. A collective round starts through startHops(), which gives
+ * its hops one launch event per distinct launch time. On the
+ * fault-free path each launch time's hops are one hop-set record (the
+ * only other record the manager keeps): every hop's route and cap,
+ * the hop payload and the round's completion; its launch event and
+ * completion capture only (this, index), so they fit std::function's
+ * inline buffer and a hop allocates nothing.
  *
- * Once enableRetries() is called (the fault-injection path), the
- * manager instead keeps the full request of every in-flight transfer
- * in a second slab and recovers flows stranded on a downed route: a
- * stalled flow is cancelled, rerouted through the node's alternate
- * NIC, and relaunched with the remaining bytes under bounded
- * exponential backoff (DESIGN.md "Fault model").
+ * Once enableRetries() is called (the fault-injection path), every
+ * hop of startHops() is a transfer too, and the manager recovers
+ * flows stranded on a downed route: a stalled flow is cancelled,
+ * rerouted through the node's alternate NIC, and relaunched with the
+ * remaining bytes under bounded exponential backoff (DESIGN.md "Fault
+ * model").
  */
 
 #ifndef DSTRAIN_NET_TRANSFER_MANAGER_HH
@@ -162,11 +165,11 @@ class TransferManager
      * inside one FlowScheduler batch, so a round of k hops costs one
      * region solve, not k.
      *
-     * On the fault-free path one launch time's hops are one record,
+     * On the fault-free path one launch time's hops are one hop set,
      * started through FlowScheduler::startHops(), which runs the
      * equal, resource-disjoint hops as hop classes. Once retries are
-     * enabled every hop is a retryable transfer instead, started in
-     * edge order, and hop i's transfer id (a handle for
+     * enabled every hop is a transfer instead, started in edge order,
+     * and hop i's transfer id (a handle for
      * transferStalled()/cancelTransfer()) goes to xids[i]; the
      * fault-free path leaves @p xids alone. Either way @p on_done
      * receives the number of hops that landed, and the counts sum to
@@ -185,13 +188,14 @@ class TransferManager
     }
 
     /**
-     * Keep every transfer started from now on retryable, so flows
-     * stranded by a link fault are recovered (the fault injector
+     * Recover flows stranded by a link fault from now on: every hop
+     * of a later startHops() call is a transfer of its own, and a
+     * capacity change arms the stranded-flow scan (the fault injector
      * calls it when it arms).
      */
     void enableRetries() { retries_ = true; }
 
-    /** Are transfers retryable (enableRetries() called)? */
+    /** Are stranded flows recovered (enableRetries() called)? */
     bool retriesEnabled() const { return retries_; }
 
     /**
@@ -241,15 +245,16 @@ class TransferManager
     void notifyCapacityChange();
 
     /**
-     * Abort every in-flight transfer: cancel the retryable flows
-     * without completion callbacks, release every transfer record
-     * with its completion and keepalive, cancel the pending launch
-     * events, and advance the abort epoch so stranded-flow scans
-     * scheduled before the abort become no-ops. The owner then drops
-     * the remaining flows with FlowScheduler::cancelAll(). The
-     * hard-failure recovery path; aborted bytes are accounted in
+     * Abort every in-flight transfer: cancel the transfers' flows
+     * without completion callbacks (what they moved counts
+     * delivered), release every transfer and hop set with its
+     * completion and keepalive, cancel the pending launch events,
+     * and advance the abort epoch so stranded-flow scans scheduled
+     * before the abort become no-ops. The owner then drops the hop
+     * sets' flows with FlowScheduler::cancelAll(). The hard-failure
+     * recovery path; aborted bytes are accounted in
      * stats().bytes_aborted.
-     * @return the number of transfers aborted.
+     * @return the number of transfers (and hop-set hops) aborted.
      */
     std::size_t abortAll();
 
@@ -289,36 +294,34 @@ class TransferManager
     Simulation &sim() { return sim_; }
 
   private:
-    /** One fault-free transfer (or hop set) in flight: a slab
-     * record. */
-    struct Record {
-        /** Resolved by the caller (router storage outlives cache
-         * flushes); nullptr marks a free slot. A hop set's first
-         * route. */
-        const Route *route = nullptr;
-        Bytes bytes = 0.0;
-        Bps rate_cap = 0.0;           ///< attemptRateCap() of the route
-        std::vector<ResourceId> extra_resources;
+    /**
+     * One launch time's hops of a fault-free round (startHops()): a
+     * slab record, the only one besides the transfers. Its launch
+     * event and every hop entity's completion capture (this, index)
+     * (the completion adds the generation).
+     */
+    struct HopSet {
+        /** Every hop's route, resolved by the caller (router storage
+         * outlives cache flushes); empty marks a free slot. */
+        std::vector<const Route *> routes;
+        std::vector<Bps> caps;  ///< attemptRateCap() of each route
+        Bytes bytes = 0.0;      ///< every hop's payload
         TagId tag = kNoTag;
         /** Bumped at release: a completion for an older use bails. */
         std::uint32_t gen = 0;
-        std::function<void()> on_done;
+        /** The round's completion, taking a hop count. */
+        std::function<void(std::uint32_t)> on_done;
         std::shared_ptr<void> keepalive;
-        // A hop set (startHops()): every hop's route and cap, the
-        // completion taking a hop count, and the hops landed so far.
-        std::vector<const Route *> hop_routes;
-        std::vector<Bps> hop_caps;
-        std::function<void(std::uint32_t)> on_hops;
-        std::uint32_t landed = 0;
+        std::uint32_t landed = 0;  ///< hops landed so far
     };
 
     /**
-     * In-flight bookkeeping for one retryable transfer: a slot of the
-     * retry slab. Its transfer id is seq << kSlotBits | slot, so a
-     * lookup is an index plus a compare of seq, and an id whose slot
-     * has moved on to a later transfer reads as unknown.
+     * In-flight bookkeeping for one transfer: a slot of the transfer
+     * slab. Its transfer id is seq << kSlotBits | slot, so a lookup is
+     * an index plus a compare of seq, and an id whose slot has moved
+     * on to a later transfer reads as unknown.
      */
-    struct Pending {
+    struct Transfer {
         /** The transfer's start sequence; 0 marks a free slot. */
         std::uint64_t seq = 0;
         ComponentId src = kNoComponent;
@@ -349,18 +352,19 @@ class TransferManager
         int attempts = 0;             ///< reroutes performed so far
     };
 
-    /** Low bits of a retryable transfer id: its slot in the slab. */
+    /** Low bits of a transfer id: its slot in the slab. */
     static constexpr int kSlotBits = 24;
     static constexpr std::uint64_t kSlotMask =
         (std::uint64_t{1} << kSlotBits) - 1;
 
-    /** A launch-group member: a record index or a retryable id. */
+    /** A launch-group member: a transfer id or a hop-set index. */
     struct Member {
         std::uint64_t id;
-        bool retry;
+        bool set;  ///< id is a hop-set index
     };
 
-    /** The transfers one launch event starts, in start order. */
+    /** The transfers and hop sets one launch event starts, in start
+     * order. */
     struct LaunchGroup {
         EventId event = 0;  ///< 0 = free slot
         std::vector<Member> members;
@@ -371,72 +375,68 @@ class TransferManager
                          int attempts, TagId tag);
 
     /**
-     * Cancel retryable transfer @p p's flow, if any, and book the
-     * transfer as aborted: what its attempts moved counts delivered,
-     * the remainder aborted. The caller drops the bookkeeping; the
+     * Cancel transfer @p t's flow, if any, and book the transfer as
+     * aborted: what its attempts moved counts delivered, the
+     * remainder aborted. The caller drops the bookkeeping; the
      * completion callback never fires.
      * @return the undelivered remainder.
      */
-    Bytes abortPending(Pending &p);
+    Bytes abortTransfer(Transfer &t);
 
-    /** The id of the retryable transfer started @p seq-th, in
-     * @p slot. */
+    /** The id of the transfer started @p seq-th, in @p slot. */
     static std::uint64_t xidOf(std::uint64_t seq, std::uint32_t slot)
     {
         return seq << kSlotBits | slot;
     }
 
-    /** Retryable transfer @p xid's slot in the slab. */
+    /** Transfer @p xid's slot in the slab. */
     static std::uint32_t slotOf(std::uint64_t xid)
     {
         return static_cast<std::uint32_t>(xid & kSlotMask);
     }
 
     /**
-     * Is @p xid a live retryable transfer? False once it finished,
-     * was cancelled or aborted, even after its slot is reused.
+     * Is @p xid a live transfer? False once it finished, was
+     * cancelled or aborted, even after its slot is reused.
      */
-    bool isPending(std::uint64_t xid) const
+    bool isLive(std::uint64_t xid) const
     {
         const std::uint64_t seq = xid >> kSlotBits;
-        return seq != 0 && slotOf(xid) < pending_.size() &&
-               pending_[slotOf(xid)].seq == seq;
+        return seq != 0 && slotOf(xid) < transfers_.size() &&
+               transfers_[slotOf(xid)].seq == seq;
     }
 
     /**
-     * Take a retry slot for @p bytes from @p src to @p dst over
+     * Take a transfer slot for @p bytes from @p src to @p dst over
      * @p route (resolved through @p waypoints), count the transfer
      * started and fill in its request from @p opts; the caller sets
-     * the completion. start() and startHops() share it.
+     * the completion and keepalive. start() and startHops() share it.
      * @return the transfer id.
      */
-    std::uint64_t startPending(ComponentId src, ComponentId dst,
-                               std::span<const ComponentId> waypoints,
-                               const Route &route, Bytes bytes,
-                               const TransferOptions &opts);
+    std::uint64_t startTransfer(ComponentId src, ComponentId dst,
+                                std::span<const ComponentId> waypoints,
+                                const Route &route, Bytes bytes,
+                                const TransferOptions &opts);
 
-    /** Free retry slot @p slot; its vectors keep their capacity for
-     * the next transfer. */
-    void releasePending(std::uint32_t slot);
+    /** Free transfer slot @p slot; its vectors keep their capacity
+     * for the next transfer. */
+    void releaseTransfer(std::uint32_t slot);
 
     /**
-     * The live retry slots in start order. Freed slots are reused
+     * The live transfer slots in start order. Freed slots are reused
      * LIFO, so slot order is not start order; recovery scans visit
      * this order so every reroute, cancel and telemetry write keeps
      * start order.
      */
     std::vector<std::uint32_t> liveInStartOrder() const;
 
-    /** Drop record @p idx's completion and free the slot. */
-    void releaseRecord(std::uint32_t idx);
+    /** Drop hop set @p idx's completion and free the slot. */
+    void releaseSet(std::uint32_t idx);
 
-    /** Start the flow of record @p idx. */
-    void launchRecord(std::uint32_t idx);
+    /** Start the hops of hop set @p idx. */
+    void launchSet(std::uint32_t idx);
 
-    /** Flow completion of record @p idx, issued at generation @p gen. */
-    void finishRecord(std::uint32_t idx, std::uint32_t gen);
-
-    /** @p n hops of hop-set record @p idx (generation @p gen) landed. */
+    /** @p n hops of hop set @p idx (generation @p gen) landed. */
     void finishHops(std::uint32_t idx, std::uint32_t gen, std::uint32_t n);
 
     /** A launch group with no members yet, whose event fires at
@@ -455,7 +455,7 @@ class TransferManager
      * Start the flow for transfer @p xid, on the route it started
      * with unless a cache flush or a reroute has moved it.
      */
-    void launchPending(std::uint64_t xid);
+    void launchTransfer(std::uint64_t xid);
 
     /**
      * Arm a stranded-flow scan if transfer @p xid launched straight
@@ -464,8 +464,8 @@ class TransferManager
      */
     void armIfStranded(std::uint64_t xid);
 
-    /** Flow completion of retryable transfer @p xid. */
-    void finishPending(std::uint64_t xid);
+    /** Flow completion of transfer @p xid. */
+    void finishTransfer(std::uint64_t xid);
 
     /** Scan for stranded flows and reroute them (bounded). */
     void checkStranded();
@@ -487,12 +487,12 @@ class TransferManager
     Stats stats_;
     bool retries_ = false;
     ResilienceCoordinator *resilience_ = nullptr;
-    /** The fault-free slab; freed slots are reused LIFO. */
-    std::vector<Record> records_;
-    std::vector<std::uint32_t> free_records_;
-    /** The retry slab; freed slots are reused LIFO. */
-    std::vector<Pending> pending_;
-    std::vector<std::uint32_t> free_pending_;
+    /** The hop-set slab; freed slots are reused LIFO. */
+    std::vector<HopSet> sets_;
+    std::vector<std::uint32_t> free_sets_;
+    /** The transfer slab; freed slots are reused LIFO. */
+    std::vector<Transfer> transfers_;
+    std::vector<std::uint32_t> free_transfers_;
     std::uint64_t next_seq_ = 1;
     /** First start sequence issued after the last abortAll(). */
     std::uint64_t abort_seq_floor_ = 1;

@@ -9,11 +9,6 @@
 
 namespace dstrain {
 
-Simulation::Simulation(std::uint64_t seed)
-    : rng_(seed)
-{
-}
-
 void
 Simulation::checkEventLimit() const
 {

@@ -1,12 +1,14 @@
 /**
  * @file
- * The simulation context: owns the event queue and the deterministic
- * RNG, and provides run-control for every dstrain experiment.
+ * The simulation context: owns the event queue and provides
+ * run-control for every dstrain experiment.
  *
- * Telemetry deliberately does not use periodic wake-up events: links
- * record (interval, rate) segments as flow rates change, and series
- * are bucketed after the fact. This keeps the event count proportional
- * to the modeled work and makes runs exactly reproducible.
+ * Nothing in a run is random, and telemetry deliberately uses no
+ * periodic wake-up events: at every rate change, a resource's rate
+ * log folds the interval just closed into its byte counter and the
+ * armed telemetry grid, and keeps no segments (hw/link.hh). This
+ * keeps the event count proportional to the modeled work and makes
+ * runs exactly reproducible.
  */
 
 #ifndef DSTRAIN_SIM_SIMULATION_HH
@@ -15,7 +17,6 @@
 #include <cstdint>
 
 #include "sim/event_queue.hh"
-#include "util/rng.hh"
 #include "util/units.hh"
 
 namespace dstrain {
@@ -30,8 +31,7 @@ namespace dstrain {
 class Simulation
 {
   public:
-    /** Create a simulation; @p seed drives all stochastic elements. */
-    explicit Simulation(std::uint64_t seed = 1);
+    Simulation() = default;
 
     Simulation(const Simulation &) = delete;
     Simulation &operator=(const Simulation &) = delete;
@@ -39,9 +39,6 @@ class Simulation
     /** The event queue. */
     EventQueue &events() { return events_; }
     const EventQueue &events() const { return events_; }
-
-    /** The deterministic RNG for this run. */
-    Rng &rng() { return rng_; }
 
     /** Current simulated time. */
     SimTime now() const { return events_.now(); }
@@ -73,7 +70,6 @@ class Simulation
 
   private:
     EventQueue events_;
-    Rng rng_;
     std::uint64_t event_limit_ = 200'000'000;
 };
 

@@ -44,7 +44,7 @@ class DegradedCollectiveTest : public testing::Test
 {
   protected:
     DegradedCollectiveTest()
-        : sim_(1), cluster_(makeSpec()),
+        : cluster_(makeSpec()),
           flows_(sim_, cluster_.topology()),
           tm_(sim_, cluster_, flows_), coll_(tm_)
     {

@@ -60,7 +60,7 @@ TEST(ResilienceConfig, ValidateRejectsNegativeKnobs)
 class CoordinatorTest : public testing::Test
 {
   protected:
-    CoordinatorTest() : sim_(1), cluster_(makeSpec())
+    CoordinatorTest() : cluster_(makeSpec())
     {
         cluster_.router().setAvoidDeadLinks(true);
         ResilienceConfig cfg;
@@ -156,7 +156,7 @@ class DeadLinkRoutingTest : public testing::Test
 {
   protected:
     DeadLinkRoutingTest()
-        : sim_(1), cluster_(makeSpec()),
+        : cluster_(makeSpec()),
           flows_(sim_, cluster_.topology())
     {
         cluster_.router().setAvoidDeadLinks(true);

@@ -334,14 +334,17 @@ TEST_F(TransferRetryTest, HealthyGroupArmsNoScan)
     EXPECT_EQ(tm_.rerouteCount(), 0u);
 }
 
-TEST_F(TransferRetryTest, RetryDisabledKeepsZeroPendingState)
+TEST_F(TransferRetryTest, RetryDisabledArmsNoScan)
 {
-    // The default (no faults) configuration must not grow
-    // per-transfer bookkeeping: notifyCapacityChange is a no-op.
+    // The default (no faults) configuration keeps a transfer record
+    // for every start() but never scans for stranded flows:
+    // notifyCapacityChange() queues nothing.
     bool done = false;
     tm_.start(cluster_.gpuByRank(0), cluster_.gpuByRank(1), 1e9,
               [&] { done = true; });
+    const std::size_t queued = sim_.events().size();
     tm_.notifyCapacityChange();
+    EXPECT_EQ(sim_.events().size(), queued);
     sim_.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(tm_.rerouteCount(), 0u);
@@ -452,6 +455,33 @@ TEST_F(TransferManagerTest, AbortAllAccountsEveryByte)
     tm_.verifyConservation();  // must not assert
 }
 
+TEST_F(TransferManagerTest, AbortAllCountsPartialProgressAsDelivered)
+{
+    // Retries off, a start() transfer still tracks its progress: the
+    // bytes its flow moved before the abort count as delivered, and
+    // only the rest as aborted.
+    const ComponentId src = cluster_.gpuByRank(1);
+    const ComponentId dst = cluster_.gpuByRank(0);
+    tm_.start(src, dst, 80e12,
+              [] { FAIL() << "aborted transfer completed"; });
+    sim_.events().schedule(1.0, [&] {
+        EXPECT_EQ(tm_.abortAll(), 1u);
+        flows_.cancelAll();
+    });
+    sim_.run();
+    flows_.finalizeLogs();
+    const ResourceId rid =
+        cluster_.router().routeForFlow(src, dst, 0).resources.front();
+    const Bytes moved = cluster_.topology().resource(rid).log.totalBytes();
+    EXPECT_GT(moved, 1e10);
+
+    const TransferManager::Stats &stats = tm_.stats();
+    EXPECT_EQ(stats.aborted, 1u);
+    EXPECT_NEAR(stats.bytes_delivered, moved, 1.0);
+    EXPECT_NEAR(stats.bytes_aborted, 80e12 - moved, 1.0);
+    tm_.verifyConservation();
+}
+
 TEST_F(TransferManagerTest, AbortAllInvalidatesDelayedLaunches)
 {
     // A transfer still inside its latency delay has no flow yet; the
@@ -491,19 +521,31 @@ class TransferLaunchTest : public testing::Test
     }
 
     /**
-     * Start a 1 GB transfer to the other leaf, then cut its route's
-     * leaf-to-spine hop (the first switch-to-switch hop) and flush
-     * the router before the launch fires: fresh lookups now avoid
-     * the cut.
+     * Start a 1 GB transfer to the other leaf, through start() or, with
+     * @p hop, as a one-hop startHops() call on the route resolved now.
+     * Then cut the route's leaf-to-spine hop (the first
+     * switch-to-switch hop) and flush the router before the launch
+     * fires: fresh lookups now avoid the cut.
      */
     void
-    startThenCutAndFlush()
+    startThenCutAndFlush(bool hop)
     {
         const ComponentId src = cluster_.gpuByRank(0);
         const ComponentId dst = cluster_.gpuByRank(12);  // other leaf
         const Route &route = cluster_.router().routeForFlow(src, dst, 0);
         latency_ = route.latency;
-        tm_.start(src, dst, 1e9, [this] { done_ = true; });
+        if (hop) {
+            HopEdge e;
+            e.src = src;
+            e.dst = dst;
+            e.route = &route;
+            std::uint64_t id = 0;
+            tm_.startHops({&e, 1}, 1e9,
+                          [this](std::uint32_t) { done_ = true; }, {},
+                          {&id, 1});
+        } else {
+            tm_.start(src, dst, 1e9, [this] { done_ = true; });
+        }
         const Topology &topo = cluster_.topology();
         for (HalfLinkId hid : route.hops) {
             const HalfLink &hl = topo.halfLink(hid);
@@ -531,11 +573,11 @@ class TransferLaunchTest : public testing::Test
 
 TEST_F(TransferLaunchTest, LaunchAfterRouteFlushUsesItsOriginalRoute)
 {
-    // A fault-free transfer resolves its route at start() and holds
-    // it by reference until its latency-delayed launch, so the launch
-    // still uses the original route (and parks on the dead link),
-    // which has to have survived the flush (ASan checks the reads).
-    ASSERT_NO_FATAL_FAILURE(startThenCutAndFlush());
+    // A fault-free hop set holds the route its caller resolved by
+    // reference until its latency-delayed launch, so the launch still
+    // uses the original route (and parks on the dead link), which has
+    // to have survived the flush (ASan checks the reads).
+    ASSERT_NO_FATAL_FAILURE(startThenCutAndFlush(true));
     sim_.runUntil(2.0 * latency_);
     EXPECT_EQ(flows_.activeCount(), 1u);
     EXPECT_EQ(flows_.stalledCount(), 1u);  // parked on the cut link
@@ -549,11 +591,11 @@ TEST_F(TransferLaunchTest, LaunchAfterRouteFlushUsesItsOriginalRoute)
 
 TEST_F(TransferLaunchTest, RetryLaunchAfterRouteFlushTakesTheFreshRoute)
 {
-    // A retryable transfer reuses start()'s route only while no flush
-    // has happened since: this one launches on the fresh route around
-    // the cut, so nothing parks and nothing is rerouted.
+    // A transfer reuses start()'s route only while no flush has
+    // happened since: this one launches on the fresh route around the
+    // cut, so nothing parks and nothing is rerouted.
     tm_.enableRetries();
-    ASSERT_NO_FATAL_FAILURE(startThenCutAndFlush());
+    ASSERT_NO_FATAL_FAILURE(startThenCutAndFlush(false));
     sim_.runUntil(2.0 * latency_);
     EXPECT_EQ(flows_.activeCount(), 1u);
     EXPECT_EQ(flows_.stalledCount(), 0u);

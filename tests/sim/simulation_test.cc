@@ -34,13 +34,6 @@ TEST(SimulationTest, RunUntilDelegates)
     EXPECT_DOUBLE_EQ(sim.now(), 5.0);
 }
 
-TEST(SimulationTest, SeededRngIsDeterministic)
-{
-    Simulation a(123);
-    Simulation b(123);
-    EXPECT_EQ(a.rng().next(), b.rng().next());
-}
-
 TEST(SimulationTest, EventLimitConfigurable)
 {
     Simulation sim;

@@ -146,9 +146,12 @@ runSweep(int argc, const char *const *argv)
                 nodes, *strategy, args.getDouble("model"));
             cfg.batch_per_gpu = args.getInt("batch");
             // Executor needs at least one measured (post-warmup)
-            // iteration.
-            cfg.iterations =
-                std::max(cfg.warmup + 1, args.getInt("iterations"));
+            // iteration, so a positive count is raised past the
+            // warm-up; anything below 1 is left for validate().
+            const int iterations = args.getInt("iterations");
+            cfg.iterations = iterations >= 1
+                                 ? std::max(cfg.warmup + 1, iterations)
+                                 : iterations;
             cfg.faults = faults;
             names.push_back(csprintf("%dn %s", nodes,
                                      strategy->displayName().c_str()));
@@ -158,6 +161,17 @@ runSweep(int argc, const char *const *argv)
     if (configs.empty()) {
         std::fprintf(stderr, "dstrain: empty sweep\n");
         return 1;
+    }
+    // Validate every point before the first one runs, so a bad value
+    // exits here instead of aborting the sweep mid-run.
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const std::vector<ConfigError> errors = configs[i].validate();
+        if (!errors.empty()) {
+            std::fprintf(stderr, "dstrain: sweep point '%s':\n",
+                         names[i].c_str());
+            printConfigErrors(errors);
+            return 1;
+        }
     }
 
     const bool quiet = args.getFlag("quiet");
