@@ -202,9 +202,6 @@ class CollectiveEngine
      */
     void markRanksDead(const std::vector<int> &ranks);
 
-    /** Forget dead-rank marks (replacement restart revives all). */
-    void clearDeadRanks() { dead_ranks_.clear(); }
-
     /**
      * All-reduce @p bytes per rank across @p group.
      * @p on_done fires when every rank holds the reduced result.

@@ -100,6 +100,12 @@ addExperimentOptions(ArgParser &args)
                  "disable the IOD SerDes contention model (ablation)");
 }
 
+int
+iterationsPastWarmup(int warmup, int iterations)
+{
+    return iterations >= 1 ? std::max(warmup + 1, iterations) : iterations;
+}
+
 ParsedExperiment
 experimentFromArgs(const ArgParser &args)
 {
@@ -143,13 +149,8 @@ experimentFromArgs(const ArgParser &args)
     out.config = paperExperiment(args.getInt("nodes"), *strategy,
                                  args.getDouble("model"));
     out.config.batch_per_gpu = args.getInt("batch");
-    // Executor needs at least one measured (post-warmup) iteration, so
-    // a positive count is raised past the warm-up; anything below 1
-    // is left for validate() to reject.
-    const int iterations = args.getInt("iterations");
-    out.config.iterations =
-        iterations >= 1 ? std::max(out.config.warmup + 1, iterations)
-                        : iterations;
+    out.config.iterations = iterationsPastWarmup(
+        out.config.warmup, args.getInt("iterations"));
 
     const std::string placement = args.get("placement");
     if (placement.size() != 1 || placement[0] < 'A' ||

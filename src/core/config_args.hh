@@ -49,6 +49,15 @@ std::string strategyNameHelp();
 void addExperimentOptions(ArgParser &args);
 
 /**
+ * The iteration count a run takes for a requested @p iterations: the
+ * executor needs at least one measured (post-warm-up) iteration, so a
+ * count of 1 or more is raised past @p warmup; anything below 1 is
+ * returned as-is for ExperimentConfig::validate() to reject. Every
+ * subcommand's `--iterations` goes through it.
+ */
+int iterationsPastWarmup(int warmup, int iterations);
+
+/**
  * Build an ExperimentConfig from options declared by
  * addExperimentOptions(). Collects every problem (unknown strategy,
  * malformed --faults spec, out-of-range fields) rather than stopping

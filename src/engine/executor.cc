@@ -403,15 +403,15 @@ Executor::abortRun(int resume_iter)
                    "cannot resume at iteration %d (%d committed)",
                    resume_iter, iter_index_);
     // Invalidate every scheduled continuation of the current attempt
-    // first, then tear down in-flight work top-down: transfers (which
-    // records delivered/aborted bytes per pending transfer), then any
-    // remaining flows (executor-owned DRAM flows and non-retry
-    // traffic), then queued storage IO. Collective continuations live
-    // inside the transfer manager's pending callbacks, so clearing it
-    // drains the collectives too.
+    // first, then tear down in-flight work: every flow is a transfer's
+    // (collective hops, host and DRAM copies, storage IO alike), so
+    // aborting the transfers, which books delivered and aborted bytes
+    // per transfer, stops all of them; the aio epoch then drops the
+    // storage IO still inside its submit latency. Collective
+    // continuations live inside the transfers' callbacks, so the
+    // abort drains the collectives too.
     ++gen_;
     tm_.abortAll();
-    flows_.cancelAll();
     aio_.abortAll();
     // Rewind the iteration clock to the last committed boundary; the
     // lost iterations re-run (replay) after recovery resumes us.

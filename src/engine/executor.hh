@@ -147,9 +147,10 @@ class Executor
 
     /**
      * Hard-failure abort: invalidate every scheduled continuation of
-     * the current attempt, abort all in-flight transfers (delivered
-     * vs aborted bytes land in TransferManager::stats()), cancel all
-     * flows and pending IO, and rewind the iteration clock so the run
+     * the current attempt, abort all in-flight transfers through
+     * TransferManager::abortAll() (delivered vs aborted bytes land in
+     * its stats()) and the IO still inside its submit latency through
+     * the AioEngine epoch, and rewind the iteration clock so the run
      * resumes from iteration @p resume_iter (the last committed
      * checkpoint boundary). The run stays held until resumeRun().
      */

@@ -15,56 +15,6 @@ namespace dstrain {
 
 namespace {
 
-/** Map a spec spelling to the LinkClass it targets. */
-bool
-classForTarget(std::string_view name, LinkClass *out)
-{
-    if (name == "roce")
-        *out = LinkClass::Roce;
-    else if (name == "nvlink")
-        *out = LinkClass::NvLink;
-    else if (name == "pcie-gpu")
-        *out = LinkClass::PcieGpu;
-    else if (name == "pcie-nic")
-        *out = LinkClass::PcieNic;
-    else if (name == "pcie-nvme")
-        *out = LinkClass::PcieNvme;
-    else if (name == "xgmi")
-        *out = LinkClass::Xgmi;
-    else if (name == "dram")
-        *out = LinkClass::Dram;
-    else if (name == "nvme-media")
-        *out = LinkClass::NvmeMedia;
-    else if (name == "iod")
-        *out = LinkClass::IodXbar;
-    else
-        return false;
-    return true;
-}
-
-/** Parse the integer suffix of "<prefix><k>"; fatal on mismatch. */
-int
-indexOf(const std::string &text, const std::string &prefix)
-{
-    DSTRAIN_ASSERT(startsWith(text, prefix) &&
-                       text.size() > prefix.size(),
-                   "bad fault target '%s'", text.c_str());
-    return std::atoi(text.c_str() + prefix.size());
-}
-
-/** Non-fatal "<prefix><k>" parse (digits only after the prefix). */
-bool
-tryIndexed(const std::string &text, std::string_view prefix, int *out)
-{
-    if (!startsWith(text, prefix) || text.size() <= prefix.size())
-        return false;
-    for (std::size_t i = prefix.size(); i < text.size(); ++i)
-        if (text[i] < '0' || text[i] > '9')
-            return false;
-    *out = std::atoi(text.c_str() + prefix.size());
-    return true;
-}
-
 /** Every resource of a half-link touching component @p id, once each,
  * in half-link order. */
 std::vector<ResourceId>
@@ -105,78 +55,68 @@ FaultInjector::FaultInjector(Simulation &sim, Cluster &cluster,
 FaultInjector::Resolved
 FaultInjector::resolve(const FaultEvent &ev) const
 {
+    using Scope = FaultTarget::Scope;
+    std::string error;
+    const std::optional<FaultTarget> target =
+        parseFaultTarget(ev.kind, ev.target, &error);
+    // arm() validated the plan, so only the indices are left to check.
+    DSTRAIN_ASSERT(target.has_value(), "fault target '%s': %s",
+                   ev.target.c_str(), error.c_str());
     const Topology &topo = cluster_.topology();
     Resolved r;
-    switch (ev.kind) {
-      case FaultKind::LinkDegrade:
-      case FaultKind::LinkFlap:
-      case FaultKind::LinkDown: {
-        int idx = 0;
-        if (tryIndexed(ev.target, "rail", &idx)) {
-            // Rail r: the RoCE uplinks of NIC r on every node (on a
-            // rail-optimized fabric that is exactly the rail switch's
-            // edge set; on any other fabric it is the same NIC slot
-            // across the cluster).
-            for (std::size_t h = 0; h < topo.halfLinkCount(); ++h) {
-                const HalfLink &hl =
-                    topo.halfLink(static_cast<HalfLinkId>(h));
-                if (hl.cls != LinkClass::Roce)
-                    continue;
-                const Component &from = topo.component(hl.from);
-                const Component &to = topo.component(hl.to);
-                const bool hit =
-                    (from.kind == ComponentKind::Nic &&
-                     from.index == idx) ||
-                    (to.kind == ComponentKind::Nic && to.index == idx);
-                if (hit && std::find(r.rids.begin(), r.rids.end(),
-                                     hl.resource) == r.rids.end()) {
-                    r.rids.push_back(hl.resource);
-                }
+    switch (target->scope) {
+      case Scope::Rail:
+        // Rail r: the RoCE uplinks of NIC r on every node (on a
+        // rail-optimized fabric that is exactly the rail switch's
+        // edge set; on any other fabric it is the same NIC slot
+        // across the cluster).
+        for (std::size_t h = 0; h < topo.halfLinkCount(); ++h) {
+            const HalfLink &hl = topo.halfLink(static_cast<HalfLinkId>(h));
+            if (hl.cls != LinkClass::Roce)
+                continue;
+            const Component &from = topo.component(hl.from);
+            const Component &to = topo.component(hl.to);
+            const bool hit = (from.kind == ComponentKind::Nic &&
+                              from.index == target->index) ||
+                             (to.kind == ComponentKind::Nic &&
+                              to.index == target->index);
+            if (hit && std::find(r.rids.begin(), r.rids.end(),
+                                 hl.resource) == r.rids.end()) {
+                r.rids.push_back(hl.resource);
             }
-            if (r.rids.empty())
-                fatal("fault target '%s': no NIC with index %d on any "
-                      "node (%s)",
-                      ev.target.c_str(), idx, kTargetNamespaces);
-            return r;
         }
-        if (tryIndexed(ev.target, "sw", &idx)) {
-            // Switch j: every link touching it, trunks included.
-            const ComponentId id =
-                topo.findComponent(ComponentKind::Switch, -1, idx);
-            if (id == kNoComponent)
-                fatal("fault target '%s': no such switch (%s)",
-                      ev.target.c_str(), kTargetNamespaces);
-            r.rids = linksTouching(topo, id);
-            DSTRAIN_ASSERT(!r.rids.empty(), "switch '%s' has no links",
-                           ev.target.c_str());
-            return r;
-        }
-        const auto parts = split(ev.target, '/');
-        LinkClass cls;
-        if (parts.empty() || !classForTarget(parts[0], &cls))
-            fatal("fault target '%s': unknown link class (%s)",
+        if (r.rids.empty())
+            fatal("fault target '%s': no NIC with index %d on any node "
+                  "(%s)",
+                  ev.target.c_str(), target->index, kTargetNamespaces);
+        return r;
+      case Scope::Switch: {
+        // Switch j: every link touching it, trunks included.
+        const ComponentId id =
+            topo.findComponent(ComponentKind::Switch, -1, target->index);
+        if (id == kNoComponent)
+            fatal("fault target '%s': no such switch (%s)",
                   ev.target.c_str(), kTargetNamespaces);
-        int node = -1;
-        int rack = -1;
-        if (parts.size() == 2 && !tryIndexed(parts[1], "n", &node) &&
-            !tryIndexed(parts[1], "rack", &rack)) {
-            fatal("fault target '%s': bad scope '%s' (%s)",
-                  ev.target.c_str(), parts[1].c_str(),
-                  kTargetNamespaces);
-        }
-        if (rack >= 0 && rack >= cluster_.fabric().rackCount())
+        r.rids = linksTouching(topo, id);
+        DSTRAIN_ASSERT(!r.rids.empty(), "switch '%s' has no links",
+                       ev.target.c_str());
+        return r;
+      }
+      case Scope::Class: {
+        const int node = target->node;
+        const int rack = target->rack;
+        if (rack >= cluster_.fabric().rackCount())
             fatal("fault target '%s': no such rack (cluster has %d)",
                   ev.target.c_str(), cluster_.fabric().rackCount());
         for (const Resource &res : topo.resources()) {
-            if (res.cls != cls)
+            if (res.cls != target->cls)
                 continue;
             if (node >= 0 && res.node != node)
                 continue;
             // Rack scope: the fabric generator labels every node with
             // its rack; trunk resources (node -1) belong to no rack.
             if (rack >= 0 &&
-                (res.node < 0 ||
-                 cluster_.rackOfNode(res.node) != rack)) {
+                (res.node < 0 || cluster_.rackOfNode(res.node) != rack)) {
                 continue;
             }
             r.rids.push_back(res.id);
@@ -187,14 +127,9 @@ FaultInjector::resolve(const FaultEvent &ev) const
                   ev.target.c_str(), kTargetNamespaces);
         return r;
       }
-      case FaultKind::NicFailover: {
-        const auto parts = split(ev.target, '.');
-        DSTRAIN_ASSERT(parts.size() == 2, "bad NIC target '%s'",
-                       ev.target.c_str());
-        const int node = indexOf(parts[0], "n");
-        const int nic = indexOf(parts[1], "nic");
-        const ComponentId id =
-            topo.findComponent(ComponentKind::Nic, node, nic);
+      case Scope::Nic: {
+        const ComponentId id = topo.findComponent(
+            ComponentKind::Nic, target->node, target->index);
         if (id == kNoComponent)
             fatal("fault target '%s': no such NIC (%s)",
                   ev.target.c_str(), kTargetNamespaces);
@@ -205,22 +140,38 @@ FaultInjector::resolve(const FaultEvent &ev) const
                        ev.target.c_str());
         return r;
       }
-      case FaultKind::GpuStraggler: {
-        r.rank = indexOf(ev.target, "rank");
-        if (r.rank < 0 || r.rank >= cluster_.spec().totalGpus())
+      case Scope::Rank:
+        r.rank = target->index;
+        if (r.rank >= cluster_.spec().totalGpus())
             fatal("fault target '%s': no such rank (cluster has %d; "
                   "%s)",
                   ev.target.c_str(), cluster_.spec().totalGpus(),
                   kTargetNamespaces);
+        if (ev.kind == FaultKind::GpuDown) {
+            // The dead GPU's attach links (NVLink + PCIe) go to zero:
+            // anything still talking to it stalls until the abort
+            // sweeps it away.
+            r.rids = linksTouching(topo, cluster_.gpuByRank(r.rank));
+            DSTRAIN_ASSERT(!r.rids.empty(), "rank %d has no links",
+                           r.rank);
+        }
         return r;
-      }
-      case FaultKind::NvmeDegrade: {
-        const int node = indexOf(ev.target, "n");
-        if (node < 0 || node >= cluster_.nodeCount())
+      case Scope::Node: {
+        const int node = target->node;
+        if (node >= cluster_.nodeCount())
             fatal("fault target '%s': no such node (cluster has %d; "
                   "%s)",
                   ev.target.c_str(), cluster_.nodeCount(),
                   kTargetNamespaces);
+        if (ev.kind == FaultKind::NodeDown) {
+            r.node = node;
+            for (const Resource &res : topo.resources())
+                if (res.node == node)
+                    r.rids.push_back(res.id);
+            DSTRAIN_ASSERT(!r.rids.empty(), "node %d has no resources",
+                           node);
+            return r;
+        }
         r.nvme_node = node;
         for (const Resource &res : topo.resources()) {
             if (res.node == node && (res.cls == LinkClass::PcieNvme ||
@@ -233,36 +184,9 @@ FaultInjector::resolve(const FaultEvent &ev) const
                   ev.target.c_str());
         return r;
       }
-      case FaultKind::GpuDown: {
-        r.rank = indexOf(ev.target, "rank");
-        if (r.rank < 0 || r.rank >= cluster_.spec().totalGpus())
-            fatal("fault target '%s': no such rank (cluster has %d; "
-                  "%s)",
-                  ev.target.c_str(), cluster_.spec().totalGpus(),
-                  kTargetNamespaces);
-        // The dead GPU's attach links (NVLink + PCIe) go to zero:
-        // anything still talking to it stalls until the abort sweeps
-        // it away.
-        r.rids = linksTouching(topo, cluster_.gpuByRank(r.rank));
-        DSTRAIN_ASSERT(!r.rids.empty(), "rank %d has no links", r.rank);
-        return r;
-      }
-      case FaultKind::NodeDown: {
-        r.node = indexOf(ev.target, "n");
-        if (r.node < 0 || r.node >= cluster_.nodeCount())
-            fatal("fault target '%s': no such node (cluster has %d; "
-                  "%s)",
-                  ev.target.c_str(), cluster_.nodeCount(),
-                  kTargetNamespaces);
-        for (const Resource &res : topo.resources())
-            if (res.node == r.node)
-                r.rids.push_back(res.id);
-        DSTRAIN_ASSERT(!r.rids.empty(), "node %d has no resources",
-                       r.node);
-        return r;
-      }
     }
-    fatal("unknown FaultKind %d", static_cast<int>(ev.kind));
+    fatal("unknown fault target scope %d",
+          static_cast<int>(target->scope));
 }
 
 void
@@ -288,8 +212,9 @@ FaultInjector::arm()
     // domains at once) share one DES callback that applies them all
     // inside a scheduler batch — one region closure, one fair-share
     // solve for the whole storm instead of one per event. Hard faults
-    // stay solo: their handler aborts the run (cancelAll is not legal
-    // inside a batch) and must observe exactly the pre-fault state.
+    // stay solo: their handler aborts the run, whose flow cancels
+    // must apply at once rather than at a batch's flush, and must
+    // observe exactly the pre-fault state.
     // The group occupies the first member's schedule position, so
     // same-timestamp FIFO order against other subsystems' events is
     // unchanged; restores keep their individual events.

@@ -5,8 +5,12 @@
 
 #include "fault/fault_plan.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
+#include <utility>
 
 #include "sim/event_queue.hh"
 #include "util/logging.hh"
@@ -16,96 +20,36 @@ namespace dstrain {
 
 namespace {
 
-/** The link-class names accepted as degrade/flap targets. */
-const char *const kClassTargets[] = {
-    "roce", "nvlink", "pcie-gpu", "pcie-nic", "pcie-nvme",
-    "xgmi", "dram", "nvme-media", "iod",
+/** The link-class spellings of link-fault targets. */
+constexpr std::pair<std::string_view, LinkClass> kLinkClasses[] = {
+    {"roce", LinkClass::Roce},         {"nvlink", LinkClass::NvLink},
+    {"pcie-gpu", LinkClass::PcieGpu},   {"pcie-nic", LinkClass::PcieNic},
+    {"pcie-nvme", LinkClass::PcieNvme}, {"xgmi", LinkClass::Xgmi},
+    {"dram", LinkClass::Dram},         {"nvme-media", LinkClass::NvmeMedia},
+    {"iod", LinkClass::IodXbar},
 };
 
-/** Parse "<prefix><integer>"; returns false on any mismatch. */
+/**
+ * The target index parser: is @p text "<prefix><digits>"? Sets
+ * @p out when it is and the digits fit an int. Digits that do not fit
+ * set @p error instead; any other form returns false untouched.
+ */
 bool
-parseIndexed(std::string_view text, std::string_view prefix, int *out)
+parseIndex(std::string_view text, std::string_view prefix, int *out,
+           std::string *error)
 {
-    if (!startsWith(text, prefix))
+    if (!startsWith(text, prefix) || text.size() == prefix.size())
         return false;
-    const std::string digits(text.substr(prefix.size()));
-    if (digits.empty())
+    const std::string_view digits = text.substr(prefix.size());
+    if (digits.find_first_not_of("0123456789") != std::string_view::npos)
         return false;
-    char *end = nullptr;
-    const long v = std::strtol(digits.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v < 0)
+    const auto [end, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), *out);
+    if (ec != std::errc()) {
+        *error = "index " + std::string(digits) + " is out of range";
         return false;
-    *out = static_cast<int>(v);
-    return true;
-}
-
-/** Is @p name one of the link-class target spellings? */
-bool
-isClassTarget(std::string_view name)
-{
-    for (const char *cls : kClassTargets)
-        if (name == cls)
-            return true;
-    return false;
-}
-
-/** Syntax check of a target for @p kind; empty string = OK. */
-std::string
-targetSyntaxError(FaultKind kind, const std::string &target)
-{
-    int idx = 0;
-    switch (kind) {
-      case FaultKind::LinkDegrade:
-      case FaultKind::LinkFlap:
-      case FaultKind::LinkDown: {
-        // <class>[/n<k>|/rack<k>] | rail<r> | sw<j>
-        if (parseIndexed(target, "rail", &idx) ||
-            parseIndexed(target, "sw", &idx)) {
-            return "";
-        }
-        const auto parts = split(target, '/');
-        if (parts.empty() || parts.size() > 2 ||
-            !isClassTarget(parts[0])) {
-            return "expected a link class "
-                   "(roce, nvlink, pcie-gpu, pcie-nic, pcie-nvme, "
-                   "xgmi, dram, nvme-media, iod) optionally scoped "
-                   "'/n<k>' or '/rack<k>', a rail 'rail<r>', or a "
-                   "switch 'sw<j>'";
-        }
-        if (parts.size() == 2 && !parseIndexed(parts[1], "n", &idx) &&
-            !parseIndexed(parts[1], "rack", &idx)) {
-            return "bad scope '" + parts[1] +
-                   "' (expected n<k> or rack<k>)";
-        }
-        return "";
-      }
-      case FaultKind::NicFailover: {
-        // n<k>.nic<j>
-        const auto parts = split(target, '.');
-        if (parts.size() != 2 || !parseIndexed(parts[0], "n", &idx) ||
-            !parseIndexed(parts[1], "nic", &idx)) {
-            return "expected n<k>.nic<j>";
-        }
-        return "";
-      }
-      case FaultKind::GpuStraggler:
-        if (!parseIndexed(target, "rank", &idx))
-            return "expected rank<k>";
-        return "";
-      case FaultKind::NvmeDegrade:
-        if (!parseIndexed(target, "n", &idx))
-            return "expected n<k>";
-        return "";
-      case FaultKind::GpuDown:
-        if (!parseIndexed(target, "rank", &idx))
-            return "expected rank<k>";
-        return "";
-      case FaultKind::NodeDown:
-        if (!parseIndexed(target, "n", &idx))
-            return "expected n<k>";
-        return "";
     }
-    return "unknown fault kind";
+    return true;
 }
 
 /** Does this kind use the fraction field? */
@@ -159,6 +103,82 @@ parseNumber(const std::string &text, double *out)
 }
 
 } // namespace
+
+std::optional<FaultTarget>
+parseFaultTarget(FaultKind kind, std::string_view text, std::string *error)
+{
+    using Scope = FaultTarget::Scope;
+    error->clear();
+    FaultTarget t;
+    std::string expected = "unknown fault kind";
+    switch (kind) {
+      case FaultKind::LinkDegrade:
+      case FaultKind::LinkFlap:
+      case FaultKind::LinkDown: {
+        // <class>[/n<k>|/rack<k>] | rail<r> | sw<j>
+        t.scope = Scope::Rail;
+        if (parseIndex(text, "rail", &t.index, error))
+            return t;
+        t.scope = Scope::Switch;
+        if (parseIndex(text, "sw", &t.index, error))
+            return t;
+        t.scope = Scope::Class;
+        const std::size_t slash = text.find('/');
+        const auto *cls = std::find_if(
+            std::begin(kLinkClasses), std::end(kLinkClasses),
+            [name = text.substr(0, slash)](const auto &entry) {
+                return entry.first == name;
+            });
+        if (cls == std::end(kLinkClasses)) {
+            expected = "expected a link class (roce, nvlink, pcie-gpu, "
+                       "pcie-nic, pcie-nvme, xgmi, dram, nvme-media, iod) "
+                       "optionally scoped '/n<k>' or '/rack<k>', a rail "
+                       "'rail<r>', or a switch 'sw<j>'";
+            break;
+        }
+        t.cls = cls->second;
+        if (slash == std::string_view::npos)
+            return t;
+        const std::string_view scope = text.substr(slash + 1);
+        if (parseIndex(scope, "n", &t.node, error) ||
+            parseIndex(scope, "rack", &t.rack, error)) {
+            return t;
+        }
+        expected = "bad scope '" + std::string(scope) +
+                   "' (expected n<k> or rack<k>)";
+        break;
+      }
+      case FaultKind::NicFailover: {
+        t.scope = Scope::Nic;
+        const std::size_t dot = text.find('.');
+        if (dot != std::string_view::npos &&
+            parseIndex(text.substr(0, dot), "n", &t.node, error) &&
+            parseIndex(text.substr(dot + 1), "nic", &t.index, error)) {
+            return t;
+        }
+        expected = "expected n<k>.nic<j>";
+        break;
+      }
+      case FaultKind::GpuStraggler:
+      case FaultKind::GpuDown:
+        t.scope = Scope::Rank;
+        if (parseIndex(text, "rank", &t.index, error))
+            return t;
+        expected = "expected rank<k>";
+        break;
+      case FaultKind::NvmeDegrade:
+      case FaultKind::NodeDown:
+        t.scope = Scope::Node;
+        if (parseIndex(text, "n", &t.node, error))
+            return t;
+        expected = "expected n<k>";
+        break;
+    }
+    // An index too large to be one outranks the namespace hint.
+    if (error->empty())
+        *error = std::move(expected);
+    return std::nullopt;
+}
 
 const char *
 faultKindName(FaultKind kind)
@@ -242,8 +262,8 @@ FaultPlan::validate() const
                 {field, csprintf("fraction %g outside [0.001, 1]",
                                  ev.fraction)});
         }
-        const std::string terr = targetSyntaxError(ev.kind, ev.target);
-        if (!terr.empty())
+        std::string terr;
+        if (!parseFaultTarget(ev.kind, ev.target, &terr))
             errors.push_back({field, "target '" + ev.target +
                                          "': " + terr});
     }

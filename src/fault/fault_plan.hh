@@ -19,15 +19,22 @@
 #ifndef DSTRAIN_FAULT_FAULT_PLAN_HH
 #define DSTRAIN_FAULT_FAULT_PLAN_HH
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "hw/link.hh"
 #include "util/config_error.hh"
 #include "util/units.hh"
 
 namespace dstrain {
 
-/** The fault taxonomy. */
+/**
+ * The fault taxonomy. Each kind's doc names the targets it takes;
+ * parseFaultTarget() parses them, and every index in a target (`<k>`,
+ * `<j>`, `<r>`) is decimal digits that fit an int.
+ */
 enum class FaultKind {
     /**
      * A link class runs at `fraction` of nominal bandwidth for the
@@ -48,7 +55,8 @@ enum class FaultKind {
     /**
      * The links go fully down (capacity 0) and come back at the end
      * of the window. Same targets as LinkDegrade. In-flight flows
-     * stall; with retries enabled the transfer manager reroutes them.
+     * stall until the transfer manager's stranded-flow scan, on under
+     * any fault plan, reroutes them.
      */
     LinkFlap,
 
@@ -88,8 +96,9 @@ enum class FaultKind {
      * Hard failure: the GPU serving rank `rank<k>` dies at `begin`
      * and stays dead — its attach links drop to zero, the in-flight
      * iteration is aborted and the RecoveryManager takes over
-     * (checkpoint restore + replay). Takes no duration and no
-     * fraction; without a recovery policy the run is fatal.
+     * (checkpoint restore + replay; with no checkpoint committed
+     * yet the run replays from iteration 0). Takes no duration and
+     * no fraction.
      */
     GpuDown,
 
@@ -101,6 +110,37 @@ enum class FaultKind {
      */
     NodeDown,
 };
+
+/** What a fault target names: FaultEvent::target, parsed. */
+struct FaultTarget {
+    /** The target namespace. */
+    enum class Scope {
+        Class,   ///< a link class, optionally scoped to a node or rack
+        Rail,    ///< `rail<r>`: NIC r's RoCE uplinks on every node
+        Switch,  ///< `sw<j>`: every link of switch j
+        Nic,     ///< `n<k>.nic<j>`: one NIC
+        Rank,    ///< `rank<k>`: one GPU rank
+        Node,    ///< `n<k>`: one node
+    };
+
+    Scope scope = Scope::Class;
+    LinkClass cls = LinkClass::Roce;  ///< Class: the link class
+    int node = -1;   ///< Class `/n<k>`, Nic, Node: the node (or -1)
+    int rack = -1;   ///< Class `/rack<k>`: the rack (or -1)
+    int index = -1;  ///< Rail r, Switch j, Nic j, Rank k
+};
+
+/**
+ * Parse @p text as the target of a @p kind event; the namespaces each
+ * kind takes are listed in the FaultKind docs. Indices are digits only
+ * (no sign, no space) and must fit an int. On a syntax error returns
+ * nullopt and sets @p error to what was expected. The one target
+ * grammar: FaultPlan::validate() reports its errors and the
+ * FaultInjector resolves what it returns.
+ */
+std::optional<FaultTarget> parseFaultTarget(FaultKind kind,
+                                            std::string_view text,
+                                            std::string *error);
 
 /** Is @p kind a hard (permanent, recovery-driving) failure? */
 bool isHardFault(FaultKind kind);

@@ -64,20 +64,15 @@ uplinkNode(Topology &topo, const FabricHost &host, int n,
     }
 }
 
-/** Trunk rate/latency: explicit spec values or the host uplink's. */
+/** Trunk rate/latency: a switch-to-switch trunk matches the first
+ * host's uplink. */
 void
-trunkParams(const FabricSpec &spec,
-            const std::vector<FabricHost> &hosts, Bps *rate,
+trunkParams(const std::vector<FabricHost> &hosts, Bps *rate,
             SimTime *latency)
 {
-    *rate = spec.trunk_per_dir;
-    *latency = spec.trunk_latency;
-    if (!hosts.empty()) {
-        if (*rate <= 0.0)
-            *rate = hosts.front().roce_per_dir;
-        if (*latency <= 0.0)
-            *latency = hosts.front().roce_latency;
-    }
+    DSTRAIN_ASSERT(!hosts.empty(), "a switched fabric without hosts");
+    *rate = hosts.front().roce_per_dir;
+    *latency = hosts.front().roce_latency;
 }
 
 /**
@@ -127,7 +122,7 @@ buildFatTree(Topology &topo, const FabricSpec &spec,
 
     Bps trunk;
     SimTime trunk_lat;
-    trunkParams(spec, hosts, &trunk, &trunk_lat);
+    trunkParams(hosts, &trunk, &trunk_lat);
 
     // Stage 1+2: full pods, edges before aggregations.
     std::vector<std::vector<ComponentId>> edge_sw(
@@ -239,7 +234,7 @@ buildSpineLeaf(Topology &topo, const FabricSpec &spec,
 
     Bps trunk;
     SimTime trunk_lat;
-    trunkParams(spec, hosts, &trunk, &trunk_lat);
+    trunkParams(hosts, &trunk, &trunk_lat);
 
     std::vector<ComponentId> leaf_sw;
     std::vector<ComponentId> spine_sw;
@@ -310,10 +305,6 @@ FabricSpec::validate() const
              csprintf("needs leaves and spines in [1, %d] (got %d/%d)",
                       kMaxFabricRadix, leaves, spines)});
     }
-    if (trunk_per_dir < 0.0)
-        errors.push_back({"fabric.trunk_per_dir", "must be >= 0"});
-    if (trunk_latency < 0.0)
-        errors.push_back({"fabric.trunk_latency", "must be >= 0"});
     if (max_paths < 1)
         errors.push_back({"fabric.max_paths", "must be >= 1"});
     return errors;

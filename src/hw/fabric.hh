@@ -77,13 +77,6 @@ struct FabricSpec {
     int leaves = 2;   ///< leaf switches (nodes block-assigned)
     int spines = 2;   ///< spine switches (full bipartite trunking)
 
-    // --- trunks -------------------------------------------------------
-    /** Switch-to-switch trunk rate; 0 = the host uplink rate. */
-    Bps trunk_per_dir = 0.0;
-
-    /** Switch-to-switch trunk latency; 0 = the host uplink latency. */
-    SimTime trunk_latency = 0.0;
-
     // --- ECMP ---------------------------------------------------------
     /** Spread flows over equal-cost paths (deterministic hash). */
     bool ecmp = true;

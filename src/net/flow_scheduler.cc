@@ -1452,39 +1452,6 @@ FlowScheduler::cancel(FlowId id, Bytes *remaining)
     return true;
 }
 
-std::size_t
-FlowScheduler::cancelAll()
-{
-    DSTRAIN_ASSERT(batch_depth_ == 0, "cancelAll inside a batch");
-    if (active_count_ == 0)
-        return 0;
-    const SimTime now = sim_.now();
-    const std::size_t n = active_count_;
-    // Terminal observation point: make every flow's remaining exact.
-    for (std::int32_t s = head_slot_; s >= 0; s = next_slot_[s])
-        settleFlow(slots_[static_cast<std::size_t>(s)], now);
-    beginRegion();  // epoch for zeroIfIdle deduplication
-    for (std::int32_t s = head_slot_; s >= 0;) {
-        const std::uint32_t slot = static_cast<std::uint32_t>(s);
-        s = next_slot_[slot];
-        const std::span<const ResourceId> removed = resourcesOf(slot);
-        for (ResourceId rid : removed)
-            nflows_[rid] -= 1;
-        indexRemove(slot);
-        detachFlow(slot);
-        releaseSlot(slot);
-        // Every resource the flow crossed logs exactly zero once idle,
-        // so the abort instant is bit-reproducible.
-        for (ResourceId rid : removed)
-            zeroIfIdle(rid);
-    }
-    stats_.cancels += n;
-    stalled_.clear();
-    scheduleNextCompletion();  // cancels the pending event
-    maybeVerify();
-    return n;
-}
-
 bool
 FlowScheduler::stalledByFault(std::uint32_t slot) const
 {

@@ -245,20 +245,12 @@ class FlowScheduler
 
     /**
      * Remove an active flow without invoking its completion callback
-     * (the transfer-manager reroute path). Remaining un-transferred
-     * bytes are written to @p remaining when non-null.
+     * (the transfer manager's reroute, cancel and abort paths).
+     * Remaining un-transferred bytes are written to @p remaining when
+     * non-null.
      * @return true if the flow was active and is now gone.
      */
     bool cancel(FlowId id, Bytes *remaining = nullptr);
-
-    /**
-     * Remove every active flow at once without invoking completion
-     * callbacks (the hard-failure abort path). Per-resource rates and
-     * telemetry logs drop to zero deterministically; pending
-     * completion events are cancelled. Not callable inside a batch.
-     * @return the number of flows removed.
-     */
-    std::size_t cancelAll();
 
     /**
      * Close all rate logs at the current time (call at end of the

@@ -195,18 +195,6 @@ TransferManager::startTransfer(ComponentId src, ComponentId dst,
     return xidOf(t.seq, slot);
 }
 
-void
-TransferManager::releaseSet(std::uint32_t idx)
-{
-    HopSet &s = sets_[idx];
-    s.routes.clear();
-    s.caps.clear();
-    s.on_done = nullptr;
-    s.keepalive.reset();
-    ++s.gen;
-    free_sets_.push_back(idx);
-}
-
 std::uint32_t
 TransferManager::openLaunchGroup(SimTime when)
 {
@@ -248,37 +236,33 @@ TransferManager::launchSet(std::uint32_t idx)
     spec.rate_caps = s.caps;
     spec.bytes = s.bytes;
     spec.tag = s.tag;
-    spec.on_complete = [this, idx, gen = s.gen](std::uint32_t n) {
-        finishHops(idx, gen, n);
-    };
+    spec.on_complete = [this, idx](std::uint32_t n) { finishHops(idx, n); };
     flows_.startHops(spec);
 }
 
 void
-TransferManager::finishHops(std::uint32_t idx, std::uint32_t gen,
-                            std::uint32_t n)
+TransferManager::finishHops(std::uint32_t idx, std::uint32_t n)
 {
     HopSet &s = sets_[idx];
-    if (s.gen != gen)
-        return;  // abortAll() accounted this one in aggregate
     for (std::uint32_t i = 0; i < n; ++i)
         accountDelivery(s.bytes, 0.0, 0, s.tag);
     s.landed += n;
     std::function<void(std::uint32_t)> done = std::move(s.on_done);
     if (s.landed == s.routes.size()) {
-        // The last hops: free the slot before the continuation runs
-        // (it may start more transfers); the keepalive outlives the
-        // call.
+        // The last hops, the only release of a hop set: free the slot
+        // before the continuation runs (it may start more transfers);
+        // the keepalive outlives the call.
         const std::shared_ptr<void> keepalive = std::move(s.keepalive);
-        releaseSet(idx);
+        s.routes.clear();
+        s.caps.clear();
+        free_sets_.push_back(idx);
         done(n);
         return;
     }
     done(n);
-    // The continuation may have grown the slab; the set stays ours
-    // unless an abort released it meanwhile.
-    if (sets_[idx].gen == gen)
-        sets_[idx].on_done = std::move(done);
+    // The continuation may have grown the slab; only the last landing
+    // releases the set, so it is still ours.
+    sets_[idx].on_done = std::move(done);
 }
 
 void
@@ -489,13 +473,20 @@ TransferManager::checkStranded()
 std::size_t
 TransferManager::abortAll()
 {
+    // A hard fault needs a fault plan, which enables retries before
+    // the first round starts: every in-flight byte is a transfer's.
+    DSTRAIN_ASSERT(free_sets_.size() == sets_.size(),
+                   "abort with %zu hop sets live: hop sets are never "
+                   "aborted",
+                   sets_.size() - free_sets_.size());
     // Cancel in start order so the flow cancellations — and
     // therefore the scheduler's telemetry log writes — land
     // deterministically.
     const std::vector<std::uint32_t> live = liveInStartOrder();
-    std::size_t n = live.size();
     for (const std::uint32_t slot : live)
         abortTransfer(transfers_[slot]);
+    DSTRAIN_ASSERT(flows_.activeCount() == 0,
+                   "%zu flows outlived the abort", flows_.activeCount());
     for (const std::uint32_t slot : live)
         releaseTransfer(slot);
     ++epoch_;
@@ -506,26 +497,7 @@ TransferManager::abortAll()
             sim_.events().cancel(g.event);
     groups_.clear();
     free_groups_.clear();
-    // Every hop set goes with its completion and keepalive; a
-    // completion or zero-byte completion still queued for one finds
-    // its generation bumped and bails.
-    for (std::uint32_t idx = 0; idx < sets_.size(); ++idx)
-        if (!sets_[idx].routes.empty())
-            releaseSet(idx);
-    // Hop sets carry no per-hop progress, so account whatever is
-    // still in flight in aggregate: the owner kills their active
-    // flows via FlowScheduler::cancelAll(), so every byte not
-    // delivered by now — including partial progress of a cancelled
-    // flow — is discarded.
-    const std::uint64_t untracked =
-        stats_.started - stats_.completed - stats_.aborted;
-    if (untracked > 0) {
-        stats_.aborted += untracked;
-        stats_.bytes_aborted =
-            stats_.bytes_requested - stats_.bytes_delivered;
-        n += untracked;
-    }
-    return n;
+    return live.size();
 }
 
 void

@@ -247,14 +247,15 @@ class TransferManager
     /**
      * Abort every in-flight transfer: cancel the transfers' flows
      * without completion callbacks (what they moved counts
-     * delivered), release every transfer and hop set with its
-     * completion and keepalive, cancel the pending launch events,
-     * and advance the abort epoch so stranded-flow scans scheduled
-     * before the abort become no-ops. The owner then drops the hop
-     * sets' flows with FlowScheduler::cancelAll(). The hard-failure
-     * recovery path; aborted bytes are accounted in
-     * stats().bytes_aborted.
-     * @return the number of transfers (and hop-set hops) aborted.
+     * delivered), release every transfer with its completion and
+     * keepalive, cancel the pending launch events, and advance the
+     * abort epoch so stranded-flow scans scheduled before the abort
+     * become no-ops. The hard-failure recovery path; aborted bytes
+     * are accounted in stats().bytes_aborted. A hard fault needs a
+     * fault plan, which enables retries before the first round, so
+     * every in-flight flow is a transfer's: DSTRAIN_ASSERTs that no
+     * hop set is live.
+     * @return the number of transfers aborted.
      */
     std::size_t abortAll();
 
@@ -297,8 +298,8 @@ class TransferManager
     /**
      * One launch time's hops of a fault-free round (startHops()): a
      * slab record, the only one besides the transfers. Its launch
-     * event and every hop entity's completion capture (this, index)
-     * (the completion adds the generation).
+     * event and every hop entity's completion capture (this, index).
+     * Only its last landing releases it: no fault plan, no abort.
      */
     struct HopSet {
         /** Every hop's route, resolved by the caller (router storage
@@ -307,8 +308,6 @@ class TransferManager
         std::vector<Bps> caps;  ///< attemptRateCap() of each route
         Bytes bytes = 0.0;      ///< every hop's payload
         TagId tag = kNoTag;
-        /** Bumped at release: a completion for an older use bails. */
-        std::uint32_t gen = 0;
         /** The round's completion, taking a hop count. */
         std::function<void(std::uint32_t)> on_done;
         std::shared_ptr<void> keepalive;
@@ -430,14 +429,12 @@ class TransferManager
      */
     std::vector<std::uint32_t> liveInStartOrder() const;
 
-    /** Drop hop set @p idx's completion and free the slot. */
-    void releaseSet(std::uint32_t idx);
-
     /** Start the hops of hop set @p idx. */
     void launchSet(std::uint32_t idx);
 
-    /** @p n hops of hop set @p idx (generation @p gen) landed. */
-    void finishHops(std::uint32_t idx, std::uint32_t gen, std::uint32_t n);
+    /** @p n hops of hop set @p idx landed; the last landing frees
+     * the set. */
+    void finishHops(std::uint32_t idx, std::uint32_t n);
 
     /** A launch group with no members yet, whose event fires at
      * @p when. */

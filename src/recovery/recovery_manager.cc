@@ -6,11 +6,11 @@
 #include "recovery/recovery_manager.hh"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "hw/node_builder.hh"
 #include "net/transfer_manager.hh"
+#include "util/join.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -228,62 +228,17 @@ RecoveryManager::beginRestart(std::size_t event_index, SimTime fault_time)
             injector_->restoreHard(event_index);
             sim_.events().scheduleAfter(
                 cfg_.rendezvous, [this, dead_node, fault_time] {
-                    issueRestoreReads(dead_node, [this, fault_time] {
+                    if (!have_checkpoint_) {
+                        // Nothing ever committed: re-initialize and
+                        // replay from iteration 0, no restore IO.
+                        finishRecovery(fault_time);
+                        return;
+                    }
+                    restoreShards(dead_node, false, [this, fault_time] {
                         finishRecovery(fault_time);
                     });
                 });
         });
-}
-
-void
-RecoveryManager::issueRestoreReads(int dead_node,
-                                   std::function<void()> done)
-{
-    if (!have_checkpoint_) {
-        // Nothing ever committed: re-initialize and replay from
-        // iteration 0 — no restore IO.
-        done();
-        return;
-    }
-    auto remaining = std::make_shared<int>(1);
-    auto shared_done = std::make_shared<std::function<void()>>(
-        std::move(done));
-    auto part = [remaining, shared_done] {
-        if (--*remaining == 0)
-            (*shared_done)();
-    };
-    for (int r = 0; r < world_; ++r) {
-        const Bytes shard = shardBytes(r);
-        if (shard <= 0.0)
-            continue;
-        const int phys = physicalRank(r);
-        const int node = cluster_.nodeOfRank(phys);
-        ++*remaining;
-        if (node != dead_node) {
-            executor_.rankStorageIo(r, false, shard,
-                                    csprintf("restore.r%d", r), part);
-            continue;
-        }
-        // The replacement node's NVMe is blank: read the shard from
-        // the next node's checkpoint mirror and ship it over the
-        // fabric. The read's join token passes to the ship.
-        const int local = cluster_.localOfRank(phys);
-        const int socket = gpuSocket(cluster_.nodeSpec(node), local);
-        const int volume = executor_.placement().volumeForRank(local);
-        const int mirror = nextAliveNode(dead_node);
-        executor_.nodeStorageIo(
-            mirror, socket, volume, false, shard,
-            csprintf("restore.mirror.r%d", r),
-            [this, mirror, dead_node, socket, shard, r, part] {
-                const std::size_t s = static_cast<std::size_t>(socket);
-                TransferOptions opts;
-                opts.tag = tm_.internTag(csprintf("restore.ship.r%d", r));
-                tm_.start(cluster_.node(mirror).drams[s],
-                          cluster_.node(dead_node).drams[s], shard, part,
-                          std::move(opts));
-            });
-    }
-    part();  // release the issuing guard
 }
 
 void
@@ -306,82 +261,85 @@ RecoveryManager::beginElastic(std::size_t event_index, SimTime fault_time)
     sim_.events().scheduleAfter(
         cfg_.detect_delay + cfg_.rendezvous,
         [this, dead_node, fault_time] {
-            auto remaining = std::make_shared<int>(1);
-            auto finish = [this, dead_node, fault_time] {
-                DSTRAIN_ASSERT(replan_ != nullptr,
-                               "elastic recovery needs a replanner");
-                std::vector<int> rank_map;
-                std::vector<int> node_map;
-                const IterationPlan *plan =
-                    replan_(dead_node, &rank_map, &node_map);
-                DSTRAIN_ASSERT(plan != nullptr, "replanner returned null");
-                rank_map_ = rank_map;
-                executor_.setPlanOverride(plan, std::move(rank_map),
-                                          std::move(node_map));
-                world_ -= cluster_.gpusOfNode(dead_node);
-                DSTRAIN_ASSERT(world_ > 0, "no survivors to continue on");
-                finishRecovery(fault_time);
-            };
-            auto part = [remaining,
-                         finish = std::make_shared<
-                             std::function<void()>>(finish)] {
-                if (--*remaining == 0)
-                    (*finish)();
-            };
-
-            int survivors = 0;
-            for (const bool alive : node_alive_)
-                survivors += alive ? 1 : 0;
-            // Survivors reload their own shards from local NVMe; the
-            // dead node's mirrored shards are read by its neighbor
-            // and re-scattered equally across the survivors.
-            for (int r = 0; r < world_; ++r) {
-                const Bytes shard = shardBytes(r);
-                if (shard <= 0.0)
-                    continue;
-                const int phys = physicalRank(r);
-                const int node = cluster_.nodeOfRank(phys);
-                ++*remaining;
-                if (node != dead_node) {
-                    executor_.rankStorageIo(
-                        r, false, shard, csprintf("reshard.r%d", r),
-                        part);
-                    continue;
-                }
-                const int local = cluster_.localOfRank(phys);
-                const int socket =
-                    gpuSocket(cluster_.nodeSpec(node), local);
-                const int volume =
-                    executor_.placement().volumeForRank(local);
-                const int mirror = nextAliveNode(dead_node);
-                executor_.nodeStorageIo(
-                    mirror, socket, volume, false, shard,
-                    csprintf("reshard.mirror.r%d", r),
-                    [this, mirror, socket, shard, r, survivors,
-                     remaining, part] {
-                        // Scatter equal shares to the other survivors;
-                        // the mirror keeps its own share in DRAM.
-                        const std::size_t s =
-                            static_cast<std::size_t>(socket);
-                        const Bytes share = shard / survivors;
-                        const int n = cluster_.nodeCount();
-                        for (int t = 0; t < n; ++t) {
-                            if (t == mirror ||
-                                !node_alive_[static_cast<std::size_t>(t)])
-                                continue;
-                            ++*remaining;
-                            TransferOptions opts;
-                            opts.tag = tm_.internTag(
-                                csprintf("reshard.ship.r%d.n%d", r, t));
-                            tm_.start(cluster_.node(mirror).drams[s],
-                                      cluster_.node(t).drams[s], share,
-                                      part, std::move(opts));
-                        }
-                        part();  // release the read's join token
-                    });
-            }
-            part();  // release the issuing guard
+            restoreShards(dead_node, true, [this, dead_node, fault_time] {
+                replanElastic(dead_node, fault_time);
+            });
         });
+}
+
+void
+RecoveryManager::restoreShards(int dead_node, bool elastic,
+                               std::function<void()> done)
+{
+    const char *what = elastic ? "reshard" : "restore";
+    int survivors = 0;
+    for (const bool alive : node_alive_)
+        survivors += alive ? 1 : 0;
+    const Join join(std::move(done));
+    const std::function<void()> issuer = join.part();
+    for (int r = 0; r < world_; ++r) {
+        const Bytes shard = shardBytes(r);
+        if (shard <= 0.0)
+            continue;
+        const int phys = physicalRank(r);
+        const int node = cluster_.nodeOfRank(phys);
+        if (node != dead_node) {
+            executor_.rankStorageIo(r, false, shard,
+                                    csprintf("%s.r%d", what, r),
+                                    join.part());
+            continue;
+        }
+        // The dead node's shard is read from the next node's
+        // checkpoint mirror and shipped from its DRAM. Restart sends
+        // it whole to the replacement node (whose NVMe is blank);
+        // elastic scatters an equal share to every other survivor,
+        // the mirror keeping its own share in DRAM.
+        const int local = cluster_.localOfRank(phys);
+        const int socket = gpuSocket(cluster_.nodeSpec(node), local);
+        const int volume = executor_.placement().volumeForRank(local);
+        const int mirror = nextAliveNode(dead_node);
+        executor_.nodeStorageIo(
+            mirror, socket, volume, false, shard,
+            csprintf("%s.mirror.r%d", what, r),
+            [this, join, read = join.part(), elastic, dead_node, mirror,
+             socket, shard, survivors, r] {
+                const std::size_t s = static_cast<std::size_t>(socket);
+                for (int t = 0; t < cluster_.nodeCount(); ++t) {
+                    const bool ship =
+                        elastic ? t != mirror &&
+                                      node_alive_[static_cast<std::size_t>(t)]
+                                : t == dead_node;
+                    if (!ship)
+                        continue;
+                    TransferOptions opts;
+                    opts.tag = tm_.internTag(
+                        elastic ? csprintf("reshard.ship.r%d.n%d", r, t)
+                                : csprintf("restore.ship.r%d", r));
+                    tm_.start(cluster_.node(mirror).drams[s],
+                              cluster_.node(t).drams[s],
+                              elastic ? shard / survivors : shard,
+                              join.part(), std::move(opts));
+                }
+                read();
+            });
+    }
+    issuer();
+}
+
+void
+RecoveryManager::replanElastic(int dead_node, SimTime fault_time)
+{
+    DSTRAIN_ASSERT(replan_ != nullptr, "elastic recovery needs a replanner");
+    std::vector<int> rank_map;
+    std::vector<int> node_map;
+    const IterationPlan *plan = replan_(dead_node, &rank_map, &node_map);
+    DSTRAIN_ASSERT(plan != nullptr, "replanner returned null");
+    rank_map_ = rank_map;
+    executor_.setPlanOverride(plan, std::move(rank_map),
+                              std::move(node_map));
+    world_ -= cluster_.gpusOfNode(dead_node);
+    DSTRAIN_ASSERT(world_ > 0, "no survivors to continue on");
+    finishRecovery(fault_time);
 }
 
 void

@@ -197,8 +197,20 @@ class RecoveryManager
     /** Elastic-policy sequence after the abort. */
     void beginElastic(std::size_t event_index, SimTime fault_time);
 
-    /** Issue the checkpoint-read IO fan-out; @p done joins it. */
-    void issueRestoreReads(int dead_node, std::function<void()> done);
+    /**
+     * Read every rank's checkpoint shard back, then run @p done: a
+     * rank on a surviving node reads its own shard from local NVMe;
+     * a shard of @p dead_node is read from the next alive node's
+     * mirror and shipped from that node's DRAM, whole to the
+     * replacement node (restart) or as a 1/survivors share to each
+     * survivor but the mirror (@p elastic).
+     */
+    void restoreShards(int dead_node, bool elastic,
+                       std::function<void()> done);
+
+    /** Elastic, after the reshard: continue on the survivors under a
+     * re-planned iteration, then finish the recovery. */
+    void replanElastic(int dead_node, SimTime fault_time);
 
     /** Recovery finished: record windows and release the run. */
     void finishRecovery(SimTime fault_time);

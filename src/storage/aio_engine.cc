@@ -5,6 +5,7 @@
 
 #include "storage/aio_engine.hh"
 
+#include "util/join.hh"
 #include "util/logging.hh"
 
 namespace dstrain {
@@ -52,17 +53,12 @@ AioEngine::submit(int drive_index, StorageIo io)
             sustained = io.bytes - burst;
         }
 
-        // Join: the request completes when both portions land.
-        auto remaining = std::make_shared<int>(0);
-        auto on_done = std::make_shared<std::function<void()>>(
-            std::move(io.on_done));
-        auto part_done = [this, remaining, on_done] {
-            if (--*remaining == 0) {
-                ++completed_;
-                if (*on_done)
-                    (*on_done)();
-            }
-        };
+        // The request completes when both portions land.
+        const Join join([this, on_done = std::move(io.on_done)] {
+            ++completed_;
+            if (on_done)
+                on_done();
+        });
 
         TransferOptions opts;
         opts.tag = tm_.internTag(io.tag);
@@ -76,26 +72,20 @@ AioEngine::submit(int drive_index, StorageIo io)
             opts.extra_resources.push_back(
                 tm_.cluster().node(io.node).iod_crossing);
         }
-        if (burst > 0.0) {
-            ++*remaining;
-            tm_.start(dram, dev.controller(), burst, part_done, opts);
-        }
+        if (burst > 0.0)
+            tm_.start(dram, dev.controller(), burst, join.part(), opts);
         if (sustained > 0.0) {
-            ++*remaining;
             if (io.write)
-                tm_.start(dram, dev.media(), sustained, part_done, opts);
+                tm_.start(dram, dev.media(), sustained, join.part(), opts);
             else
-                tm_.start(dev.media(), dram, sustained, part_done, opts);
+                tm_.start(dev.media(), dram, sustained, join.part(), opts);
         }
-        if (*remaining == 0) {
-            // Zero-byte IO: complete asynchronously.
+        if (burst <= 0.0 && sustained <= 0.0) {
+            // Zero-byte IO: its one part arrives asynchronously.
             tm_.sim().events().scheduleAfter(
-                0.0, [this, on_done, epoch] {
-                    if (epoch != epoch_)
-                        return;
-                    ++completed_;
-                    if (*on_done)
-                        (*on_done)();
+                0.0, [this, part = join.part(), epoch] {
+                    if (epoch == epoch_)
+                        part();
                 });
         }
     };

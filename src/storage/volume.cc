@@ -5,6 +5,7 @@
 
 #include "storage/volume.hh"
 
+#include "util/join.hh"
 #include "util/logging.hh"
 
 namespace dstrain {
@@ -30,9 +31,7 @@ StorageVolume::io(StorageIo io)
     }
 
     // RAID0: even striping; completion = join over members.
-    auto remaining = std::make_shared<int>(static_cast<int>(n));
-    auto on_done =
-        std::make_shared<std::function<void()>>(std::move(io.on_done));
+    const Join join(std::move(io.on_done));
     for (int drive : spec_.drives) {
         StorageIo part;
         part.write = io.write;
@@ -40,10 +39,7 @@ StorageVolume::io(StorageIo io)
         part.node = io.node;
         part.socket = io.socket;
         part.tag = io.tag + "/" + spec_.name;
-        part.on_done = [remaining, on_done] {
-            if (--*remaining == 0 && *on_done)
-                (*on_done)();
-        };
+        part.on_done = join.part();
         engine_.submit(drive, std::move(part));
     }
 }

@@ -152,18 +152,16 @@ TEST_F(DualNodeCollectiveTest, SpanningGroupUsesRoce)
 
 TEST_F(DualNodeCollectiveTest, AbortMidOpReleasesTheInvocation)
 {
-    // The hard-failure teardown (TransferManager::abortAll() then
-    // FlowScheduler::cancelAll()) drops every pending callback of a
-    // two-channel all-reduce mid-flight; the invocation must go with
-    // them.
+    // The hard-failure teardown (TransferManager::abortAll()) drops
+    // every pending callback of a two-channel all-reduce mid-flight;
+    // the invocation must go with them. A hard fault needs a fault
+    // plan, which enables retries before the first round.
+    tm_.enableRetries();
     auto token = std::make_shared<int>(0);
     bool done = false;
     coll_.allReduce(CommGroup::worldOf(8), 4e9,
                     [&done, token] { done = true; });
-    sim_.events().schedule(1e-3, [this] {
-        tm_.abortAll();
-        flows_.cancelAll();
-    });
+    sim_.events().schedule(1e-3, [this] { tm_.abortAll(); });
     sim_.run();
     EXPECT_FALSE(done);
     EXPECT_EQ(coll_.completedCount(), 0u);

@@ -273,16 +273,5 @@ TEST_F(DegradedCollectiveTest, GroupShrunkBelowTwoCompletesTrivially)
     EXPECT_EQ(fabricBytes(LinkClass::NvLink), 0.0);
 }
 
-TEST_F(DegradedCollectiveTest, ClearDeadRanksRestoresFullGroup)
-{
-    coll_.markRanksDead({4, 5, 6, 7});
-    coll_.clearDeadRanks();
-    bool done = false;
-    coll_.allReduce(CommGroup::worldOf(8), 1e9, [&] { done = true; });
-    sim_.run();
-    EXPECT_TRUE(done);
-    EXPECT_GT(fabricBytes(LinkClass::Roce), 0.0);
-}
-
 } // namespace
 } // namespace dstrain

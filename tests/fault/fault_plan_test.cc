@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "fault/fault_plan.hh"
 
 namespace dstrain {
@@ -220,6 +223,63 @@ TEST(FaultPlanTest, FabricTargetNamespacesRejectBadSpellings)
     EXPECT_NE(errors[0].message.find("rail<r>"), std::string::npos);
     EXPECT_NE(errors[0].message.find("sw<j>"), std::string::npos);
     EXPECT_NE(errors[0].message.find("rack<k>"), std::string::npos);
+}
+
+TEST(FaultPlanTest, TargetIndicesAreDigitsThatFitAnInt)
+{
+    // One grammar validates and resolves a target, so an index that
+    // wraps past an int, or that strtol/atoi would read past a sign
+    // or a space, is an error naming the target, not another target.
+    const std::pair<const char *, const char *> cases[] = {
+        {"straggler@1+1:rank4294967297:0.5", "rank4294967297"},
+        {"linkdown@1:rail4294967296", "rail4294967296"},
+        {"nicdown@1+0.1:n4294967296.nic1", "n4294967296.nic1"},
+        {"nodedown@1:n2147483648", "n2147483648"},
+        {"straggler@1+1:rank+3:0.5", "rank+3"},
+        {"straggler@1+1:rank 3:0.5", "rank 3"},
+    };
+    for (const auto &[spec, target] : cases) {
+        const auto errors = parseBad(spec);
+        if (errors.empty())
+            continue;  // parseBad() reported it
+        EXPECT_EQ(errors.size(), 1u) << spec;
+        EXPECT_NE(errors[0].message.find("target '" + std::string(target) +
+                                         "'"),
+                  std::string::npos)
+            << spec << ": " << errors[0].message;
+    }
+}
+
+TEST(FaultPlanTest, ParseFaultTargetReturnsTheTypedTarget)
+{
+    using Scope = FaultTarget::Scope;
+    std::string error;
+    const auto cls =
+        parseFaultTarget(FaultKind::LinkDegrade, "pcie-nvme/rack2", &error);
+    ASSERT_TRUE(cls) << error;
+    EXPECT_EQ(cls->scope, Scope::Class);
+    EXPECT_EQ(cls->cls, LinkClass::PcieNvme);
+    EXPECT_EQ(cls->rack, 2);
+    EXPECT_EQ(cls->node, -1);
+
+    const auto nic =
+        parseFaultTarget(FaultKind::NicFailover, "n3.nic1", &error);
+    ASSERT_TRUE(nic) << error;
+    EXPECT_EQ(nic->scope, Scope::Nic);
+    EXPECT_EQ(nic->node, 3);
+    EXPECT_EQ(nic->index, 1);
+
+    const auto node =
+        parseFaultTarget(FaultKind::NodeDown, "n2147483647", &error);
+    ASSERT_TRUE(node) << error;
+    EXPECT_EQ(node->scope, Scope::Node);
+    EXPECT_EQ(node->node, 2147483647);
+
+    EXPECT_FALSE(parseFaultTarget(FaultKind::LinkFlap, "sw-1", &error));
+    EXPECT_EQ(parseFaultTarget(FaultKind::LinkDown, "rail7", &error)->index,
+              7);
+    EXPECT_FALSE(parseFaultTarget(FaultKind::GpuDown, "rank", &error));
+    EXPECT_EQ(error, "expected rank<k>");
 }
 
 TEST(FaultPlanTest, ValidateChecksRanges)

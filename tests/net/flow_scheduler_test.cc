@@ -469,32 +469,6 @@ TEST_F(FlowSchedulerTest, SlackToSlackCapacityChangeIsFast)
     EXPECT_NEAR(sim_.now(), 1.0, 1e-6);
 }
 
-TEST_F(FlowSchedulerTest, CancelAllRemovesEveryFlowSilently)
-{
-    // The hard-failure abort path: every active flow disappears at
-    // once, no completion callbacks fire, and the touched resources
-    // log a final zero rate so telemetry stays consistent.
-    int completions = 0;
-    for (int i = 0; i < 3; ++i) {
-        FlowSpec spec;
-        spec.route = gpuRoute(i, i + 1);
-        spec.bytes = 80e9;
-        spec.on_complete = [&] { ++completions; };
-        flows_.start(std::move(spec));
-    }
-    sim_.events().schedule(0.2, [&] {
-        EXPECT_EQ(flows_.activeCount(), 3u);
-        EXPECT_EQ(flows_.cancelAll(), 3u);
-        EXPECT_EQ(flows_.activeCount(), 0u);
-        EXPECT_EQ(flows_.cancelAll(), 0u);  // idempotent when empty
-    });
-    sim_.run();
-    EXPECT_EQ(completions, 0);
-    EXPECT_EQ(flows_.stats().cancels, 3u);
-    // The simulation drained: no completion events left dangling.
-    EXPECT_NEAR(sim_.now(), 0.2, 1e-9);
-}
-
 TEST_F(FlowSchedulerTest, StalledFlowsParkOnTheStalledList)
 {
     // A downed link parks its flows: they leave every fill / scan /

@@ -434,11 +434,8 @@ TEST_F(TransferManagerTest, AbortAllAccountsEveryByte)
               [&] { ++completions; });
     sim_.events().schedule(1.0, [&] {
         // The 10 GB transfer finished long ago; the 80 TB one is
-        // still in flight and gets the axe. Mirror the production
-        // abort pairing: the owner cancels the scheduler's flows
-        // right after the manager gives up on them.
+        // still in flight and gets the axe, its flow with it.
         EXPECT_EQ(tm_.abortAll(), 1u);
-        flows_.cancelAll();
     });
     sim_.run();
     EXPECT_EQ(completions, 1);
@@ -464,10 +461,7 @@ TEST_F(TransferManagerTest, AbortAllCountsPartialProgressAsDelivered)
     const ComponentId dst = cluster_.gpuByRank(0);
     tm_.start(src, dst, 80e12,
               [] { FAIL() << "aborted transfer completed"; });
-    sim_.events().schedule(1.0, [&] {
-        EXPECT_EQ(tm_.abortAll(), 1u);
-        flows_.cancelAll();
-    });
+    sim_.events().schedule(1.0, [&] { EXPECT_EQ(tm_.abortAll(), 1u); });
     sim_.run();
     flows_.finalizeLogs();
     const ResourceId rid =
@@ -700,6 +694,18 @@ TEST_F(TransferManagerTest, DeathOnBadRateFactor)
                            cluster_.gpuByRank(1), 1.0, nullptr,
                            std::move(opts)),
                  "rate factor");
+}
+
+TEST_F(TransferManagerTest, DeathOnAbortWithALiveHopSet)
+{
+    // A hard fault needs a fault plan, which enables retries before
+    // the first round starts, so abortAll() never meets a fault-free
+    // hop set: finding one live is a bookkeeping bug.
+    int landed = 0;
+    launchGroup({{0, 4, 0}, {1, 5, 0}}, &landed);
+    ASSERT_TRUE(sim_.events().step());
+    ASSERT_GT(flows_.activeCount(), 0u);
+    EXPECT_DEATH(tm_.abortAll(), "hop sets live");
 }
 
 } // namespace

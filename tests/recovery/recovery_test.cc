@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/presets.hh"
 #include "core/report.hh"
 #include "core/sweep_runner.hh"
+#include "recovery/checkpoint.hh"
 #include "util/logging.hh"
 
 namespace dstrain {
@@ -220,6 +223,108 @@ TEST(RecoveryTest, NodedownWithoutCheckpointReplaysFromScratch)
     // Everything that had completed is lost.
     EXPECT_GE(r.recovery.lost_iterations, 1);
     EXPECT_EQ(r.execution.iteration_ends.size(), 5u);
+}
+
+/** What one recovery moved, and the checkpoint it restored. */
+struct RecoveryTraffic {
+    Bytes nvme_read = 0.0;       ///< over every drive's media
+    std::vector<Bytes> roce_in;  ///< arriving at each node's NICs
+    Bytes shards = 0.0;          ///< every rank's checkpoint shard
+    Bytes dead_shards = 0.0;     ///< the shards of node 1's ranks
+};
+
+/** Add the NVMe media and per-node inbound RoCE bytes carried
+ * through @p t to @p out. */
+void
+addBytesThrough(const Topology &topo, SimTime t, RecoveryTraffic *out)
+{
+    out->roce_in.resize(static_cast<std::size_t>(topo.nodeCount()), 0.0);
+    for (const Resource &res : topo.resources())
+        if (res.cls == LinkClass::NvmeMedia)
+            out->nvme_read += res.log.bytesThrough(t);
+    for (std::size_t h = 0; h < topo.halfLinkCount(); ++h) {
+        const HalfLink &hl = topo.halfLink(static_cast<HalfLinkId>(h));
+        const Component &to = topo.component(hl.to);
+        if (hl.cls == LinkClass::Roce && to.kind == ComponentKind::Nic) {
+            out->roce_in[static_cast<std::size_t>(to.node)] +=
+                topo.resource(hl.resource).log.bytesThrough(t);
+        }
+    }
+}
+
+/**
+ * The traffic of @p cfg's one hard fault, a nodedown of n1 at
+ * @p fault_time, from the fault to the resume: nothing else moves
+ * while the run is held, and nothing is written. A first run finds
+ * the resume instant; a second, identical one reads the byte counters
+ * at both ends.
+ */
+RecoveryTraffic
+recoveryTraffic(const ExperimentConfig &cfg, SimTime fault_time)
+{
+    const SimTime resume =
+        fault_time + runExperiment(cfg).recovery.time_to_recover;
+    Experiment exp(cfg);
+    const Topology &topo = exp.cluster().topology();
+    RecoveryTraffic before;
+    RecoveryTraffic moved;
+    exp.sim().events().schedule(fault_time, [&] {
+        addBytesThrough(topo, fault_time, &before);
+    });
+    exp.sim().events().schedule(resume, [&] {
+        addBytesThrough(topo, resume, &moved);
+    });
+    EXPECT_EQ(exp.run().recovery.recoveries, 1);
+
+    // `moved` read the counters at the resume: take off the fault's.
+    moved.nvme_read -= before.nvme_read;
+    for (std::size_t n = 0; n < moved.roce_in.size(); ++n)
+        moved.roce_in[n] -= before.roce_in[n];
+    const int world = exp.cluster().spec().totalGpus();
+    for (int r = 0; r < world; ++r) {
+        const Bytes shard = checkpointShardBytes(
+            cfg.strategy, exp.model().params, world, r);
+        moved.shards += shard;
+        if (exp.cluster().nodeOfRank(r) == 1)
+            moved.dead_shards += shard;
+    }
+    return moved;
+}
+
+TEST(RecoveryTest, EachPolicyReadsEveryShardAndShipsTheDeadNodes)
+{
+    // Both policies read every shard once: survivors from local NVMe,
+    // the dead node's from its mirror, the next node. Restart ships
+    // the dead node's shards whole to the replacement; elastic ships
+    // a 1/survivors share to each survivor but the mirror.
+    for (const bool elastic : {false, true}) {
+        SCOPED_TRACE(elastic ? "elastic on 3 nodes" : "restart on 2 nodes");
+        ExperimentConfig cfg = paperExperiment(
+            elastic ? 3 : 2, StrategyConfig::zero(1), 1.4);
+        cfg.iterations = 6;
+        cfg.warmup = 1;
+        cfg.recovery.checkpoint.every_iterations = 2;
+        if (elastic)
+            cfg.recovery.policy = RecoveryPolicyKind::Elastic;
+        const SimTime fault_time = midWindow(cfg);
+        cfg.faults = hardFaultAt("nodedown:n1", fault_time);
+        const RecoveryTraffic moved = recoveryTraffic(cfg, fault_time);
+
+        ASSERT_GT(moved.dead_shards, 0.0);
+        const Bytes tol = 1e-6 * moved.shards;
+        EXPECT_NEAR(moved.nvme_read, moved.shards, tol);
+        ASSERT_EQ(moved.roce_in.size(), elastic ? 3u : 2u);
+        if (elastic) {
+            // n2 mirrors n1; n0 is the one other survivor.
+            EXPECT_NEAR(moved.roce_in[0], moved.dead_shards / 2, tol);
+            EXPECT_NEAR(moved.roce_in[1], 0.0, tol);
+            EXPECT_NEAR(moved.roce_in[2], 0.0, tol);
+        } else {
+            // n0 mirrors n1 and ships to the replacement.
+            EXPECT_NEAR(moved.roce_in[0], 0.0, tol);
+            EXPECT_NEAR(moved.roce_in[1], moved.dead_shards, tol);
+        }
+    }
 }
 
 TEST(RecoveryTest, SweepFingerprintsMatchSerialAndParallel)

@@ -145,13 +145,8 @@ runSweep(int argc, const char *const *argv)
             ExperimentConfig cfg = paperExperiment(
                 nodes, *strategy, args.getDouble("model"));
             cfg.batch_per_gpu = args.getInt("batch");
-            // Executor needs at least one measured (post-warmup)
-            // iteration, so a positive count is raised past the
-            // warm-up; anything below 1 is left for validate().
-            const int iterations = args.getInt("iterations");
-            cfg.iterations = iterations >= 1
-                                 ? std::max(cfg.warmup + 1, iterations)
-                                 : iterations;
+            cfg.iterations =
+                iterationsPastWarmup(cfg.warmup, args.getInt("iterations"));
             cfg.faults = faults;
             names.push_back(csprintf("%dn %s", nodes,
                                      strategy->displayName().c_str()));
@@ -242,7 +237,8 @@ runFaultsDemo(int argc, const char *const *argv)
 
     ExperimentConfig cfg = paperExperiment(
         args.getInt("nodes"), *strategy, args.getDouble("model"));
-    cfg.iterations = std::max(cfg.warmup + 1, args.getInt("iterations"));
+    cfg.iterations =
+        iterationsPastWarmup(cfg.warmup, args.getInt("iterations"));
     errors = cfg.validate();
     if (!errors.empty()) {
         printConfigErrors(errors);
@@ -341,7 +337,8 @@ runRecoveryDemo(int argc, const char *const *argv)
 
     ExperimentConfig cfg = paperExperiment(
         args.getInt("nodes"), *strategy, args.getDouble("model"));
-    cfg.iterations = std::max(cfg.warmup + 1, args.getInt("iterations"));
+    cfg.iterations =
+        iterationsPastWarmup(cfg.warmup, args.getInt("iterations"));
     ExperimentConfig ckpt_cfg = cfg;
     ckpt_cfg.recovery.checkpoint = ckpt;
     ExperimentConfig fault_cfg = ckpt_cfg;
